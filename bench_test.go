@@ -393,6 +393,7 @@ func BenchmarkAmoebotActivation(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := amoebot.NewPoissonScheduler(w, amoebot.MustNewCompression(4), 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.StepActivation()

@@ -1,12 +1,17 @@
 // Command benchgate is the benchmark-regression gate behind the CI bench
 // job: it parses two `go test -bench` output files (typically merge-base and
 // PR head, each run with -count N for stable medians), compares the
-// per-benchmark median ns/op, and exits non-zero when any benchmark present
-// in both files regressed by more than the threshold.
+// per-benchmark median of one metric, and exits non-zero when any benchmark
+// present in both files regressed by more than the threshold. Benchmarks are
+// keyed by package and name (from the `pkg:` header lines), so two packages
+// that report the same benchmark name never pool their samples. A benchmark
+// whose base median is zero (typically 0 allocs/op) regresses as soon as its
+// head median is above zero, whatever the threshold.
 //
 // Usage:
 //
 //	benchgate [-threshold 20] [-metric ns/op] base.txt head.txt
+//	benchgate -metric allocs/op base.txt head.txt   # with -benchmem output
 //
 // benchstat (golang.org/x/perf) remains the human-readable report in the CI
 // log; benchgate is the self-contained pass/fail decision, dependency-free
@@ -46,15 +51,17 @@ func main() {
 	report, failures := compare(base, head, *threshold)
 	fmt.Print(report)
 	if len(failures) > 0 {
-		fmt.Printf("benchgate: FAIL — %d benchmark(s) regressed more than %.0f%%: %s\n",
-			len(failures), *threshold, strings.Join(failures, ", "))
+		fmt.Printf("benchgate: FAIL — %d benchmark(s) regressed more than %.0f%% (or rose from 0) in %s: %s\n",
+			len(failures), *threshold, *metric, strings.Join(failures, ", "))
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: ok (threshold %.0f%%)\n", *threshold)
+	fmt.Printf("benchgate: ok (%s, threshold %.0f%%)\n", *metric, *threshold)
 }
 
-// parseBenchFile collects, per benchmark name, every sample of the metric
-// from a `go test -bench` output file.
+// parseBenchFile collects, per benchmark, every sample of the metric from a
+// `go test -bench` output file. The key is "<pkg> <name>", the package taken
+// from the latest `pkg:` line; results before any such line key by name
+// alone.
 func parseBenchFile(path, metric string) (map[string][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -62,11 +69,19 @@ func parseBenchFile(path, metric string) (map[string][]float64, error) {
 	}
 	defer f.Close()
 	out := map[string][]float64{}
+	pkg := ""
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		name, v, ok := parseBenchLine(sc.Text(), metric)
-		if ok {
+		line := sc.Text()
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
+		if name, v, ok := parseBenchLine(line, metric); ok {
+			if pkg != "" {
+				name = pkg + " " + name
+			}
 			out[name] = append(out[name], v)
 		}
 	}
@@ -101,9 +116,9 @@ func parseBenchLine(line, metric string) (name string, v float64, ok bool) {
 }
 
 // compare renders a delta table over the benchmarks common to both runs and
-// returns the names whose median regressed beyond threshold percent.
-// Benchmarks present on only one side are listed but never gate (they are
-// new or deleted on the PR).
+// returns the names whose median regressed beyond threshold percent, or rose
+// from a zero base median. Benchmarks present on only one side are listed
+// but never gate (they are new or deleted on the PR).
 func compare(base, head map[string][]float64, threshold float64) (report string, failures []string) {
 	names := make([]string, 0, len(base))
 	for name := range base {
@@ -120,13 +135,21 @@ func compare(base, head map[string][]float64, threshold float64) (report string,
 			continue
 		}
 		mh := median(hs)
-		delta := 100 * (mh - mb) / mb
+		change, regressed := "+0.0%", false
+		switch {
+		case mb == 0 && mh > 0:
+			// No relative change exists from zero: any rise regresses.
+			change, regressed = "from 0", true
+		case mb != 0:
+			delta := 100 * (mh - mb) / mb
+			change, regressed = fmt.Sprintf("%+.1f%%", delta), delta > threshold
+		}
 		mark := ""
-		if delta > threshold {
+		if regressed {
 			mark = "  << REGRESSION"
 			failures = append(failures, name)
 		}
-		fmt.Fprintf(&b, "%-60s %14.4g %14.4g %+8.1f%%%s\n", name, mb, mh, delta, mark)
+		fmt.Fprintf(&b, "%-60s %14.4g %14.4g %9s%s\n", name, mb, mh, change, mark)
 	}
 	for name := range head {
 		if _, ok := base[name]; !ok {

@@ -21,7 +21,8 @@ BenchmarkDeleted-8           	     100	     10.00 ns/op
 PASS
 `
 
-const headOK = `BenchmarkChainStep-8         	48319488	        25.90 ns/op
+const headOK = `pkg: sops
+BenchmarkChainStep-8         	48319488	        25.90 ns/op
 BenchmarkChainStep-8         	48319488	        25.40 ns/op
 BenchmarkAmoebotActivation-8 	 2804448	       430.0 ns/op
 BenchmarkExperimentSweep-8   	      37	  30540194 ns/op	         1.146 final_alpha_lambda6
@@ -30,7 +31,8 @@ PASS
 `
 
 // headSlow injects a 31% regression into ChainStep.
-const headSlow = `BenchmarkChainStep-8         	48319488	        32.40 ns/op
+const headSlow = `pkg: sops
+BenchmarkChainStep-8         	48319488	        32.40 ns/op
 BenchmarkAmoebotActivation-8 	 2804448	       425.0 ns/op
 BenchmarkExperimentSweep-8   	      37	  30540194 ns/op
 PASS
@@ -52,13 +54,13 @@ func TestParseBenchFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got["BenchmarkChainStep-8"]) != 3 {
-		t.Errorf("ChainStep samples: %d, want 3", len(got["BenchmarkChainStep-8"]))
+	if len(got["sops BenchmarkChainStep-8"]) != 3 {
+		t.Errorf("ChainStep samples: %d, want 3", len(got["sops BenchmarkChainStep-8"]))
 	}
-	if len(got["BenchmarkAmoebotActivation-8"]) != 2 {
-		t.Errorf("AmoebotActivation samples: %d, want 2", len(got["BenchmarkAmoebotActivation-8"]))
+	if len(got["sops BenchmarkAmoebotActivation-8"]) != 2 {
+		t.Errorf("AmoebotActivation samples: %d, want 2", len(got["sops BenchmarkAmoebotActivation-8"]))
 	}
-	if v := got["BenchmarkExperimentSweep-8"][0]; v != 31540194 {
+	if v := got["sops BenchmarkExperimentSweep-8"][0]; v != 31540194 {
 		t.Errorf("ExperimentSweep ns/op = %g", v)
 	}
 	if _, err := parseBenchFile(writeTemp(t, "empty.txt", "PASS\n"), "ns/op"); err == nil {
@@ -87,8 +89,8 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 	base, _ := parseBenchFile(writeTemp(t, "base.txt", baseBench), "ns/op")
 	head, _ := parseBenchFile(writeTemp(t, "head.txt", headSlow), "ns/op")
 	report, failures := compare(base, head, 20)
-	if len(failures) != 1 || failures[0] != "BenchmarkChainStep-8" {
-		t.Fatalf("failures = %v, want exactly BenchmarkChainStep-8\n%s", failures, report)
+	if len(failures) != 1 || failures[0] != "sops BenchmarkChainStep-8" {
+		t.Fatalf("failures = %v, want exactly sops BenchmarkChainStep-8\n%s", failures, report)
 	}
 	if !strings.Contains(report, "REGRESSION") {
 		t.Errorf("report should flag the regression:\n%s", report)
@@ -106,5 +108,63 @@ func TestMedianUsedNotMean(t *testing.T) {
 	head := map[string][]float64{"BenchmarkX-8": {101, 99, 100, 1000, 98}}
 	if _, failures := compare(base, head, 20); len(failures) != 0 {
 		t.Errorf("median gate tripped by a single outlier: %v", failures)
+	}
+}
+
+// twoPackages reports BenchmarkLambdaRefresh from two packages, as the rule
+// and kmc packages both do. Only the kmc one regresses.
+const twoPackagesBase = `pkg: sops/internal/rule
+BenchmarkLambdaRefresh-8 	 100	 250.0 ns/op	 0 allocs/op
+BenchmarkLambdaRefresh-8 	 100	 252.0 ns/op	 0 allocs/op
+pkg: sops/internal/kmc
+BenchmarkLambdaRefresh-8 	 100	 27000 ns/op	 0 allocs/op
+BenchmarkLambdaRefresh-8 	 100	 27100 ns/op	 0 allocs/op
+`
+
+const twoPackagesHead = `pkg: sops/internal/rule
+BenchmarkLambdaRefresh-8 	 100	 251.0 ns/op	 0 allocs/op
+BenchmarkLambdaRefresh-8 	 100	 249.0 ns/op	 0 allocs/op
+pkg: sops/internal/kmc
+BenchmarkLambdaRefresh-8 	 100	 40000 ns/op	 2 allocs/op
+BenchmarkLambdaRefresh-8 	 100	 41000 ns/op	 2 allocs/op
+`
+
+// TestSameNameInTwoPackages: equal benchmark names from different packages
+// keep separate samples, so a regression in one is neither diluted by nor
+// blamed on the other.
+func TestSameNameInTwoPackages(t *testing.T) {
+	base, err := parseBenchFile(writeTemp(t, "base.txt", twoPackagesBase), "ns/op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := parseBenchFile(writeTemp(t, "head.txt", twoPackagesHead), "ns/op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base) != 2 || len(base["sops/internal/rule BenchmarkLambdaRefresh-8"]) != 2 ||
+		len(base["sops/internal/kmc BenchmarkLambdaRefresh-8"]) != 2 {
+		t.Fatalf("samples pooled across packages: %v", base)
+	}
+	report, failures := compare(base, head, 20)
+	if len(failures) != 1 || failures[0] != "sops/internal/kmc BenchmarkLambdaRefresh-8" {
+		t.Fatalf("failures = %v, want only the kmc benchmark\n%s", failures, report)
+	}
+}
+
+// TestAllocsFromZeroBase: a benchmark at 0 allocs/op on the base fails as
+// soon as the head allocates, at any threshold, and a zero that stays zero
+// passes; neither divides by the zero base.
+func TestAllocsFromZeroBase(t *testing.T) {
+	base, _ := parseBenchFile(writeTemp(t, "base.txt", twoPackagesBase), "allocs/op")
+	head, _ := parseBenchFile(writeTemp(t, "head.txt", twoPackagesHead), "allocs/op")
+	report, failures := compare(base, head, 1000)
+	if len(failures) != 1 || failures[0] != "sops/internal/kmc BenchmarkLambdaRefresh-8" {
+		t.Fatalf("failures = %v, want the kmc benchmark that left 0 allocs/op\n%s", failures, report)
+	}
+	if strings.Contains(report, "Inf") || strings.Contains(report, "NaN") {
+		t.Errorf("report divides by a zero base:\n%s", report)
+	}
+	if _, failures := compare(base, base, 20); len(failures) != 0 {
+		t.Errorf("0 → 0 allocs/op must pass, got %v", failures)
 	}
 }

@@ -19,6 +19,10 @@ type Protocol interface {
 // Activation is the window a particle gets into the world during one atomic
 // activation. Every method inspects or affects only the activating
 // particle's ≤10-node neighborhood.
+//
+// The World reuses one Activation for all its activations, so an
+// *Activation is valid only during the Activate call it is passed to;
+// protocols must not retain it.
 type Activation struct {
 	w   *World
 	p   *Particle
@@ -132,11 +136,10 @@ func (a *Activation) MoveClass() (move.Class, bool) {
 // Hamiltonian tables. The second return is false if the particle is not
 // expanded.
 func (a *Activation) MoveMask() (grid.Mask, bool) {
-	d, ok := a.p.tail.DirTo(a.p.head)
-	if !ok {
+	if !a.p.Expanded() {
 		return 0, false
 	}
-	return a.w.tails.PairMask(a.p.tail, d), true
+	return a.w.tails.PairMask(a.p.tail, a.p.dir), true
 }
 
 // Payload returns the activating particle's payload state (0 for stateless
@@ -162,12 +165,11 @@ func (a *Activation) sameNeighborMask(s uint8) uint8 {
 // moveSame filters the expanded particle's pair mask m down to the cells
 // whose payload equals the particle's own.
 func (a *Activation) moveSame(m grid.Mask) grid.Mask {
-	d, _ := a.p.tail.DirTo(a.p.head)
-	return a.w.tails.PairSame(a.p.tail, d, m, a.Payload())
+	return a.w.tails.PairSame(a.p.tail, a.p.dir, m, a.Payload())
 }
 
 // satisfiesMovePropertiesOracle is the pre-refactor implementation over the
-// map-backed tail view; tests assert it agrees with the mask fast path at
+// cell index's tail view; tests assert it agrees with the mask fast path at
 // every activation.
 func (a *Activation) satisfiesMovePropertiesOracle() bool {
 	d, ok := a.p.tail.DirTo(a.p.head)

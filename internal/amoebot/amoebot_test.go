@@ -489,8 +489,8 @@ func TestFlagRewrittenOnExpansion(t *testing.T) {
 	proto := MustNewCompression(4)
 	s := NewUniformScheduler(w, proto, 55)
 	// Poison all flags.
-	for _, p := range w.particles {
-		p.flag = true
+	for i := range w.particles {
+		w.particles[i].flag = true
 	}
 	s.RunActivations(10000)
 	if err := w.CheckInvariants(); err != nil {

@@ -8,7 +8,7 @@ import (
 
 // checkedProtocol wraps Compression and, at every activation of an expanded
 // particle, cross-checks the mask-table fast paths against the pre-refactor
-// map-backed oracle before delegating.
+// oracle over the cell index before delegating.
 type checkedProtocol struct {
 	inner Protocol
 	t     *testing.T
@@ -52,7 +52,7 @@ func headDegreeOracle(a *Activation) int {
 
 // TestWorldGridAgreesWithOracle runs the full distributed stack with the
 // cross-checking protocol: every expanded activation compares the tail-grid
-// mask path with the map-backed oracle, and world invariants (including the
+// mask path with the cell-index oracle, and world invariants (including the
 // tail grid) are verified periodically.
 func TestWorldGridAgreesWithOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {

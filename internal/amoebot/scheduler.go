@@ -1,7 +1,6 @@
 package amoebot
 
 import (
-	"container/heap"
 	"math/rand/v2"
 	"sync"
 )
@@ -26,13 +25,42 @@ type event struct {
 	id ParticleID
 }
 
+// eventHeap is a binary min-heap of clock events ordered by time. The root
+// is the next event due; it is rescheduled in place, so an activation costs
+// one sift-down. Event times are continuous draws, distinct almost surely,
+// so the order events leave the heap depends only on their times.
 type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].t < h[j].t }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+// down moves h[i] toward the leaves until no child is due earlier.
+func (h eventHeap) down(i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].t < h[c].t {
+			c = r
+		}
+		if !(h[c].t < e.t) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
+// removeRoot drops the root event by moving the last event into its place.
+func (h *eventHeap) removeRoot() {
+	q := *h
+	last := len(q) - 1
+	q[0] = q[last]
+	*h = q[:last]
+	if last > 0 {
+		h.down(0)
+	}
+}
 
 // SchedulerOption customizes a PoissonScheduler.
 type SchedulerOption func(*PoissonScheduler)
@@ -66,10 +94,13 @@ func NewPoissonScheduler(w *World, proto Protocol, seed uint64, opts ...Schedule
 		o(s)
 	}
 	s.queue = make(eventHeap, 0, w.N())
-	for _, p := range w.particles {
-		s.queue = append(s.queue, event{t: s.rng.ExpFloat64() / s.rates[p.id], id: p.id})
+	for i := range w.particles {
+		id := w.particles[i].id
+		s.queue = append(s.queue, event{t: s.rng.ExpFloat64() / s.rates[id], id: id})
 	}
-	heap.Init(&s.queue)
+	for i := len(s.queue)/2 - 1; i >= 0; i-- {
+		s.queue.down(i)
+	}
 	return s
 }
 
@@ -79,16 +110,17 @@ func (s *PoissonScheduler) Time() float64 { return s.now }
 // StepActivation activates the next particle due. It reports false when no
 // live particle remains to schedule.
 func (s *PoissonScheduler) StepActivation() bool {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(event)
-		s.now = e.t
-		p := s.w.particles[e.id]
-		if p.crashed {
-			// Crashed clocks are removed from the queue permanently.
+	for len(s.queue) > 0 {
+		id := s.queue[0].id
+		s.now = s.queue[0].t
+		if s.w.particles[id].crashed {
+			// Crashed clocks leave the queue permanently.
+			s.queue.removeRoot()
 			continue
 		}
-		s.w.activate(e.id, s.proto, s.rng)
-		heap.Push(&s.queue, event{t: s.now + s.rng.ExpFloat64()/s.rates[e.id], id: e.id})
+		s.w.activate(id, s.proto, s.rng)
+		s.queue[0].t = s.now + s.rng.ExpFloat64()/s.rates[id]
+		s.queue.down(0)
 		return true
 	}
 	return false

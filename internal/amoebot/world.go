@@ -28,11 +28,16 @@ type Particle struct {
 	id   ParticleID
 	head lattice.Point
 	tail lattice.Point
+	// dir is the direction from tail to head; meaningful only while expanded.
+	dir lattice.Dir
 	// flag is the single bit of persistent memory Algorithm A requires
 	// between the expansion and contraction activations (§3.3).
 	flag bool
 	// crashed particles cease activating entirely (§3.3 crash faults).
 	crashed bool
+	// roundStamp is World.rounds+1 once the particle has activated in the
+	// current round (simulator bookkeeping, not particle memory).
+	roundStamp uint64
 }
 
 // Expanded reports whether the particle currently occupies two nodes.
@@ -48,10 +53,77 @@ func (p *Particle) Tail() lattice.Point { return p.tail }
 // Crashed reports whether the particle has crash-failed.
 func (p *Particle) Crashed() bool { return p.crashed }
 
-// cell records which particle occupies a lattice node and with which end.
-type cell struct {
-	id     ParticleID
-	isHead bool // true if this node holds the head of an expanded particle
+// A cell of the index is 0 when no particle occupies its node, and
+// otherwise id<<cellIDShift | cellOccupied plus the flags below.
+const (
+	cellOccupied = 1 // some particle occupies the node
+	cellHead     = 2 // the node holds the head of an expanded particle
+	cellExpanded = 4 // the occupying particle is expanded (set on both its nodes)
+	cellIDShift  = 3
+
+	// maxParticles keeps every particle id representable in a cell.
+	maxParticles = 1 << (31 - cellIDShift)
+	// cellSlack is the free border a rebuilt window gets on every side.
+	cellSlack = 8
+)
+
+// cellIndex maps lattice nodes to the particle ends occupying them through a
+// dense int32 window, so occupancy and expanded-neighbor queries are array
+// loads. Every occupied node keeps its six neighbors inside the window (a
+// one-cell margin), so the queries of an activation, which all lie next to
+// the particle's own nodes, never leave it. A node that would break the
+// margin rebuilds the window around all heads and tails (the growth rule of
+// kmc's pindex).
+type cellIndex struct {
+	minX, minY, w, h int
+	nbr              [lattice.NumDirs]int // index delta to the neighbor in each direction
+	cells            []int32
+}
+
+// at returns the cell index of pt, which must lie inside the window.
+func (x *cellIndex) at(pt lattice.Point) int { return (pt.Y-x.minY)*x.w + pt.X - x.minX }
+
+// interior reports whether pt and its six neighbors lie inside the window.
+func (x *cellIndex) interior(pt lattice.Point) bool {
+	cx, cy := pt.X-x.minX, pt.Y-x.minY
+	return cx >= 1 && cy >= 1 && cx < x.w-1 && cy < x.h-1
+}
+
+// reshape sizes the window to the bounding box of every head and tail plus
+// cellSlack and indexes every particle.
+func (x *cellIndex) reshape(ps []Particle) {
+	lo, hi := ps[0].tail, ps[0].tail
+	for i := range ps {
+		for _, pt := range [2]lattice.Point{ps[i].tail, ps[i].head} {
+			lo.X, lo.Y = min(lo.X, pt.X), min(lo.Y, pt.Y)
+			hi.X, hi.Y = max(hi.X, pt.X), max(hi.Y, pt.Y)
+		}
+	}
+	x.minX, x.minY = lo.X-cellSlack, lo.Y-cellSlack
+	x.w, x.h = hi.X-x.minX+cellSlack+1, hi.Y-x.minY+cellSlack+1
+	if need := x.w * x.h; cap(x.cells) >= need {
+		x.cells = x.cells[:need]
+		clear(x.cells)
+	} else {
+		x.cells = make([]int32, need)
+	}
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		v := d.Vec()
+		x.nbr[d] = v.Y*x.w + v.X
+	}
+	for i := range ps {
+		x.place(&ps[i])
+	}
+}
+
+// place writes p's cells: its tail, and its head while expanded.
+func (x *cellIndex) place(p *Particle) {
+	c := int32(p.id)<<cellIDShift | cellOccupied
+	if p.Expanded() {
+		c |= cellExpanded
+		x.cells[x.at(p.head)] = c | cellHead
+	}
+	x.cells[x.at(p.tail)] = c
 }
 
 // World is the shared lattice substrate. All mutation goes through expand
@@ -59,13 +131,15 @@ type cell struct {
 // safe for concurrent use; the concurrent scheduler serializes activations
 // with a mutex, which matches the model's atomic-action semantics.
 type World struct {
-	particles []*Particle
-	cells     map[lattice.Point]cell
+	particles []Particle
+	idx       cellIndex
 	// tails is the bit-packed occupancy of all particle tails. It backs the
 	// N*(·) neighborhood evaluations of Algorithm A (tail degrees and the
-	// Property 1/2 checks) with allocation-free mask lookups; the cells map
+	// Property 1/2 checks) with allocation-free mask lookups; the cell index
 	// remains the source of truth for particle identity and head occupancy.
 	tails *grid.Grid
+	// act is the one Activation every activation hands its protocol.
+	act Activation
 
 	activations uint64
 	moves       uint64 // completed relocations (contract-to-head events)
@@ -73,12 +147,13 @@ type World struct {
 
 	// round bookkeeping: a round completes once every non-crashed particle
 	// has activated at least once since the round began (§2.1). live counts
-	// non-crashed particles. Crashes mid-round can make the round boundary
+	// non-crashed particles; activatedThis counts the particles stamped with
+	// the current round. Crashes mid-round can make the round boundary
 	// approximate by at most one activation per crash.
 	rounds        uint64
 	live          int
 	expandedCount int
-	activatedThis map[ParticleID]struct{}
+	activatedThis int
 
 	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
@@ -98,19 +173,18 @@ func NewWorld(sigma0 *config.Config) (*World, error) {
 	if sigma0.N() == 0 {
 		return nil, fmt.Errorf("amoebot: empty starting configuration")
 	}
+	if sigma0.N() > maxParticles {
+		return nil, fmt.Errorf("amoebot: %d particles exceed the limit of %d", sigma0.N(), maxParticles)
+	}
 	if !sigma0.Connected() {
 		return nil, fmt.Errorf("amoebot: starting configuration must be connected")
 	}
-	w := &World{
-		cells:         make(map[lattice.Point]cell, sigma0.N()),
-		tails:         sigma0.ToGrid(),
-		activatedThis: make(map[ParticleID]struct{}, sigma0.N()),
-	}
+	w := &World{tails: sigma0.ToGrid()}
+	w.act.w = w
 	for i, pt := range sigma0.Points() {
-		p := &Particle{id: ParticleID(i), head: pt, tail: pt}
-		w.particles = append(w.particles, p)
-		w.cells[pt] = cell{id: p.id}
+		w.particles = append(w.particles, Particle{id: ParticleID(i), head: pt, tail: pt})
 	}
+	w.idx.reshape(w.particles)
 	w.live = len(w.particles)
 	return w, nil
 }
@@ -136,8 +210,8 @@ func (w *World) Rotations() uint64 { return w.rotations }
 func (w *World) SeedPayload(states int, seed uint64) {
 	w.tails.EnablePayload()
 	rng := rand.New(rand.NewPCG(seed, 0x7f4a7c159e3779b9))
-	for _, p := range w.particles {
-		w.tails.SetPayload(p.tail, uint8(rng.IntN(states)))
+	for i := range w.particles {
+		w.tails.SetPayload(w.particles[i].tail, uint8(rng.IntN(states)))
 	}
 }
 
@@ -154,7 +228,7 @@ func (w *World) Payload(id ParticleID) uint8 { return w.tails.Payload(w.particle
 func (w *World) Rounds() uint64 { return w.rounds }
 
 // Particle returns the particle with the given id.
-func (w *World) Particle(id ParticleID) *Particle { return w.particles[id] }
+func (w *World) Particle(id ParticleID) *Particle { return &w.particles[id] }
 
 // AllContracted reports whether no particle is currently expanded. At such
 // instants the world corresponds exactly to a state of Markov chain M, and
@@ -168,8 +242,8 @@ func (w *World) AllContracted() bool { return w.expandedCount == 0 }
 // part of the configuration (§2.2, footnote 2).
 func (w *World) Config() *config.Config {
 	pts := make([]lattice.Point, 0, len(w.particles))
-	for _, p := range w.particles {
-		pts = append(pts, p.tail)
+	for i := range w.particles {
+		pts = append(pts, w.particles[i].tail)
 	}
 	return config.New(pts...)
 }
@@ -178,7 +252,7 @@ func (w *World) Config() *config.Config {
 // contracted crashed particle acts as a fixed obstacle the rest of the
 // system compresses around (§3.3).
 func (w *World) Crash(id ParticleID) {
-	if p := w.particles[id]; !p.crashed {
+	if p := &w.particles[id]; !p.crashed {
 		p.crashed = true
 		w.live--
 	}
@@ -194,7 +268,7 @@ func (w *World) CrashFraction(rng *rand.Rand, frac float64) []ParticleID {
 		if len(out) == k {
 			break
 		}
-		p := w.particles[i]
+		p := &w.particles[i]
 		if p.Expanded() || p.crashed {
 			continue
 		}
@@ -205,17 +279,17 @@ func (w *World) CrashFraction(rng *rand.Rand, frac float64) []ParticleID {
 }
 
 // occupied reports whether any particle occupies the node (head or tail).
+// pt must be a node or a neighbor of a node some particle occupies.
 func (w *World) occupied(pt lattice.Point) bool {
-	_, ok := w.cells[pt]
-	return ok
+	return w.idx.cells[w.idx.at(pt)] != 0
 }
 
 // tailAt reports whether a tail of a particle other than excl occupies pt.
 // Heads of expanded particles are invisible, implementing the N*(·) sets of
 // Algorithm A.
 func (w *World) tailAt(pt lattice.Point, excl ParticleID) bool {
-	c, ok := w.cells[pt]
-	return ok && !c.isHead && c.id != excl
+	c := w.idx.cells[w.idx.at(pt)]
+	return c&(cellOccupied|cellHead) == cellOccupied && ParticleID(c>>cellIDShift) != excl
 }
 
 // tailView adapts the world to move.Occupancy: occupancy by tails only,
@@ -238,9 +312,13 @@ func (w *World) expand(p *Particle, d lattice.Dir) {
 	if w.occupied(target) {
 		panic("amoebot: expand into occupied node")
 	}
-	p.head = target
-	w.cells[target] = cell{id: p.id, isHead: true}
+	p.head, p.dir = target, d
 	w.expandedCount++
+	if !w.idx.interior(target) {
+		w.idx.reshape(w.particles)
+		return
+	}
+	w.idx.place(p)
 }
 
 // contractToHead completes a relocation: the particle becomes contracted at
@@ -249,13 +327,13 @@ func (w *World) contractToHead(p *Particle) {
 	if !p.Expanded() {
 		panic("amoebot: contract on contracted particle")
 	}
-	delete(w.cells, p.tail)
+	w.idx.cells[w.idx.at(p.tail)] = 0
 	w.tails.Move(p.tail, p.head)
 	if w.mlog != nil {
 		w.mlog.Moved(p.tail, p.head, w.tails.Payload(p.head))
 	}
 	p.tail = p.head
-	w.cells[p.head] = cell{id: p.id}
+	w.idx.place(p)
 	w.moves++
 	w.expandedCount--
 }
@@ -265,20 +343,19 @@ func (w *World) contractToTail(p *Particle) {
 	if !p.Expanded() {
 		panic("amoebot: contract on contracted particle")
 	}
-	delete(w.cells, p.head)
+	w.idx.cells[w.idx.at(p.head)] = 0
 	p.head = p.tail
+	w.idx.place(p)
 	w.expandedCount--
 }
 
 // hasExpandedNeighbor reports whether any node adjacent to pt holds a head
-// or tail of an expanded particle other than excl.
+// or tail of an expanded particle other than excl. pt must be occupied.
 func (w *World) hasExpandedNeighbor(pt lattice.Point, excl ParticleID) bool {
-	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-		c, ok := w.cells[pt.Neighbor(d)]
-		if !ok || c.id == excl {
-			continue
-		}
-		if w.particles[c.id].Expanded() {
+	i := w.idx.at(pt)
+	for _, delta := range w.idx.nbr {
+		c := w.idx.cells[i+delta]
+		if c&cellExpanded != 0 && ParticleID(c>>cellIDShift) != excl {
 			return true
 		}
 	}
@@ -288,52 +365,76 @@ func (w *World) hasExpandedNeighbor(pt lattice.Point, excl ParticleID) bool {
 // activate runs one atomic activation of particle id under the given
 // protocol, with rng as the particle's private randomness source.
 func (w *World) activate(id ParticleID, proto Protocol, rng *rand.Rand) {
-	p := w.particles[id]
+	p := &w.particles[id]
 	if p.crashed {
 		return
 	}
 	w.activations++
-	proto.Activate(&Activation{w: w, p: p, rng: rng})
-	// Round bookkeeping.
-	w.activatedThis[id] = struct{}{}
-	if len(w.activatedThis) >= w.live {
+	w.act.p, w.act.rng = p, rng
+	proto.Activate(&w.act)
+	w.act.p, w.act.rng = nil, nil
+	// Round bookkeeping: the first activation of a particle in a round
+	// stamps it.
+	if p.roundStamp != w.rounds+1 {
+		p.roundStamp = w.rounds + 1
+		w.activatedThis++
+	}
+	if w.activatedThis >= w.live {
 		w.rounds++
-		clear(w.activatedThis)
+		w.activatedThis = 0
 	}
 }
 
 // CheckInvariants verifies structural soundness of the world: every cell
 // entry matches its particle, no node is doubly occupied, expanded particles
-// occupy adjacent nodes. It is called from tests; the cost is O(n).
+// occupy adjacent nodes, every occupied node keeps the window margin. It is
+// called from tests; the cost is O(n) plus the window size.
 func (w *World) CheckInvariants() error {
-	seen := make(map[lattice.Point]ParticleID, len(w.cells))
-	for _, p := range w.particles {
+	nodes, expanded := 0, 0
+	for i := range w.particles {
+		p := &w.particles[i]
+		c := int32(p.id)<<cellIDShift | cellOccupied
 		if p.Expanded() {
-			if !p.head.Adjacent(p.tail) {
-				return fmt.Errorf("particle %d expanded across non-adjacent nodes %v,%v", p.id, p.head, p.tail)
+			if p.tail.Neighbor(p.dir) != p.head {
+				return fmt.Errorf("particle %d head %v is not its tail %v's neighbor in direction %v", p.id, p.head, p.tail, p.dir)
 			}
-			if c, ok := w.cells[p.head]; !ok || c.id != p.id || !c.isHead {
+			if !w.idx.interior(p.head) {
+				return fmt.Errorf("particle %d head %v outside the cell window margin", p.id, p.head)
+			}
+			c |= cellExpanded
+			if w.idx.cells[w.idx.at(p.head)] != c|cellHead {
 				return fmt.Errorf("particle %d head cell mismatch at %v", p.id, p.head)
 			}
+			nodes++
+			expanded++
 		}
-		if c, ok := w.cells[p.tail]; !ok || c.id != p.id || c.isHead {
+		if !w.idx.interior(p.tail) {
+			return fmt.Errorf("particle %d tail %v outside the cell window margin", p.id, p.tail)
+		}
+		// A node claimed by two particles holds only one of them, so the
+		// other fails here.
+		if w.idx.cells[w.idx.at(p.tail)] != c {
 			return fmt.Errorf("particle %d tail cell mismatch at %v", p.id, p.tail)
 		}
-		for _, pt := range []lattice.Point{p.head, p.tail} {
-			if prev, dup := seen[pt]; dup && prev != p.id {
-				return fmt.Errorf("node %v occupied by particles %d and %d", pt, prev, p.id)
-			}
-			seen[pt] = p.id
+		nodes++
+	}
+	used := 0
+	for _, c := range w.idx.cells {
+		if c != 0 {
+			used++
 		}
 	}
-	if len(w.cells) != len(seen) {
-		return fmt.Errorf("cell table has %d entries, particles occupy %d nodes", len(w.cells), len(seen))
+	if used != nodes {
+		return fmt.Errorf("cell index has %d entries, particles occupy %d nodes", used, nodes)
+	}
+	if expanded != w.expandedCount {
+		return fmt.Errorf("%d particles expanded, counter says %d", expanded, w.expandedCount)
 	}
 	if w.tails.N() != len(w.particles) {
 		return fmt.Errorf("tail grid holds %d cells, want %d", w.tails.N(), len(w.particles))
 	}
-	for _, p := range w.particles {
-		if !w.tails.Has(p.tail) {
+	for i := range w.particles {
+		if p := &w.particles[i]; !w.tails.Has(p.tail) {
 			return fmt.Errorf("tail grid missing particle %d tail %v", p.id, p.tail)
 		}
 	}

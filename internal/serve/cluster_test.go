@@ -306,9 +306,12 @@ func TestAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxActive: 1, ClientQuota: 1})
 	base := ts.URL
 
+	// SnapshotEvery lets the cancel below interrupt the hog's running
+	// tasks: the interrupt poll runs at snapshot boundaries.
 	slow := &experiment.Spec{
 		Scenario: "compress", Lambdas: []float64{4}, Sizes: []int{60},
-		Engines: []string{"chain"}, Iterations: 40_000_000, Reps: 2, Seed: 3,
+		Engines: []string{"chain"}, Iterations: 40_000_000, SnapshotEvery: 100_000,
+		Reps: 2, Seed: 3,
 	}
 	first := submit(t, base, JobRequest{Spec: slow})
 
@@ -352,7 +355,8 @@ func TestClientQuota(t *testing.T) {
 	base := ts.URL
 	slow := &experiment.Spec{
 		Scenario: "compress", Lambdas: []float64{4}, Sizes: []int{60},
-		Engines: []string{"chain"}, Iterations: 40_000_000, Reps: 2, Seed: 5,
+		Engines: []string{"chain"}, Iterations: 40_000_000, SnapshotEvery: 100_000,
+		Reps: 2, Seed: 5,
 	}
 	post := func(client string, spec *experiment.Spec) (*http.Response, Job) {
 		body, _ := json.Marshal(JobRequest{Spec: spec})

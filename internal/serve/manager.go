@@ -434,37 +434,47 @@ func (m *Manager) withdraw(h *handle) {
 		}
 	}
 	if counted {
-		m.activeTotal--
-		if m.active[client] > 1 {
-			m.active[client]--
-		} else {
-			delete(m.active, client)
-		}
+		m.releaseSlot(client)
 	}
 	m.mu.Unlock()
 	_ = os.Remove(m.recordPath(id))
 	h.stream.close()
 }
 
-// settleClient releases the submission quota slot of a terminal job,
-// exactly once.
-func (m *Manager) settleClient(h *handle) {
-	h.mu.Lock()
-	if !terminal(h.job.State) || h.settled || !h.counted {
-		h.mu.Unlock()
-		return
-	}
-	h.settled = true
-	client := h.job.Client
-	h.mu.Unlock()
-	m.mu.Lock()
+// releaseSlot frees one admission and quota slot of client. The caller
+// holds m.mu.
+func (m *Manager) releaseSlot(client string) {
 	m.activeTotal--
 	if m.active[client] > 1 {
 		m.active[client]--
 	} else {
 		delete(m.active, client)
 	}
+}
+
+// settle releases the submission quota slot of a terminal job, exactly
+// once. The caller holds h.mu and calls settle in the critical section that
+// makes the state terminal, so whoever observes the terminal state (a poll,
+// the done frame) can resubmit at once. Lock order: h.mu, then m.mu.
+func (m *Manager) settle(h *handle) {
+	if !terminal(h.job.State) || h.settled || !h.counted {
+		return
+	}
+	h.settled = true
+	m.mu.Lock()
+	m.releaseSlot(h.job.Client)
 	m.mu.Unlock()
+}
+
+// adoptRecord replaces a remote handle's record with one read from the
+// store, settling the job in the same critical section if it is terminal.
+func (m *Manager) adoptRecord(h *handle, job Job) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.remote {
+		h.job = job
+	}
+	m.settle(h)
 }
 
 // Job returns the current record of one job. In cluster mode a job running
@@ -481,12 +491,7 @@ func (m *Manager) Job(id string) (Job, bool) {
 		h.mu.Unlock()
 		if fresh {
 			if job, err := m.readRecord(id); err == nil {
-				h.mu.Lock()
-				if h.remote {
-					h.job = job
-				}
-				h.mu.Unlock()
-				m.settleClient(h)
+				m.adoptRecord(h, job)
 				job.Frames = h.stream.len()
 				return job, true
 			}
@@ -552,6 +557,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		h.job.State = StateCanceled
 		now := time.Now().UTC()
 		h.job.FinishedAt = &now
+		m.settle(h)
 		leased := h.leased
 		h.leased = false
 		h.mu.Unlock()
@@ -565,7 +571,6 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		h.stream.publish(Frame{Type: FrameDone, State: StateCanceled})
 		h.stream.close()
 		m.add("jobs_canceled", 1)
-		m.settleClient(h)
 	case StateRunning:
 		h.canceled = true
 		cancel := h.cancel
@@ -907,6 +912,7 @@ func (m *Manager) execute(h *handle) {
 	if terminal(h.job.State) {
 		fin := time.Now().UTC()
 		h.job.FinishedAt = &fin
+		m.settle(h)
 	}
 	final := h.job
 	h.mu.Unlock()
@@ -925,7 +931,6 @@ func (m *Manager) execute(h *handle) {
 	}
 	if terminal(final.State) {
 		pub.close()
-		m.settleClient(h)
 		if m.cluster() {
 			releaseLease(m.jobLeasePath(final.ID), m.nodeID)
 			_ = os.Remove(m.cancelMarkPath(final.ID))
