@@ -238,17 +238,14 @@ func (c *Client) ndjson(ctx context.Context, path string, fn func(f serve.Frame,
 }
 
 // binaryFrames streams a binary frame-log endpoint through fn, transcoding
-// each record to its NDJSON line locally. A server answering with NDJSON
-// anyway (no binary support) is consumed as such.
+// each record to its NDJSON line locally. The server answers every
+// ?format=binary request with FramesContentType.
 func (c *Client) binaryFrames(ctx context.Context, path string, fn func(f serve.Frame, raw []byte) error) error {
 	resp, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.Header.Get("Content-Type") != serve.FramesContentType {
-		return scanLines(resp.Body, fn)
-	}
 	var tr serve.FrameTranscoder
 	rd := frame.NewReader(resp.Body)
 	for {

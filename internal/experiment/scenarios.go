@@ -12,38 +12,25 @@ import (
 	"sops/internal/stats"
 )
 
-// newSequential builds the sequential engine a task's engine axis selects,
-// running the task's rule, with the task's start shape and derived seed.
-// Tasks carrying an arena get a reset arena-resident engine instead of a
-// fresh one — bit-identical trajectories, no per-task construction.
+// newSequential readies the worker arena's sequential engine of the task's
+// engine axis, running the task's rule, with the task's start shape and
+// derived seed: a reset arena-resident engine, no per-task construction.
 func newSequential(sp Spec, t Task) (runner.Sequential, error) {
 	if t.Point.Engine != EngineChain && t.Point.Engine != EngineKMC {
 		return nil, fmt.Errorf("scenario requires a sequential engine (%s|%s), got %q",
 			EngineChain, EngineKMC, t.Point.Engine)
 	}
-	states := ruleStatesFor(t.Point.Rule, sp.RuleStates)
-	if t.Arena != nil {
-		var ru *rule.Rule
-		var err error
-		if t.Point.Rule == runner.RuleForage {
-			ru, err = t.Arena.ForageRule(t.Point.Lambda, sp.Forage)
-		} else {
-			ru, err = t.Arena.Rule(t.Point.Rule, t.Point.Lambda, states)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return t.Arena.Sequential(t.Point.Engine, runner.StartShape(t.Point.Start), t.Point.N, ru, t.Seed)
+	var ru *rule.Rule
+	var err error
+	if t.Point.Rule == runner.RuleForage {
+		ru, err = t.Arena.ForageRule(t.Point.Lambda, sp.Forage)
+	} else {
+		ru, err = t.Arena.Rule(t.Point.Rule, t.Point.Lambda, ruleStatesFor(t.Point.Rule, sp.RuleStates))
 	}
-	start, err := runner.NewStartConfig(runner.StartShape(t.Point.Start), t.Point.N, t.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ru, err := runner.NewRule(t.Point.Rule, t.Point.Lambda, states, forageFor(sp, t.Point))
-	if err != nil {
-		return nil, err
-	}
-	return runner.NewSequentialWithRule(t.Point.Engine, start, ru, t.Seed)
+	return t.Arena.Sequential(t.Point.Engine, runner.StartShape(t.Point.Start), t.Point.N, ru, t.Seed)
 }
 
 // shardsFor resolves the Spec.Shards knob for one point: stripe sharding
@@ -225,13 +212,7 @@ func runCompress(sp Spec, t Task) (Metrics, error) {
 		SnapshotFunc:  t.OnSnapshot,
 		Interrupt:     t.Interrupt,
 	}
-	var res *runner.Result
-	var err error
-	if t.Arena != nil {
-		res, err = t.Arena.Compress(opts)
-	} else {
-		res, err = runner.Compress(opts)
-	}
+	res, err := t.Arena.Compress(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -326,13 +307,7 @@ func runForage(sp Spec, t Task) (Metrics, error) {
 		},
 		Interrupt: t.Interrupt,
 	}
-	var res *runner.Result
-	var err error
-	if t.Arena != nil {
-		res, err = t.Arena.Compress(opts)
-	} else {
-		res, err = runner.Compress(opts)
-	}
+	res, err := t.Arena.Compress(opts)
 	if err != nil {
 		return nil, err
 	}

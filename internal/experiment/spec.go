@@ -119,11 +119,11 @@ type Task struct {
 	PointIndex int
 	Rep        int
 	Seed       uint64
-	// Arena, when non-nil, is the executing worker's reusable run context:
-	// scenarios route engine construction through it so steady-state sweep
-	// execution performs no cross-task allocation. It is an execution-side
-	// resource — never part of the task's identity, never journaled — and
-	// scenarios are free to ignore it.
+	// Arena is the executing worker's reusable run context; Run always
+	// sets it. Scenarios run and construct engines through it, so
+	// steady-state sweep execution performs no cross-task allocation. It
+	// is an execution-side resource — never part of the task's identity,
+	// never journaled.
 	Arena *runner.Arena `json:"-"`
 	// OnSnapshot, when non-nil, receives every mid-run snapshot of this
 	// task as it is taken (scenarios that run snapshots forward it into

@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// TestArenaCompressMatchesPlain pins the arena contract: across engines,
-// rules, and start shapes, an arena-executed run returns the same Result as
-// the package-level Compress — every field except Rendering, which the
-// arena deliberately skips.
+// TestArenaCompressMatchesPlain is the arena-reuse check: one arena driven
+// through a heterogeneous task list — every engine, rules, start shapes,
+// and the options only some engines take — returns for each task the same
+// Result as the package-level Compress, a single-use arena, in every field
+// except Rendering, which only Compress draws. TestCompressGolden pins the
+// values themselves.
 func TestArenaCompressMatchesPlain(t *testing.T) {
 	a := NewArena()
 	cases := []Options{
@@ -22,9 +24,13 @@ func TestArenaCompressMatchesPlain(t *testing.T) {
 		{N: 30, Lambda: 4, Iterations: 15_000, Seed: 7, Rule: RuleAlignment, RuleStates: 4, Engine: EngineKMC},
 		{N: 30, Lambda: 5, Iterations: 24_000, Seed: 3, SnapshotEvery: 6000},
 		{N: 30, Lambda: 5, Iterations: 24_000, Seed: 3, SnapshotEvery: 6000, Engine: EngineKMC},
-		// Arena-ineligible shapes must fall through with identical results.
 		{N: 24, Lambda: 4, Iterations: 8_000, Seed: 2, Engine: EngineKMC, Shards: 2},
 		{N: 24, Lambda: 4, Iterations: 4_000, Seed: 2, Engine: EngineAmoebot},
+		{N: 20, Lambda: 5, Iterations: 8_000, Seed: 1, Engine: EngineAmoebot, CrashFraction: 0.2, SnapshotEvery: 2000},
+		{N: 14, Lambda: 4, Iterations: 6_000, Seed: 17, Engine: EngineAmoebot, Rule: RuleAlignment, RuleStates: 4},
+		{N: 10, Lambda: 4, Iterations: 4_000, Seed: 3, Engine: EngineKMC, SnapshotEvery: 1000, SnapshotSVG: true},
+		{N: 24, Lambda: 4, Iterations: 8_000, Seed: 2, Engine: EngineKMC, Shards: 2, SnapshotEvery: 2000},
+		{N: 30, Lambda: 4, Iterations: 30_000, Seed: 5}, // chain again, after a sharded task
 	}
 	for i, opts := range cases {
 		t.Run(fmt.Sprintf("case-%d", i), func(t *testing.T) {
@@ -64,6 +70,10 @@ func TestArenaCompressZeroAlloc(t *testing.T) {
 		{"chain-spiral", Options{N: 40, Lambda: 6, Iterations: 20_000, Seed: 3, Start: StartSpiral}},
 		{"kmc-line", Options{N: 40, Lambda: 4, Iterations: 20_000, Seed: 3, Engine: EngineKMC}},
 		{"kmc-spiral", Options{N: 40, Lambda: 6, Iterations: 20_000, Seed: 3, Start: StartSpiral, Engine: EngineKMC}},
+		// A sweep task's hooks: snapshots streamed to a callback, with the
+		// interrupt polled at every boundary.
+		{"chain-snapshots", Options{N: 40, Lambda: 4, Iterations: 20_000, Seed: 3, SnapshotEvery: 5000,
+			SnapshotFunc: func(Snapshot) {}, Interrupt: func() bool { return false }}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,5 +140,43 @@ func TestArenaReusedAcrossHeterogeneousTasks(t *testing.T) {
 	if last.Perimeter != first.Perimeter || last.Moves != first.Moves ||
 		!reflect.DeepEqual(last.Points, first.Points) {
 		t.Fatal("identical task diverged across arena reuse")
+	}
+}
+
+// TestArenaDeltaTapAcrossTasks: the delta tap of a reused engine carries
+// only its own task's moves — none left in the log by a tapped task that
+// took no snapshots, none logged while an untapped task ran.
+func TestArenaDeltaTapAcrossTasks(t *testing.T) {
+	for _, engine := range []string{EngineChain, EngineKMC} {
+		t.Run(engine, func(t *testing.T) {
+			base := Options{N: 20, Lambda: 4, Iterations: 8000, Seed: 4, Engine: engine, SnapshotEvery: 2000}
+			tapped := func(a *Arena, opts Options) []int {
+				var moves []int
+				opts.DeltaFunc = func(_ Snapshot, d Delta) { moves = append(moves, len(d.Moves)) }
+				compress := Compress
+				if a != nil {
+					compress = a.Compress
+				}
+				if _, err := compress(opts); err != nil {
+					t.Fatal(err)
+				}
+				return moves
+			}
+			want := tapped(nil, base)
+
+			a := NewArena()
+			unsnapped := base
+			unsnapped.Seed, unsnapped.SnapshotEvery = 99, 0
+			tapped(a, unsnapped) // logs every move, drains none
+			if _, err := a.Compress(Options{N: 20, Lambda: 4, Iterations: 8000, Seed: 5, Engine: engine}); err != nil {
+				t.Fatal(err)
+			}
+			if n := a.snap.log.Len(); n != 0 {
+				t.Fatalf("move log holds %d moves after an untapped task", n)
+			}
+			if got := tapped(a, base); !reflect.DeepEqual(got, want) {
+				t.Fatalf("moves per interval on a reused arena %v, single-use %v", got, want)
+			}
+		})
 	}
 }

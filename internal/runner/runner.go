@@ -1,9 +1,10 @@
 // Package runner executes single simulation runs: it builds the starting
-// configuration, drives either the sequential Markov chain M or the
-// distributed amoebot Algorithm A for a fixed budget, takes mid-run
-// snapshots, and reports the compression metrics of the final
-// configuration. The root sops package re-exports these types as the public
-// facade; internal/experiment fans runner calls out into sweeps.
+// configuration, drives the sequential Markov chain M, the rejection-free
+// kMC engine or the distributed amoebot Algorithm A for a fixed budget,
+// takes mid-run snapshots, and reports the compression metrics of the
+// final configuration. Every run goes through an Arena. The root sops
+// package re-exports these types as the public facade; internal/experiment
+// fans runner calls out into sweeps.
 package runner
 
 import (
@@ -11,14 +12,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"sops/internal/amoebot"
 	"sops/internal/chain"
 	"sops/internal/config"
 	"sops/internal/frame"
 	"sops/internal/grid"
 	"sops/internal/kmc"
 	"sops/internal/lattice"
-	"sops/internal/metrics"
 	"sops/internal/rule"
 	"sops/internal/viz"
 )
@@ -84,16 +83,6 @@ var (
 	_ Sequential = (*kmc.Chain)(nil)
 	_ Sequential = (*kmc.Sharded)(nil)
 )
-
-// NewSequential constructs the named sequential engine over a copy of σ0,
-// running the default compression rule.
-func NewSequential(engine string, sigma0 *config.Config, lambda float64, seed uint64) (Sequential, error) {
-	ru, err := rule.New(rule.NameCompression, lambda, 0)
-	if err != nil {
-		return nil, err
-	}
-	return NewSequentialWithRule(engine, sigma0, ru, seed)
-}
 
 // NewSequentialWithRule constructs the named sequential engine over a copy
 // of σ0, running an arbitrary compiled rule.
@@ -260,13 +249,13 @@ type Options struct {
 	Distributed bool `json:"distributed,omitempty"`
 	// CrashFraction crash-fails this fraction of particles at the start of
 	// a distributed run (§3.3 fault tolerance). Only valid with
-	// Distributed.
+	// EngineAmoebot.
 	CrashFraction float64 `json:"crash_fraction,omitempty"`
 	// Workers > 1 drives a distributed run with that many goroutines
 	// activating particles concurrently (activations stay atomic, as the
 	// model requires). Concurrent trajectories are not reproducible across
 	// runs; invariants and long-run statistics are unaffected. Only valid
-	// with Distributed.
+	// with EngineAmoebot.
 	Workers int `json:"workers,omitempty"`
 	// Shards > 1 runs the kMC engine with that many stripe shards
 	// (kmc.Sharded): the grid is domain-decomposed into row stripes whose
@@ -298,10 +287,6 @@ type Options struct {
 	// Compress returns ErrInterrupted. With SnapshotEvery zero the poll
 	// granularity is the whole run.
 	Interrupt func() bool `json:"-"`
-}
-
-func (o Options) startConfig() (*config.Config, error) {
-	return NewStartConfig(o.Start, o.N, o.Seed)
 }
 
 // NewStartConfig builds the starting configuration for a shape (default
@@ -336,45 +321,32 @@ func (o Options) iterations() uint64 {
 	return 200 * uint64(o.N) * uint64(o.N)
 }
 
-// Compress runs the compression system and returns the final metrics.
-// With Options.Distributed it runs the amoebot Algorithm A; otherwise the
-// sequential Markov chain M. Both implement the same stochastic process
-// (§3.2); distributed runs exercise the full expansion/contraction/flag
-// machinery.
+// Compress runs one simulation on the engine Options.Engine selects —
+// chain M (the default), the rejection-free kMC engine, or the distributed
+// amoebot Algorithm A, all implementations of the same stochastic process
+// (§3.2) — and returns the final metrics. It is a single-use Arena plus the
+// ASCII Rendering of the final configuration, which arena results omit.
 func Compress(opts Options) (*Result, error) {
-	engine, err := opts.engine()
+	res, err := NewArena().Compress(opts)
 	if err != nil {
 		return nil, err
 	}
-	ru, err := NewRule(opts.Rule, opts.Lambda, opts.RuleStates, opts.Forage)
-	if err != nil {
-		return nil, err
+	out := *res
+	cfg := config.New()
+	for _, p := range out.Points {
+		cfg.Add(lattice.Point{X: p.X, Y: p.Y})
 	}
-	start, err := opts.startConfig()
-	if err != nil {
-		return nil, err
+	marks := make(map[lattice.Point]bool, len(out.Crashed))
+	for _, p := range out.Crashed {
+		marks[lattice.Point{X: p.X, Y: p.Y}] = true
 	}
-	if opts.CrashFraction < 0 || opts.CrashFraction >= 1 {
-		return nil, fmt.Errorf("sops: CrashFraction must be in [0,1), got %v", opts.CrashFraction)
-	}
-	if opts.CrashFraction > 0 && engine != EngineAmoebot {
-		return nil, fmt.Errorf("sops: CrashFraction requires the %s engine", EngineAmoebot)
-	}
-	if opts.Workers > 1 && engine != EngineAmoebot {
-		return nil, fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
-	}
-	if err := opts.validShards(engine, ru); err != nil {
-		return nil, err
-	}
-	if engine == EngineAmoebot {
-		return compressDistributed(opts, ru, start)
-	}
-	return compressSequential(engine, opts, ru, start)
+	out.Rendering = viz.RenderMarked(cfg, marks)
+	return &out, nil
 }
 
 // Normalized returns the canonical form of o: the engine resolved (the
 // legacy Distributed bit folded into Engine), the start shape, rule name,
-// and iteration budget made explicit, and the axes validated the same way
+// and iteration budget made explicit, and the options validated exactly as
 // Compress validates them. Two Options with equal normalized forms run
 // identical simulations, which is what makes the normalized encoding a
 // sound cache key for `sops serve` run jobs (callback fields are excluded
@@ -384,34 +356,17 @@ func (o Options) Normalized() (Options, error) {
 	if err != nil {
 		return o, err
 	}
-	if o.N < 1 {
-		return o, fmt.Errorf("sops: N must be positive, got %d", o.N)
-	}
-	if o.Lambda <= 0 {
-		return o, fmt.Errorf("sops: Lambda must be positive, got %v", o.Lambda)
-	}
 	ru, err := NewRule(o.Rule, o.Lambda, o.RuleStates, o.Forage)
 	if err != nil {
 		return o, err
 	}
-	if err := o.validShards(engine, ru); err != nil {
+	if err := o.validate(engine, ru); err != nil {
 		return o, err
-	}
-	if o.CrashFraction < 0 || o.CrashFraction >= 1 {
-		return o, fmt.Errorf("sops: CrashFraction must be in [0,1), got %v", o.CrashFraction)
-	}
-	if o.CrashFraction > 0 && engine != EngineAmoebot {
-		return o, fmt.Errorf("sops: CrashFraction requires the %s engine", EngineAmoebot)
-	}
-	if o.Workers > 1 && engine != EngineAmoebot {
-		return o, fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
 	}
 	o.Engine = engine
 	o.Distributed = false
 	if o.Start == "" {
 		o.Start = StartLine
-	} else if !validShape(o.Start) {
-		return o, fmt.Errorf("sops: unknown start shape %q", o.Start)
 	}
 	if o.Rule == "" {
 		o.Rule = RuleCompression
@@ -427,16 +382,29 @@ func (o Options) Normalized() (Options, error) {
 	return o, nil
 }
 
-// validShards checks the Shards axis: stripe-sharded execution exists only
-// for the kMC engine over stateless rules.
-func (o Options) validShards(engine string, ru *rule.Rule) error {
-	if o.Shards < 2 {
-		return nil
+// validate checks o against its resolved engine and compiled rule (λ is
+// checked by the compile). It is the one validation behind Compress and
+// Normalized; callers pass the rule so an arena's cached one serves.
+func (o Options) validate(engine string, ru *rule.Rule) error {
+	if o.N < 1 {
+		return fmt.Errorf("sops: N must be positive, got %d", o.N)
 	}
-	if engine != EngineKMC {
+	if o.Start != "" && !validShape(o.Start) {
+		return fmt.Errorf("sops: unknown start shape %q", o.Start)
+	}
+	if o.CrashFraction < 0 || o.CrashFraction >= 1 {
+		return fmt.Errorf("sops: CrashFraction must be in [0,1), got %v", o.CrashFraction)
+	}
+	if o.CrashFraction > 0 && engine != EngineAmoebot {
+		return fmt.Errorf("sops: CrashFraction requires the %s engine", EngineAmoebot)
+	}
+	if o.Workers > 1 && engine != EngineAmoebot {
+		return fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
+	}
+	if o.Shards > 1 && engine != EngineKMC {
 		return fmt.Errorf("sops: Shards requires the %s engine, got %q", EngineKMC, engine)
 	}
-	if !ru.Stateless() {
+	if o.Shards > 1 && !ru.Stateless() {
 		return fmt.Errorf("sops: Shards supports only stateless rules, not %q", ru.Name())
 	}
 	return nil
@@ -471,115 +439,6 @@ func (o Options) engine() (string, error) {
 	}
 }
 
-func compressSequential(engine string, opts Options, ru *rule.Rule, start *config.Config) (*Result, error) {
-	var c Sequential
-	var err error
-	if opts.Shards > 1 {
-		c, err = kmc.NewShardedWithRule(start, ru, opts.Seed, opts.Shards)
-	} else {
-		c, err = NewSequentialWithRule(engine, start, ru, opts.Seed)
-	}
-	if err != nil {
-		return nil, err
-	}
-	total := opts.iterations()
-	res := &Result{N: opts.N, Lambda: opts.Lambda, Rule: ru.Name()}
-	snap := newSnapshotter(opts)
-	if log := snap.attach(c.Grid, true, ru); log != nil {
-		c.SetMoveLog(log)
-	}
-	if err := runWithSnapshots(total, opts, func(k uint64) {
-		c.Run(k)
-	}, func(done uint64) Snapshot {
-		return snap.take(Snapshot{
-			Iteration: done,
-			Perimeter: c.Perimeter(),
-			Edges:     c.Edges(),
-			Energy:    c.Energy(),
-			Alpha:     metrics.Alpha(c.Perimeter(), opts.N),
-			Beta:      metrics.Beta(c.Perimeter(), opts.N),
-			HoleFree:  c.HoleFree(),
-			Bias:      snapBias(ru, done),
-		}, c.Config)
-	}, res); err != nil {
-		return nil, err
-	}
-	res.Iterations = c.Steps()
-	res.Moves = c.Accepted()
-	res.Rotations = c.Rotations()
-	res.Energy = c.Energy()
-	finishResult(res, c.Config())
-	return res, nil
-}
-
-func compressDistributed(opts Options, ru *rule.Rule, start *config.Config) (*Result, error) {
-	proto, err := amoebot.NewMetropolis(ru)
-	if err != nil {
-		return nil, err
-	}
-	w, err := amoebot.NewWorld(start)
-	if err != nil {
-		return nil, err
-	}
-	if !ru.Stateless() {
-		// Initial payload states derive from the run seed so the full run
-		// stays reproducible.
-		w.SeedPayload(ru.States(), opts.Seed)
-	}
-	res := &Result{N: opts.N, Lambda: opts.Lambda, Rule: ru.Name()}
-	if opts.CrashFraction > 0 {
-		rng := rand.New(rand.NewPCG(opts.Seed, 0xdead))
-		for _, id := range w.CrashFraction(rng, opts.CrashFraction) {
-			t := w.Particle(id).Tail()
-			res.Crashed = append(res.Crashed, Point{X: t.X, Y: t.Y})
-		}
-	}
-	var runChunk func(uint64)
-	if opts.Workers > 1 {
-		workers := opts.Workers
-		chunk := uint64(0)
-		runChunk = func(k uint64) {
-			chunk++
-			// Each chunk derives fresh per-worker streams; reusing the raw
-			// seed would replay identical randomness every chunk.
-			amoebot.RunConcurrent(w, proto, opts.Seed+chunk*0x9e3779b97f4a7c15, workers, k/uint64(workers))
-		}
-	} else {
-		s := amoebot.NewPoissonScheduler(w, proto, opts.Seed)
-		runChunk = func(k uint64) { s.RunActivations(k) }
-	}
-	total := opts.iterations()
-	snap := newSnapshotter(opts)
-	// Concurrent activations cannot log moves coherently; the delta tap
-	// then marks intervals untracked and every frame becomes a keyframe.
-	if log := snap.attach(w.Tails, opts.Workers <= 1, ru); log != nil {
-		w.SetMoveLog(log)
-	}
-	if err := runWithSnapshots(total, opts, runChunk, func(done uint64) Snapshot {
-		cfg := w.Config()
-		p := cfg.Perimeter()
-		return snap.take(Snapshot{
-			Iteration: done,
-			Perimeter: p,
-			Edges:     cfg.Edges(),
-			Energy:    w.Energy(ru),
-			Alpha:     metrics.Alpha(p, opts.N),
-			Beta:      metrics.Beta(p, opts.N),
-			HoleFree:  !cfg.HasHoles(),
-			Bias:      snapBias(ru, done),
-		}, func() *config.Config { return cfg })
-	}, res); err != nil {
-		return nil, err
-	}
-	res.Iterations = w.Activations()
-	res.Moves = w.Moves()
-	res.Rotations = w.Rotations()
-	res.Rounds = w.Rounds()
-	res.Energy = w.Energy(ru)
-	finishResult(res, w.Config())
-	return res, nil
-}
-
 // Delta carries the incremental state behind one snapshot to
 // Options.DeltaFunc.
 type Delta struct {
@@ -598,62 +457,6 @@ type Delta struct {
 	Grid *grid.Grid
 }
 
-// snapshotter finishes raw snapshots: it renders the optional SVG into a
-// buffer reused across frames and feeds the completed snapshot to the
-// streaming callbacks before the run continues.
-type snapshotter struct {
-	svg bool
-	fn  func(Snapshot)
-	buf []byte
-
-	// Delta-tap state, wired only when Options.DeltaFunc is set.
-	dfn      func(Snapshot, Delta)
-	log      *frame.MoveLog
-	grid     func() *grid.Grid
-	tracked  bool
-	payloads bool
-}
-
-func newSnapshotter(opts Options) *snapshotter {
-	return &snapshotter{svg: opts.SnapshotSVG, fn: opts.SnapshotFunc, dfn: opts.DeltaFunc}
-}
-
-// attach wires the delta tap to an engine's move log and live grid.
-// tracked is false when the execution cannot log its moves completely.
-func (sn *snapshotter) attach(g func() *grid.Grid, tracked bool, ru *rule.Rule) *frame.MoveLog {
-	if sn.dfn == nil {
-		return nil
-	}
-	sn.grid = g
-	sn.payloads = !ru.Stateless()
-	sn.tracked = tracked
-	if tracked {
-		sn.log = &frame.MoveLog{}
-	}
-	return sn.log
-}
-
-// take completes s. cfg is called only when SVG rendering is on, so the
-// sequential hot path never materializes a map-backed config per frame.
-func (sn *snapshotter) take(s Snapshot, cfg func() *config.Config) Snapshot {
-	if sn.svg {
-		sn.buf = viz.AppendSVG(sn.buf[:0], cfg(), nil)
-		s.SVG = string(sn.buf)
-	}
-	if sn.fn != nil {
-		sn.fn(s)
-	}
-	if sn.dfn != nil {
-		sn.dfn(s, Delta{
-			Moves:    sn.log.Drain(),
-			Tracked:  sn.tracked,
-			Payloads: sn.payloads,
-			Grid:     sn.grid(),
-		})
-	}
-	return s
-}
-
 // snapBias evaluates the effective λ(t) of a biased rule at the snapshot
 // instant, probed at the rule's reference site (a food site for forage).
 // Zero for fixed-λ rules, so Snapshot.Bias stays off the wire and the
@@ -663,49 +466,4 @@ func snapBias(ru *rule.Rule, done uint64) float64 {
 		return 0
 	}
 	return ru.BiasAt(done, ru.BiasProbe())
-}
-
-// runWithSnapshots splits total work into snapshot intervals, polling
-// Options.Interrupt at every boundary.
-func runWithSnapshots(total uint64, opts Options, run func(uint64), snap func(uint64) Snapshot, res *Result) error {
-	interrupted := func() bool { return opts.Interrupt != nil && opts.Interrupt() }
-	every := opts.SnapshotEvery
-	if every == 0 || every >= total {
-		if interrupted() {
-			return ErrInterrupted
-		}
-		run(total)
-		return nil
-	}
-	var done uint64
-	for done < total {
-		if interrupted() {
-			return ErrInterrupted
-		}
-		k := every
-		if done+k > total {
-			k = total - done
-		}
-		run(k)
-		done += k
-		res.Snapshots = append(res.Snapshots, snap(done))
-	}
-	return nil
-}
-
-func finishResult(res *Result, cfg *config.Config) {
-	res.Perimeter = cfg.Perimeter()
-	res.Edges = cfg.Edges()
-	res.Triangles = cfg.Triangles()
-	res.Alpha = metrics.Alpha(res.Perimeter, res.N)
-	res.Beta = metrics.Beta(res.Perimeter, res.N)
-	res.HoleFree = !cfg.HasHoles()
-	for _, p := range cfg.Points() {
-		res.Points = append(res.Points, Point{X: p.X, Y: p.Y})
-	}
-	marks := map[lattice.Point]bool{}
-	for _, p := range res.Crashed {
-		marks[lattice.Point{X: p.X, Y: p.Y}] = true
-	}
-	res.Rendering = viz.RenderMarked(cfg, marks)
 }

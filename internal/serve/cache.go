@@ -19,7 +19,9 @@ import (
 //	exp/<digest16>/    sweep workspace: the experiment directory
 //	                   (spec.json, journal.jsonl, results.jsonl,
 //	                   results.csv, BENCH_*.json) plus COMPLETE
-//	run/<digest16>/    run workspace: result.json, frames.ndjson, COMPLETE
+//	run/<digest16>/    run workspace: result.json, frames.bin (binary
+//	                   snapshot frame log, absent for runs without
+//	                   snapshots), COMPLETE
 //
 // A workload's digest is a SHA-256 over a versioned canonical encoding of
 // its normalized spec/options (experiment.Digest for sweeps, runDigest

@@ -130,6 +130,14 @@ func (m *Manager) considerJob(id string) {
 	if !claimed {
 		return
 	}
+	// The record read above may predate its owner finishing the job and
+	// releasing the lease we just took. Owners write the terminal record
+	// before releasing, so a re-read now is definitive.
+	if cur, err := m.readRecord(id); err == nil && terminal(cur.State) {
+		releaseLease(lease, m.nodeID)
+		m.adoptRecord(h, cur)
+		return
+	}
 	if stolen {
 		m.add("leases_stolen", 1)
 	} else {

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +108,40 @@ func collectFrames(t *testing.T, m *Manager, id string, timeout time.Duration) [
 		t.Fatalf("following %s on %s: %v (got %d frames)", id, m.nodeID, err, len(frames))
 	}
 	return frames
+}
+
+// TestLeaseAcquireIsExclusive: nodes racing for one free lease — each
+// trying acquireLease, then the steal path a scanner takes on an expired
+// lease — end with exactly one holder. A lease visible before its record
+// is written reads as corrupt, counts as expired, and is stolen while its
+// creator still believes it holds it.
+func TestLeaseAcquireIsExclusive(t *testing.T) {
+	dir := t.TempDir()
+	const rounds = 500
+	doubles := 0
+	for round := 0; round < rounds; round++ {
+		path := filepath.Join(dir, fmt.Sprintf("dig-%d.lease", round))
+		var holders atomic.Int32
+		var wg sync.WaitGroup
+		for n := 0; n < 3; n++ {
+			node := fmt.Sprintf("node-%d", n)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if acquireLease(path, node, "x") ||
+					leaseExpired(path, time.Minute) && reclaimLease(path, node, time.Minute) && acquireLease(path, node, "x") {
+					holders.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if holders.Load() > 1 {
+			doubles++
+		}
+	}
+	if doubles > 0 {
+		t.Fatalf("%d of %d rounds ended with two lease holders", doubles, rounds)
+	}
 }
 
 // TestClusterFaultInjectionStealResume is the cluster's headline proof:

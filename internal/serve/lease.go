@@ -13,16 +13,16 @@ import (
 // The lease layer: raft-free work claiming over the shared store.
 //
 // Cluster nodes coordinate exclusively through lease files under
-// <dir>/leases/ — no sockets, no consensus. A lease is claimed by creating
-// its file with O_CREATE|O_EXCL (the filesystem arbitrates exactly one
-// winner), kept alive by bumping the file's mtime every heartbeat, and
-// considered expired once the mtime is older than the TTL. Any node may
-// reclaim an expired lease: it renames the file to a private tombstone
-// (rename is atomic, so concurrent stealers race on the rename and exactly
-// one wins), double-checks the tombstone is still stale, and recreates the
-// lease under its own ownership. An owner discovers it lost its lease when
-// the next mtime renewal fails with ENOENT — at which point it must stop
-// writing to the store on that workload's behalf.
+// <dir>/leases/ — no sockets, no consensus. A lease is claimed by
+// hard-linking a fully written file to its path (the filesystem arbitrates
+// exactly one winner), kept alive by bumping the file's mtime every
+// heartbeat, and considered expired once the mtime is older than the TTL.
+// Any node may reclaim an expired lease: it renames the file to a private
+// tombstone (rename is atomic, so concurrent stealers race on the rename
+// and exactly one wins), double-checks the tombstone is still stale, and
+// recreates the lease under its own ownership. An owner discovers it lost
+// its lease when the next mtime renewal fails with ENOENT — at which point
+// it must stop writing to the store on that workload's behalf.
 //
 // Two lease families share the directory:
 //
@@ -91,29 +91,33 @@ func parseLease(raw []byte) (leaseRecord, error) {
 
 // acquireLease atomically creates the lease file, claiming it for owner.
 // false means another node holds it (or a filesystem error intervened —
-// claiming is always safe to retry on the next scan).
+// claiming is always safe to retry on the next scan). The record is
+// written to a private file first and hard-linked into place: the link
+// fails if the lease exists, as O_EXCL would, but no node can ever read the
+// lease empty — an empty lease parses as corrupt, and a corrupt lease is
+// reclaimed at once, which would hand it to a second owner.
 func acquireLease(path, owner, id string) bool {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return false
-	}
 	raw, err := json.Marshal(leaseRecord{
 		Version:    leaseVersion,
 		Owner:      owner,
 		ID:         id,
 		AcquiredAt: time.Now().UTC(),
 	})
-	if err == nil {
-		_, err = f.Write(append(raw, '\n'))
-	}
-	cerr := f.Close()
-	if err != nil || cerr != nil {
-		// A lease file we could not fully write must not linger and block
-		// the cluster; remove our own claim and report failure.
-		_ = os.Remove(path)
+	if err != nil {
 		return false
 	}
-	return true
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".new-*")
+	if err != nil {
+		return false
+	}
+	defer os.Remove(f.Name())
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(append(raw, '\n'))
+	}
+	if cerr := f.Close(); err != nil || cerr != nil {
+		return false
+	}
+	return os.Link(f.Name(), path) == nil
 }
 
 // readLease loads a lease file with its freshness timestamp. ok is false

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -115,6 +114,12 @@ type handle struct {
 	// counted/settled track the submission-side quota slot.
 	counted bool
 	settled bool
+
+	// persistMu serializes record writes against Delete. deleted, guarded
+	// by it, is set once Delete removed the record, so a persist still in
+	// flight cannot write the record back.
+	persistMu sync.Mutex
+	deleted   bool
 }
 
 // locked views and updates; callers hold h.mu or use these helpers.
@@ -588,7 +593,8 @@ func (m *Manager) Cancel(id string) (Job, error) {
 // Delete removes a terminal job's record; active jobs are cancelled
 // instead (the record stays until a later delete).
 func (m *Manager) Delete(id string) (Job, bool, error) {
-	if _, ok := m.lookup(id); !ok {
+	h, ok := m.lookup(id)
+	if !ok {
 		return Job{}, false, fmt.Errorf("serve: unknown job %q", id)
 	}
 	job, _ := m.Job(id)
@@ -605,7 +611,14 @@ func (m *Manager) Delete(id string) (Job, bool, error) {
 		}
 	}
 	m.mu.Unlock()
-	if err := os.Remove(m.recordPath(id)); err != nil && !os.IsNotExist(err) {
+	// A job reads terminal before execute writes its terminal record;
+	// marking the handle deleted under persistMu makes that write a no-op
+	// instead of a resurrection.
+	h.persistMu.Lock()
+	h.deleted = true
+	err := os.Remove(m.recordPath(id))
+	h.persistMu.Unlock()
+	if err != nil && !os.IsNotExist(err) {
 		return Job{}, false, err
 	}
 	if m.cluster() {
@@ -1152,32 +1165,17 @@ func (m *Manager) tryCached(h *handle, dir string) bool {
 }
 
 // replayStoredFrames republishes a run workspace's persisted snapshot
-// frames into st, so a cached or rehydrated job's stream is byte-identical
-// to the original's. The binary frame log (frames.bin) is the native store;
-// frames.ndjson is read as a fallback for workspaces written before the
-// binary codec. st must not be the stream of a handle whose mutex the
-// caller does not hold consistently — publishes synchronize on the stream
-// itself.
+// frames (frames.bin) into st, so a cached or rehydrated job's stream is
+// byte-identical to the original's. A run without snapshots stores no
+// frame log and replays nothing. Publishes synchronize on the stream
+// itself, so the caller need not hold the owning handle's mutex.
 func (m *Manager) replayStoredFrames(st *stream, job *Job) {
-	dir := m.workspace(job)
-	if raw, err := os.ReadFile(filepath.Join(dir, framesFile)); err == nil {
-		for _, rec := range splitTolerant(raw) {
-			st.publishRecord(rec)
-		}
-		return
-	}
-	f, err := os.Open(filepath.Join(dir, "frames.ndjson"))
+	raw, err := os.ReadFile(filepath.Join(m.workspace(job), framesFile))
 	if err != nil {
 		return
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := append([]byte(nil), sc.Bytes()...)
-		if len(line) > 0 {
-			st.publishRaw(line)
-		}
+	for _, rec := range splitTolerant(raw) {
+		st.publishRecord(rec)
 	}
 }
 
@@ -1218,9 +1216,15 @@ func (m *Manager) recordPath(id string) string {
 }
 
 // persist writes the job's current record atomically. A killed manager
-// writes nothing: the crash simulation must leave the store untouched.
+// writes nothing: the crash simulation must leave the store untouched; nor
+// does a deleted job's handle.
 func (m *Manager) persist(h *handle) error {
 	if m.killed.Load() {
+		return nil
+	}
+	h.persistMu.Lock()
+	defer h.persistMu.Unlock()
+	if h.deleted {
 		return nil
 	}
 	h.mu.Lock()

@@ -591,6 +591,51 @@ func TestListAndDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteAtFinishStaysDeleted: a job deleted the moment it reads
+// terminal stays deleted. The job turns terminal in memory before its
+// terminal record is written; a Delete landing in between must still win,
+// or the record comes back and the job reappears on the next restart.
+func TestDeleteAtFinishStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 200
+	for i := 0; i < jobs; i++ {
+		job, err := m.Submit(JobRequest{Run: &runner.Options{N: 3, Lambda: 4, Iterations: 10, Seed: uint64(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			j, ok := m.Job(job.ID)
+			if !ok {
+				t.Fatalf("job %s vanished before it was deleted", job.ID)
+			}
+			if terminal(j.State) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %q", job.ID, j.State)
+			}
+		}
+		if _, deleted, err := m.Delete(job.ID); err != nil || !deleted {
+			t.Fatalf("delete %s: deleted=%v err=%v", job.ID, deleted, err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "jobs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Fatalf("%d of %d deleted job records came back, e.g. %s", len(left), jobs, filepath.Base(left[0]))
+	}
+}
+
 // TestConcurrentFollowersOfOneJob: several clients streaming the same job
 // at once see identical bytes. (Frame slices are shared across followers;
 // under -race this also proves the emit path never mutates them.)

@@ -159,17 +159,6 @@ func (s *stream) publish(f Frame) {
 	marshalBufs.Put(buf)
 }
 
-// publishRaw appends an already-encoded NDJSON line, framing it as a raw
-// record (legacy frames.ndjson replay).
-func (s *stream) publishRaw(line []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.append(frame.Raw(line))
-}
-
 // publishRecord appends an already-framed binary record — encoded snapshot
 // deltas from the run loop, stored frames.bin replay, and records tailed
 // from a cluster mirror. The record carries its own Seq; none is stamped.

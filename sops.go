@@ -90,11 +90,11 @@ type Result = runner.Result
 // must be positive.
 type Options = runner.Options
 
-// Compress runs the compression system and returns the final metrics.
-// With Options.Distributed it runs the amoebot Algorithm A; otherwise the
-// sequential Markov chain M. Both implement the same stochastic process
-// (§3.2); distributed runs exercise the full expansion/contraction/flag
-// machinery.
+// Compress runs one simulation and returns the final metrics. Options.Engine
+// selects the engine: the sequential Markov chain M (the default), the
+// rejection-free kMC engine, or the distributed amoebot Algorithm A. All
+// implement the same stochastic process (§3.2); distributed runs exercise
+// the full expansion/contraction/flag machinery.
 func Compress(opts Options) (*Result, error) { return runner.Compress(opts) }
 
 // The experiment API: declarative, resumable scenario sweeps over the
