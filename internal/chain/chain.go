@@ -11,17 +11,29 @@
 //
 // The chain runs on the bit-packed grid engine: occupancy (and, for payload
 // rules, per-particle state) lives in grid.Grid, and the per-step validity
-// check is one 8-bit neighborhood-mask extraction plus lookups in the
-// rule's 256-entry tables, with no heap allocation. The canonical
-// rule.Compression(λ) reproduces the pre-rule hard-coded chain bit for bit:
-// a (σ0, λ, seed) triple produces the same trajectory. The original
-// map-backed implementation remains available via WithReferenceEngine as
-// the differential-testing oracle for the compression rule.
+// check is one grid read (grid.MoveMask: the target's occupancy and, when it
+// is free, the 8-bit neighborhood mask) plus lookups in the rule's
+// 256-entry tables, with no heap allocation. An accepted move hands that
+// mask back to grid.MoveMasked, which updates e(σ) from it instead of
+// re-counting degrees. The canonical rule.Compression(λ) reproduces the
+// pre-rule hard-coded chain bit for bit: a (σ0, λ, seed) triple produces the
+// same trajectory. The original map-backed implementation remains available
+// via WithReferenceEngine as the differential-testing oracle for the
+// compression rule.
+//
+// Randomness: every draw comes from one *rand.PCG seeded (seed, rngStream),
+// called directly rather than through rand.Rand's interface-typed source.
+// intN and unitFloat reproduce math/rand/v2's 64-bit IntN and Float64
+// exactly, so the stream is consumed — and every trajectory and golden
+// produced — as with rand.New(rand.NewPCG(seed, rngStream)); a step draws
+// IntN(n), IntN(slots), then Float64 only when the Metropolis ratio is
+// below 1. TestDrawHelpersMatchMathRand pins the equivalence.
 package chain
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"sops/internal/config"
@@ -35,6 +47,33 @@ import (
 // rngStream is the fixed second PCG seed word; New and Reset must use the
 // same value so a Reset chain replays a fresh chain's randomness exactly.
 const rngStream = 0x9e3779b97f4a7c15
+
+// intN returns a uniform draw from [0, n), n > 0, consuming p exactly as
+// rand.New(p).IntN(n) does on 64-bit platforms.
+func intN(p *rand.PCG, n int) int { return int(uint64n(p, uint64(n))) }
+
+// uint64n is math/rand/v2's 64-bit Uint64N: a mask for powers of two, else
+// Lemire's multiply-shift with the −n % n rejection, whose division runs
+// only when the first product's low word falls below n.
+func uint64n(p *rand.PCG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return p.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(p.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(p.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// unitFloat returns a uniform draw from [0, 1), consuming p exactly as
+// rand.New(p).Float64() does.
+func unitFloat(p *rand.PCG) float64 {
+	return float64(p.Uint64()<<11>>11) / (1 << 53)
+}
 
 // Option customizes a Chain; the variants are used by the ablation
 // experiments in EXPERIMENTS.md to demonstrate that each rule of M is
@@ -73,8 +112,7 @@ type Chain struct {
 	// lamPow caches λ^k for k ∈ [−5, 5] at index k+5 for the reference
 	// engine; the grid engine prices moves from the rule tables.
 	lamPow [11]float64
-	pcg    *rand.PCG // kept so Reset can reseed the stream in place
-	rng    *rand.Rand
+	pcg    *rand.PCG // the chain's only randomness; Reset reseeds it in place
 
 	// biased marks rules with a time-varying/site-dependent bias schedule;
 	// lcache then memoizes the pricing ladders per effective λ. Both stay
@@ -168,7 +206,6 @@ func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
 		return fmt.Errorf("chain: starting configuration must be connected")
 	}
 	c.pcg = rand.NewPCG(seed, rngStream)
-	c.rng = rand.New(c.pcg)
 	c.stateless = c.ru.Stateless()
 	c.slots = c.ru.Slots()
 	c.biased = c.ru.Biased()
@@ -189,7 +226,7 @@ func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
 			c.g.EnablePayload()
 			states := c.ru.States()
 			for _, p := range c.points {
-				c.g.SetPayload(p, uint8(c.rng.IntN(states)))
+				c.g.SetPayload(p, uint8(intN(c.pcg, states)))
 			}
 		}
 		c.hval = c.ru.Energy(c.g)
@@ -237,7 +274,7 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 		c.g.EnablePayload()
 		states := c.ru.States()
 		for _, p := range c.points {
-			c.g.SetPayload(p, uint8(c.rng.IntN(states)))
+			c.g.SetPayload(p, uint8(intN(c.pcg, states)))
 		}
 	}
 	c.hval = c.ru.Energy(c.g)
@@ -382,9 +419,9 @@ func (c *Chain) view() *config.Config {
 // the state changed (a particle moved or a payload rotated).
 func (c *Chain) Step() bool {
 	c.steps++
-	i := c.rng.IntN(len(c.points))
+	i := intN(c.pcg, len(c.points))
 	l := c.points[i]
-	slot := c.rng.IntN(c.slots)
+	slot := intN(c.pcg, c.slots)
 	if c.reference {
 		return c.stepReference(i, l, lattice.Dir(slot))
 	}
@@ -392,13 +429,10 @@ func (c *Chain) Step() bool {
 		return c.stepRotate(l, slot-lattice.NumDirs)
 	}
 	d := lattice.Dir(slot)
-	lp := l.Neighbor(d)
-	if c.g.Has(lp) {
-		return false
-	}
-	// One mask extraction answers the guard and the Hamiltonian tables.
-	m := c.g.PairMask(l, d)
-	if !c.ru.Allowed(m) {
+	// One read answers the target's occupancy and, when it is free, the
+	// mask the guard and the Hamiltonian tables are indexed by.
+	m, occupied := c.g.MoveMask(l, d)
+	if occupied || !c.ru.Allowed(m) {
 		return false
 	}
 	var acc float64
@@ -421,11 +455,12 @@ func (c *Chain) Step() bool {
 	}
 	// The Metropolis filter: accept with probability min(1, λ^ΔH).
 	if acc < 1 {
-		if c.rng.Float64() >= acc {
+		if unitFloat(c.pcg) >= acc {
 			return false
 		}
 	}
-	c.g.Move(l, lp)
+	lp := l.Neighbor(d)
+	c.g.MoveMasked(l, lp, m)
 	c.points[i] = lp
 	c.hval += delta
 	c.accepted++
@@ -446,7 +481,7 @@ func (c *Chain) stepRotate(l lattice.Point, j int) bool {
 		acc = c.lcache.At(c.steps-1, l).RotAccept(delta)
 	}
 	if acc < 1 {
-		if c.rng.Float64() >= acc {
+		if unitFloat(c.pcg) >= acc {
 			return false
 		}
 	}
@@ -476,7 +511,7 @@ func (c *Chain) stepReference(i int, l lattice.Point, d lattice.Dir) bool {
 	}
 	ep := c.cfg.DegreeExcluding(lp, l)
 	if thresh := c.lamPow[ep-e+5]; thresh < 1 {
-		if c.rng.Float64() >= thresh {
+		if unitFloat(c.pcg) >= thresh {
 			return false
 		}
 	}

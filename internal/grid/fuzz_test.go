@@ -16,7 +16,10 @@ import (
 //
 // Ops decode in 4-byte chunks (op, x, y, aux); coordinates live in
 // [-16, 16] so sequences cross the initial window and force grows, and op 6
-// jumps far away to force a big reallocation.
+// jumps far away to force a big reallocation. A move whose aux has bit 7
+// set goes through the chain's path instead of Move: the fused MoveMask
+// read (checked against the oracle's occupancy and mask) and, when the
+// target is free, MoveMasked fed that mask.
 func FuzzGridOps(f *testing.F) {
 	f.Add([]byte{})
 	// Build a blob, carve it, then walk it around.
@@ -84,11 +87,26 @@ func FuzzGridOps(f *testing.F) {
 					continue
 				}
 				src := list[int(aux)%len(list)]
-				dst := src.Neighbor(lattice.Dir(by % 6))
-				if occ[dst] {
-					continue
+				d := lattice.Dir(by % 6)
+				dst := src.Neighbor(d)
+				if aux&0x80 != 0 {
+					m, occupied := g.MoveMask(src, d)
+					if occupied != occ[dst] {
+						t.Fatalf("MoveMask(%v, %v) occupied = %v, oracle %v", src, d, occupied, occ[dst])
+					}
+					if occupied {
+						continue
+					}
+					if want := oracleMask(occ, src, d); m != want {
+						t.Fatalf("MoveMask(%v, %v) = %08b, reference %08b", src, d, m, want)
+					}
+					g.MoveMasked(src, dst, m)
+				} else {
+					if occ[dst] {
+						continue
+					}
+					g.Move(src, dst)
 				}
-				g.Move(src, dst)
 				delete(occ, src)
 				occ[dst] = true
 				if v, ok := pay[src]; ok {
@@ -200,12 +218,7 @@ func checkFull(t *testing.T, g *Grid, occ map[lattice.Point]bool, pay map[lattic
 		win := g.Window(p)
 		packed := win.Packed()
 		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			var want Mask
-			for k, off := range MaskOffsets(d) {
-				if occ[p.Add(off)] {
-					want |= 1 << uint(k)
-				}
-			}
+			want := oracleMask(occ, p, d)
 			if got := g.PairMask(p, d); got != want {
 				t.Fatalf("PairMask(%v, %v) = %08b, reference %08b", p, d, got, want)
 			}
@@ -214,6 +227,10 @@ func checkFull(t *testing.T, g *Grid, occ map[lattice.Point]bool, pay map[lattic
 			}
 			if got := packed.PairMask(d); got != want {
 				t.Fatalf("Packed.PairMask(%v, %v) = %08b, reference %08b", p, d, got, want)
+			}
+			m, occupied := g.MoveMask(p, d)
+			if occupied != occ[p.Neighbor(d)] || (!occupied && m != want) {
+				t.Fatalf("MoveMask(%v, %v) = %08b, %v; reference %08b, %v", p, d, m, occupied, want, occ[p.Neighbor(d)])
 			}
 		}
 		var nbr uint8
@@ -226,4 +243,15 @@ func checkFull(t *testing.T, g *Grid, occ map[lattice.Point]bool, pay map[lattic
 			t.Fatalf("NeighborMask(%v) = %06b, reference %06b", p, got, nbr)
 		}
 	}
+}
+
+// oracleMask is the reference PairMask of (p, p+d) read from the oracle.
+func oracleMask(occ map[lattice.Point]bool, p lattice.Point, d lattice.Dir) Mask {
+	var m Mask
+	for k, off := range MaskOffsets(d) {
+		if occ[p.Add(off)] {
+			m |= 1 << uint(k)
+		}
+	}
+	return m
 }

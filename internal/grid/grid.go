@@ -346,15 +346,7 @@ func (g *Grid) Remove(p lattice.Point) bool {
 // panics if src is unoccupied or dst is occupied: callers are expected to
 // have validated the move.
 func (g *Grid) Move(src, dst lattice.Point) {
-	if !g.Has(src) {
-		panic(fmt.Sprintf("grid: move from unoccupied %v", src))
-	}
-	if g.Has(dst) {
-		panic(fmt.Sprintf("grid: move to occupied %v", dst))
-	}
-	if g.nearBorder(dst) {
-		g.grow(dst)
-	}
+	g.prepareMove(src, dst)
 	g.edges -= g.Degree(src)
 	si := g.bitIndex(src)
 	g.clearBit(si)
@@ -363,6 +355,38 @@ func (g *Grid) Move(src, dst lattice.Point) {
 	g.setBit(di)
 	if g.pay != nil {
 		g.pay[di], g.pay[si] = g.pay[si], 0
+	}
+}
+
+// MoveMasked relocates a particle from src to its free neighbor dst = src+d
+// like Move, for a caller that has just read the pair's mask
+// m = PairMask(src, d) (see MoveMask). The mask already holds both degrees:
+// src's before the move is popcount(m & MaskNearL), dst's after it is
+// popcount(m & MaskNearLp), so the edge count changes by their difference
+// with no neighborhood re-read. It panics, and grows the window, as Move
+// does; a mask not read from this pair corrupts the edge count.
+func (g *Grid) MoveMasked(src, dst lattice.Point, m Mask) {
+	g.prepareMove(src, dst)
+	g.edges += bits.OnesCount8(uint8(m&MaskNearLp)) - bits.OnesCount8(uint8(m&MaskNearL))
+	si, di := g.bitIndex(src), g.bitIndex(dst)
+	g.clearBit(si)
+	g.setBit(di)
+	if g.pay != nil {
+		g.pay[di], g.pay[si] = g.pay[si], 0
+	}
+}
+
+// prepareMove panics unless src is occupied and dst free, then grows the
+// window if dst would break the margin invariant.
+func (g *Grid) prepareMove(src, dst lattice.Point) {
+	if !g.Has(src) {
+		panic(fmt.Sprintf("grid: move from unoccupied %v", src))
+	}
+	if g.Has(dst) {
+		panic(fmt.Sprintf("grid: move to occupied %v", dst))
+	}
+	if g.nearBorder(dst) {
+		g.grow(dst)
 	}
 }
 
@@ -478,6 +502,25 @@ func (g *Grid) PairMask(l lattice.Point, d lattice.Dir) Mask {
 		m |= Mask(g.bit(idx+deltas[k])) << uint(k)
 	}
 	return m
+}
+
+// MoveMask reads a proposed move of the occupied cell ℓ in direction d in
+// one pass from ℓ's bit index: occupied reports whether the target
+// ℓ′ = ℓ+d is occupied, and only when it is not, m is PairMask(ℓ, d). The
+// margin invariant keeps all nine cells inside the window, so no read needs
+// a window check. It is the chain's per-step read; MoveMasked applies the
+// move from the same mask.
+func (g *Grid) MoveMask(l lattice.Point, d lattice.Dir) (m Mask, occupied bool) {
+	idx := g.bitIndex(l)
+	if g.bit(idx+g.nbrDelta[d]) != 0 {
+		return 0, true
+	}
+	ds := &g.maskDelta[d]
+	m = Mask(g.bit(idx+ds[0])) | Mask(g.bit(idx+ds[1]))<<1 |
+		Mask(g.bit(idx+ds[2]))<<2 | Mask(g.bit(idx+ds[3]))<<3 |
+		Mask(g.bit(idx+ds[4]))<<4 | Mask(g.bit(idx+ds[5]))<<5 |
+		Mask(g.bit(idx+ds[6]))<<6 | Mask(g.bit(idx+ds[7]))<<7
+	return m, false
 }
 
 // Window is the occupancy bitmap of the 5×5 axial square centered on a cell

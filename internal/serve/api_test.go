@@ -43,6 +43,57 @@ func decodeEnvelope(t *testing.T, resp *http.Response) APIError {
 	return env.Error
 }
 
+// TestSubmitBodyIsOneBoundedObject pins POST /v1/jobs to a body of exactly
+// one JSON object of at most maxSubmitBytes: a second object, data after
+// the object, or a body over the limit (padded inside or after the object)
+// is invalid_spec and creates no job, while whitespace after the object —
+// json.Encoder ends its output with a newline — is accepted.
+func TestSubmitBodyIsOneBoundedObject(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	const obj = `{"run":{"n":8,"lambda":4,"iterations":2000,"seed":9}}`
+	pad := strings.Repeat(" ", maxSubmitBytes)
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"second object", obj + obj},
+		{"garbage after the object", obj + "garbage"},
+		{"padding after the object past the limit", obj + pad},
+		{"padding inside the object past the limit", `{"run":` + pad + obj[len(`{"run":`):]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := len(s.mgr.Jobs())
+			resp := post(tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				resp.Body.Close()
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if e := decodeEnvelope(t, resp); e.Code != CodeInvalidSpec {
+				t.Fatalf("code %q, want %q (%s)", e.Code, CodeInvalidSpec, e.Message)
+			}
+			if after := len(s.mgr.Jobs()); after != before {
+				t.Fatalf("rejected body created %d job(s)", after-before)
+			}
+		})
+	}
+	resp := post(obj + "\n \t\r\n")
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("object + whitespace: status %d: %s", resp.StatusCode, raw)
+	}
+	var job Job
+	if err := json.Unmarshal(raw, &job); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ts.URL, job.ID, StateDone)
+}
+
 // TestErrorEnvelopeCodes pins the error contract: every code in
 // ErrorCodes() is reachable, arrives with its documented status, and every
 // failing /v1 response is the JSON envelope (no plaintext bodies).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -138,11 +139,28 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 		fmt.Errorf("no route %s %s (see API.md for the /v1 contract)", r.Method, r.URL.Path))
 }
 
+// maxSubmitBytes caps a POST /v1/jobs body. A sweep spec is a few KB; the
+// cap keeps one request from making the server read an unbounded body.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is exactly one object: only whitespace may follow it.
+		if tok, terr := dec.Token(); terr == nil {
+			err = fmt.Errorf("unexpected %v after the job object", tok)
+		} else if terr != io.EOF {
+			err = terr
+		}
+	}
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			err = fmt.Errorf("body exceeds the %d-byte limit", maxSubmitBytes)
+		}
 		writeAPIError(w, http.StatusBadRequest, CodeInvalidSpec, "", fmt.Errorf("decoding job request: %w", err))
 		return
 	}
