@@ -72,6 +72,12 @@ func TestNormalizeRejectsBadAxes(t *testing.T) {
 	sc, _ := lookup("compress")
 	bad := []Spec{
 		{Scenario: "compress", Lambdas: []float64{0}},
+		// λ^±10 must stay finite and nonzero, or every task fails at rule
+		// compile time after the sweep has been accepted.
+		{Scenario: "compress", Lambdas: []float64{math.NaN()}},
+		{Scenario: "compress", Lambdas: []float64{math.Inf(1)}},
+		{Scenario: "compress", Lambdas: []float64{1e40}},
+		{Scenario: "compress", Lambdas: []float64{1e-40}},
 		{Scenario: "compress", Sizes: []int{0}},
 		{Scenario: "compress", Starts: []string{"pyramid"}},
 		{Scenario: "compress", Engines: []string{"quantum"}},

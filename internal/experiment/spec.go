@@ -167,8 +167,8 @@ func (s Spec) normalized(sc Scenario) (Spec, error) {
 		s.Reps = 1
 	}
 	for _, l := range s.Lambdas {
-		if l <= 0 {
-			return s, fmt.Errorf("experiment: λ must be positive, got %v", l)
+		if err := rule.ValidateLambda(l); err != nil {
+			return s, fmt.Errorf("experiment: %w", err)
 		}
 	}
 	for _, n := range s.Sizes {

@@ -73,8 +73,8 @@ func setSpins(c *Chain, spins map[lattice.Point]uint8) {
 	for p, s := range spins {
 		c.g.SetPayload(p, s)
 	}
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
+	for i := range c.points {
+		c.wj[i] = c.particleWeight(i)
 	}
 	c.fen.rebuild(c.wj)
 	c.hval = c.ru.Energy(c.g)

@@ -28,6 +28,24 @@ func BenchmarkKMCEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkKMCEventSpiral is BenchmarkKMCEvent at the shape of the
+// repository benchmark's kmc-spiral task: n=1000 from the spiral at λ=4,
+// settled for one task's 5M steps first. A 100_000-step batch fires about a
+// thousand events; ns/event divides them out.
+func BenchmarkKMCEventSpiral(b *testing.B) {
+	c := MustNew(config.Spiral(1000), 4, 1)
+	c.Run(5_000_000)
+	b.ResetTimer()
+	ev0 := c.Events()
+	for i := 0; i < b.N; i++ {
+		c.Run(100_000)
+	}
+	if events := c.Events() - ev0; events > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	}
+}
+
 // BenchmarkKMCSharded measures event throughput of the stripe-sharded
 // engine against the sequential chain (the shards=1 sub-benchmark) at two
 // system sizes. λ=2 keeps the run event-dominated: expansion accepts most

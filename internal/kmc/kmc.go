@@ -24,11 +24,15 @@
 // only the trajectory's random-number consumption differs.
 //
 // After each applied translation (ℓ → ℓ′) only the particles whose
-// neighborhood masks can see ℓ or ℓ′ — the dirty neighborhood enumerated by
-// grid.OccupiedNearPair / grid.DirtyWindows, a constant-size set — are
-// re-classified; a payload rotation dirties only the rotating cell's own
-// radius-2 neighborhood (grid.OccupiedNearCell). An event therefore costs
-// O(log n) for the weighted sampling plus O(1) reweighting. Per-slot
+// neighborhood masks can see ℓ or ℓ′ — the dirty neighborhood, the 23 cells
+// of grid.DirtyOffsets — are re-classified; a payload rotation dirties only
+// the rotating cell's own radius-2 neighborhood (grid.OccupiedNearCell).
+// For stateless rules the chain caches each particle's packed masks
+// (grid.PackedMasks) and re-classifies a dirty neighbor from its cache with
+// one XOR of the bits that read ℓ or ℓ′ (dirtyFlips), re-reading a window
+// only for the mover; payload rules re-price the cells grid.OccupiedNearPair
+// enumerates. An event therefore costs O(log n) for the weighted sampling
+// plus O(1) reweighting. Per-slot
 // weights come from the same compiled rule tables the Metropolis engine
 // uses: the two engines cannot disagree on the move set by construction,
 // and rule.Compression(λ) reproduces the pre-rule engine bit for bit.
@@ -93,6 +97,11 @@ type Chain struct {
 	// exact recomputation over its slots; the Fenwick tree mirrors it up
 	// to floating-point drift.
 	wj []float64
+	// pk[i] caches particle i's move classification for stateless rules:
+	// pk[i] == g.Window(points[i]).Packed() after every event. A move
+	// updates a dirty neighbor's entry with one XOR (dirtyFlips) instead
+	// of re-reading its window. Unused by payload rules.
+	pk []grid.PackedMasks
 
 	// Bias-epoch machinery (biased rules only). The effective λ is constant
 	// on [epoch, epochEnd); every maintained weight is priced at
@@ -118,7 +127,6 @@ type Chain struct {
 	hold               uint64
 	holesGone          bool
 	eventsSinceRebuild int
-	dirtyBuf           []grid.CellWindow
 	dirtyPts           []lattice.Point
 	// slotBuf holds the fired particle's slot weights during event
 	// sampling; payBuf is particleWeightPay's scratch, kept separate so
@@ -215,12 +223,24 @@ func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
 	c.idx = newPindex(c.points)
 	c.wj = make([]float64, len(c.points))
 	c.fen = newFenwick(len(c.points))
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
-	}
-	c.fen.rebuild(c.wj)
+	c.classify()
 	c.holesGone = !sigma0.HasHoles()
 	return nil
+}
+
+// classify fills the mask cache (stateless rules) and every particle's
+// weight from the current grid, then rebuilds the Fenwick tree exactly.
+func (c *Chain) classify() {
+	if c.stateless {
+		c.pk = resize(c.pk, len(c.points))
+		for i, p := range c.points {
+			c.pk[i] = c.g.Window(p).Packed()
+		}
+	}
+	for i := range c.points {
+		c.wj[i] = c.particleWeight(i)
+	}
+	c.fen.rebuild(c.wj)
 }
 
 // Reset re-initializes the chain in place to run rule ru from the starting
@@ -259,18 +279,15 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 		for _, p := range c.points {
 			c.g.SetPayload(p, uint8(c.rng.IntN(states)))
 		}
-		c.slotBuf = resizeFloats(c.slotBuf, c.slots)
-		c.payBuf = resizeFloats(c.payBuf, c.slots)
+		c.slotBuf = resize(c.slotBuf, c.slots)
+		c.payBuf = resize(c.payBuf, c.slots)
 	}
 	c.wTab = c.ru.WeightTable()
 	c.hval = c.ru.Energy(c.g)
 	c.idx.reshape(c.points)
-	c.wj = resizeFloats(c.wj, len(c.points))
+	c.wj = resize(c.wj, len(c.points))
 	c.fen.reset(len(c.points))
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
-	}
-	c.fen.rebuild(c.wj)
+	c.classify()
 	c.steps, c.events, c.moves, c.rots = 0, 0, 0, 0
 	c.hold = 0
 	c.eventsSinceRebuild = 0
@@ -278,13 +295,13 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	return nil
 }
 
-// resizeFloats returns a slice of length n, reusing buf's capacity when it
+// resize returns a slice of length n, reusing buf's capacity when it
 // suffices. Contents are unspecified; callers overwrite every element.
-func resizeFloats(buf []float64, n int) []float64 {
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // Grid exposes the chain's live occupancy grid for read-only observation;
@@ -309,19 +326,15 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 	return c
 }
 
-// particleWeight recomputes the total acceptance weight of the particle at
-// p: the sum over its slots of the slot weight. For stateless rules one
-// Window extraction serves all six directions, and fully surrounded
-// particles (the common case inside a compressed cluster) return without
-// assembling any mask. The summation order is fixed (directions ascending,
-// then rotation targets ascending), so equal configurations always produce
-// bit-identical weights.
-func (c *Chain) particleWeight(p lattice.Point) float64 {
+// particleWeight returns the total acceptance weight of particle i: the sum
+// over its slots of the slot weight. Stateless rules price the cached masks
+// pk[i] (packedWeight); payload rules re-read the grid through priceSlots.
+// The summation order is fixed (directions ascending, then rotation targets
+// ascending), so equal configurations always produce bit-identical weights.
+func (c *Chain) particleWeight(i int) float64 {
+	p := c.points[i]
 	if c.stateless {
-		if c.biased {
-			return c.weightFromWindowLd(c.g.Window(p), c.lcache.At(c.epoch, p))
-		}
-		return c.weightFromWindow(c.g.Window(p))
+		return c.packedWeight(c.pk[i], c.ldAt(p))
 	}
 	return c.particleWeightPay(p)
 }
@@ -335,30 +348,22 @@ func (c *Chain) ldAt(p lattice.Point) *rule.Ladder {
 	return c.lcache.At(c.epoch, p)
 }
 
-// weightFromWindow computes a stateless particle's total weight from its
-// extracted 5×5 window: two packed-table loads, then one weight-table
-// lookup per unoccupied direction, summed in direction order (the order
-// fixes the floating-point fold, keeping weights bit-reproducible).
-func (c *Chain) weightFromWindow(win grid.Window) float64 {
-	pm := win.Packed()
+// packedWeight computes a stateless particle's total weight from its packed
+// masks: one weight lookup per unoccupied direction, summed in direction
+// order (the order fixes the floating-point fold, keeping weights
+// bit-reproducible). ld prices through a bias ladder; nil through the
+// fixed-λ table. A fully surrounded particle sums nothing.
+func (c *Chain) packedWeight(pm grid.PackedMasks, ld *rule.Ladder) float64 {
 	empty := ^pm.NeighborMask() & (1<<lattice.NumDirs - 1)
 	var sum float64
-	for ; empty != 0; empty &= empty - 1 {
-		d := bits.TrailingZeros8(empty)
-		sum += c.wTab[uint8(pm>>(8*d))]
+	if ld == nil {
+		for ; empty != 0; empty &= empty - 1 {
+			sum += c.wTab[uint8(pm>>(8*bits.TrailingZeros8(empty)))]
+		}
+		return sum
 	}
-	return sum
-}
-
-// weightFromWindowLd is weightFromWindow pricing through a bias ladder
-// instead of the fixed-λ table, with the identical direction-order fold.
-func (c *Chain) weightFromWindowLd(win grid.Window, ld *rule.Ladder) float64 {
-	pm := win.Packed()
-	empty := ^pm.NeighborMask() & (1<<lattice.NumDirs - 1)
-	var sum float64
 	for ; empty != 0; empty &= empty - 1 {
-		d := bits.TrailingZeros8(empty)
-		sum += ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
+		sum += ld.Weight(grid.Mask(uint8(pm >> (8 * bits.TrailingZeros8(empty)))))
 	}
 	return sum
 }
@@ -588,28 +593,28 @@ func (c *Chain) fireEvent() bool {
 }
 
 // fireTranslation is the stateless fast path: direction ∝ slot weight from
-// the packed window, then apply and re-classify via the fused DirtyWindows
-// sweep.
+// the particle's cached masks, then apply and re-classify the dirty
+// neighborhood from the cache.
 func (c *Chain) fireTranslation(i int) {
 	l := c.points[i]
 
-	// Direction ∝ slot weight, from freshly recomputed slots (their sum is
-	// the authoritative wj[i] by construction).
+	// Direction ∝ slot weight, from the cached masks (their slot sum is the
+	// authoritative wj[i] by construction).
 	var ws [lattice.NumDirs]float64
 	var sum float64
-	pm := c.g.Window(l).Packed()
+	pm := c.pk[i]
 	if c.biased {
 		ld := c.lcache.At(c.epoch, l)
 		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 			if pm.NeighborMask()>>d&1 == 0 {
-				ws[d] = ld.Weight(grid.Mask(uint8(pm >> (8 * uint(d)))))
+				ws[d] = ld.Weight(pm.PairMask(d))
 				sum += ws[d]
 			}
 		}
 	} else {
 		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 			if pm.NeighborMask()>>d&1 == 0 {
-				ws[d] = c.wTab[uint8(pm>>(8*uint(d)))]
+				ws[d] = c.wTab[pm.PairMask(d)]
 				sum += ws[d]
 			}
 		}
@@ -632,31 +637,41 @@ func (c *Chain) fireTranslation(i int) {
 		}
 	}
 
-	c.hval += c.ru.MoveDelta(pm.PairMask(d), 0)
+	m := pm.PairMask(d)
+	c.hval += c.ru.MoveDelta(m, 0)
 	lp := l.Neighbor(d)
-	c.g.Move(l, lp)
+	c.g.MoveMasked(l, lp, m)
 	c.points[i] = lp
+	c.pk[i] = c.g.Window(lp).Packed()
 	c.idx.clear(l)
-	c.idx.set(lp, int32(i), c.points)
+	c.idx.place(lp, int32(i), c.points)
 	c.events++
 	c.moves++
 	if c.mlog != nil {
 		c.mlog.Moved(l, lp, 0)
 	}
 
-	// Re-classify the dirty neighborhood: every occupied cell whose masks
-	// can see ℓ or ℓ′, including the moved particle itself. DirtyWindows
-	// hands back each cell with its 5×5 window already extracted.
-	c.dirtyBuf = c.g.DirtyWindows(l, d, c.dirtyBuf[:0])
-	for _, cw := range c.dirtyBuf {
-		j := c.idx.at(cw.P)
-		var w float64
-		if c.biased {
-			w = c.weightFromWindowLd(cw.Win, c.lcache.At(c.epoch, cw.P))
-		} else {
-			w = c.weightFromWindow(cw.Win)
+	// Re-classify the dirty neighborhood — every occupied cell whose masks
+	// can see ℓ or ℓ′, the mover included — in grid.DirtyOffsets order. The
+	// move flipped the occupancy of ℓ and ℓ′, so a neighbor's masks change
+	// by exactly the bits that read those two cells; the mover's were
+	// re-read above and its dirtyFlips entry is zero.
+	x := c.idx
+	base := x.slot(l)
+	deltas := &x.dirty[d]
+	flips := &dirtyFlips[d]
+	var ld *rule.Ladder
+	for k := range nDirty {
+		j := x.id[base+deltas[k]]
+		if j < 0 {
+			continue
 		}
-		if w != c.wj[j] {
+		pk := c.pk[j] ^ flips[k]
+		c.pk[j] = pk
+		if c.biased {
+			ld = c.lcache.At(c.epoch, l.Add(grid.DirtyOffsets(d)[k]))
+		}
+		if w := c.packedWeight(pk, ld); w != c.wj[j] {
 			c.fen.add(int(j), w-c.wj[j])
 			c.wj[j] = w
 		}
@@ -767,8 +782,8 @@ func (c *Chain) advanceEpoch() {
 	e := c.ru.BiasEpoch()
 	c.epoch = c.steps - c.steps%e
 	c.epochEnd = c.epoch + e
-	for i, p := range c.points {
-		c.wj[i] = c.particleWeight(p)
+	for i := range c.points {
+		c.wj[i] = c.particleWeight(i)
 	}
 	c.fen.rebuild(c.wj)
 	c.hold = 0
@@ -797,7 +812,8 @@ func (c *Chain) run(n uint64) uint64 {
 	return fired
 }
 
-// CheckWeightSums verifies every maintained per-particle weight against a
+// CheckWeightSums verifies every stateless particle's cached masks against
+// a fresh window read, every maintained per-particle weight against a
 // from-scratch recomputation (at the current bias epoch, for biased rules)
 // and the Fenwick total against their exact sum. Maintained weights come
 // from the same canonical folds the recomputation uses, so they must match
@@ -806,7 +822,16 @@ func (c *Chain) run(n uint64) uint64 {
 func (c *Chain) CheckWeightSums() error {
 	var sum float64
 	for i, p := range c.points {
-		w := c.particleWeight(p)
+		var w float64
+		if c.stateless {
+			pm := c.g.Window(p).Packed()
+			if pm != c.pk[i] {
+				return fmt.Errorf("kmc: particle %d at %v: cached masks %#x, window reads %#x", i, p, uint64(c.pk[i]), uint64(pm))
+			}
+			w = c.packedWeight(pm, c.ldAt(p))
+		} else {
+			w = c.particleWeightPay(p)
+		}
 		if w != c.wj[i] {
 			return fmt.Errorf("kmc: particle %d at %v: maintained weight %v, recomputed %v", i, p, c.wj[i], w)
 		}
@@ -842,14 +867,58 @@ func (c *Chain) RunUntil(max, interval uint64, check func() bool) uint64 {
 
 // pindex maps occupied lattice cells to particle indices through a dense
 // int32 window mirroring the occupancy grid's layout, so the per-event dirty
-// loop resolves cells to particles without hashing. It grows by reallocation
-// when a particle moves outside the current window.
+// loop resolves cells to particles without hashing: one load gives both
+// occupancy (-1 is empty) and the particle. It grows by reallocation when a
+// particle moves outside the current window (set), or, for the sequential
+// engine's dirty walk, within pindexMargin of its edge (place).
 type pindex struct {
 	minX, minY, w, h int
 	id               []int32
+	// dirty[d][k] is the id-slot delta to grid.DirtyOffsets(d)[k]. It
+	// depends only on the width, so reshape refills it in place.
+	dirty [lattice.NumDirs][nDirty]int
 }
 
 const pindexSlack = 8
+
+// pindexMargin is how far the dirty offsets of a move reach from the mover's
+// old cell ℓ (the radius-2 disks around ℓ and ℓ′ span [−3, 3]² in axial
+// coordinates). place keeps every particle at least this far inside the
+// window, so the walk from ℓ needs no bounds checks.
+const pindexMargin = 3
+
+// nDirty is len(grid.DirtyOffsets(d)) for every direction d: the cells
+// within distance 2 of ℓ or ℓ′ = ℓ+u(d), ℓ itself excluded.
+const nDirty = 23
+
+// dirtyFlips[d][k] holds the PackedMasks bits of the cell at
+// grid.DirtyOffsets(d)[k] (relative to ℓ) that read ℓ or ℓ′ = ℓ+u(d). A
+// move ℓ → ℓ′ flips the occupancy of exactly those two cells, and every
+// packed bit copies one window bit, so XOR-ing the entry into the cell's
+// cached masks yields its masks after the move. The entry at ℓ′ itself is
+// zero: that cell is the mover, whose masks are re-read there instead.
+var dirtyFlips = func() (flips [lattice.NumDirs][nDirty]grid.PackedMasks) {
+	// packedAt is the Packed image of a Window holding only the cell at
+	// offset r from the center: the packed bits that read that cell.
+	packedAt := func(r lattice.Point) grid.PackedMasks {
+		if r.X < -2 || r.X > 2 || r.Y < -2 || r.Y > 2 {
+			return 0
+		}
+		return grid.Window(1 << ((r.Y+2)*5 + r.X + 2)).Packed()
+	}
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		offs := grid.DirtyOffsets(d)
+		if len(offs) != nDirty {
+			panic(fmt.Sprintf("kmc: %d dirty offsets in direction %d, want %d", len(offs), d, nDirty))
+		}
+		for k, off := range offs {
+			if off != d.Vec() {
+				flips[d][k] = packedAt(lattice.Point{}.Sub(off)) ^ packedAt(d.Vec().Sub(off))
+			}
+		}
+	}
+	return flips
+}()
 
 func newPindex(pts []lattice.Point) *pindex {
 	x := &pindex{}
@@ -886,8 +955,19 @@ func (x *pindex) reshape(pts []lattice.Point) {
 		x.id[k] = -1
 	}
 	for i, p := range pts {
-		x.id[(p.Y-x.minY)*x.w+(p.X-x.minX)] = int32(i)
+		x.id[x.slot(p)] = int32(i)
 	}
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		for k, off := range grid.DirtyOffsets(d) {
+			x.dirty[d][k] = off.Y*x.w + off.X
+		}
+	}
+}
+
+// slot returns p's position in id; p must be inside the window for the
+// result to address it.
+func (x *pindex) slot(p lattice.Point) int {
+	return (p.Y-x.minY)*x.w + (p.X - x.minX)
 }
 
 func (x *pindex) contains(p lattice.Point) bool {
@@ -897,12 +977,12 @@ func (x *pindex) contains(p lattice.Point) bool {
 
 // at returns the particle index at p, which must be an indexed cell.
 func (x *pindex) at(p lattice.Point) int32 {
-	return x.id[(p.Y-x.minY)*x.w+(p.X-x.minX)]
+	return x.id[x.slot(p)]
 }
 
 // clear removes the index entry at p (p must be inside the window).
 func (x *pindex) clear(p lattice.Point) {
-	x.id[(p.Y-x.minY)*x.w+(p.X-x.minX)] = -1
+	x.id[x.slot(p)] = -1
 }
 
 // set records particle i at p, reshaping around all current points when p
@@ -912,5 +992,17 @@ func (x *pindex) set(p lattice.Point, i int32, all []lattice.Point) {
 		x.reshape(all)
 		return
 	}
-	x.id[(p.Y-x.minY)*x.w+(p.X-x.minX)] = i
+	x.id[x.slot(p)] = i
+}
+
+// place is set for the sequential engine: it also reshapes when p comes
+// within pindexMargin of the edge, so the dirty walk around p's next move
+// stays inside the window.
+func (x *pindex) place(p lattice.Point, i int32, all []lattice.Point) {
+	cx, cy := p.X-x.minX, p.Y-x.minY
+	if cx < pindexMargin || cy < pindexMargin || cx >= x.w-pindexMargin || cy >= x.h-pindexMargin {
+		x.reshape(all)
+		return
+	}
+	x.id[x.slot(p)] = i
 }

@@ -489,6 +489,8 @@ func TestEndpointValidation(t *testing.T) {
 		{"both", `{"spec":{"scenario":"compress"},"run":{"n":5,"lambda":4}}`, "not both"},
 		{"unknown scenario", `{"spec":{"scenario":"nope"}}`, "unknown scenario"},
 		{"bad lambda", `{"spec":{"scenario":"compress","lambdas":[-1]}}`, "positive"},
+		{"huge lambda", `{"spec":{"scenario":"compress","lambdas":[1e40]}}`, "overflows"},
+		{"tiny lambda", `{"spec":{"scenario":"compress","lambdas":[1e-40]}}`, "overflows"},
 		{"bad run engine", `{"run":{"n":5,"lambda":4,"engine":"warp"}}`, "unknown engine"},
 		{"bad run n", `{"run":{"n":0,"lambda":4}}`, "N must be positive"},
 		{"unknown field", `{"sepc":{}}`, "unknown field"},
