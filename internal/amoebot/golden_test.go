@@ -57,9 +57,11 @@ func goldenWorld(t *testing.T, c *config.Config) *World {
 
 // TestTrajectoryGolden pins exact end states of Algorithm A runs: every
 // scheduler, the payload (align) and biased-ladder (forage) paths, crash
-// faults applied mid-run, heterogeneous clocks and round-driven runs. Any
-// change to the event order, the RNG draw order or the world's bookkeeping
-// moves at least one of these numbers; a pure performance change must not.
+// faults applied mid-run, heterogeneous clocks (one of them overflowing to
+// +Inf), round-driven runs, and clock sets from one particle through a
+// power of two to a 1000-particle spiral. Any change to the event order,
+// the RNG draw order or the world's bookkeeping moves at least one of these
+// numbers; a pure performance change must not.
 func TestTrajectoryGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -128,6 +130,58 @@ func TestTrajectoryGolden(t *testing.T) {
 				return observe(w, s.Time())
 			},
 			want: trajectory{"dd4405b89c955ac7", 100_000, 2612, 0, 1003, 0x40af36fc96e8717e},
+		},
+		{
+			name: "single-particle",
+			run: func(t *testing.T) trajectory {
+				w := goldenWorld(t, config.Line(1))
+				s := NewPoissonScheduler(w, MustNewCompression(4), 3)
+				s.RunActivations(1000)
+				return observe(w, s.Time())
+			},
+			want: trajectory{"c90254901451b78c", 1000, 0, 0, 1000, 0x408e8e6466f94029},
+		},
+		{
+			name: "power-of-two",
+			run: func(t *testing.T) trajectory {
+				w := goldenWorld(t, config.Line(64))
+				s := NewPoissonScheduler(w, MustNewCompression(4), 64)
+				s.RunActivations(200_000)
+				return observe(w, s.Time())
+			},
+			want: trajectory{"91de77d48e2146c2", 200_000, 3165, 0, 656, 0x40a86e8ca3240218},
+		},
+		{
+			name: "spiral-1000",
+			run: func(t *testing.T) trajectory {
+				w := goldenWorld(t, config.Spiral(1000))
+				s := NewPoissonScheduler(w, MustNewCompression(4), 1000)
+				s.RunActivations(200_000)
+				return observe(w, s.Time())
+			},
+			want: trajectory{"f960aadff51e437f", 200_000, 515, 0, 24, 0x406900fceb2b8f9f},
+		},
+		{
+			name: "infinite-clock",
+			run: func(t *testing.T) trajectory {
+				// Particle 7's first delay overflows to +Inf, so it never
+				// fires while a finite clock is live. Once every other
+				// particle has crashed it fires alone, at time +Inf.
+				w := goldenWorld(t, config.Line(20))
+				s := NewPoissonScheduler(w, MustNewCompression(4), 13, WithRates(map[ParticleID]float64{7: 1e-320}))
+				s.RunActivations(100_000)
+				if w.Particle(7).Tail() != config.Line(20).Points()[7] {
+					t.Fatal("particle 7 moved before its clock fired")
+				}
+				for id := 0; id < w.N(); id++ {
+					if id != 7 {
+						w.Crash(ParticleID(id))
+					}
+				}
+				s.RunActivations(100)
+				return observe(w, s.Time())
+			},
+			want: trajectory{"08e664e0ffa5ee83", 100_100, 2560, 0, 100, 0x7ff0000000000000},
 		},
 		{
 			name: "uniform",
