@@ -387,8 +387,16 @@ func BenchmarkChainStep(b *testing.B) {
 	}
 }
 
-func BenchmarkAmoebotActivation(b *testing.B) {
-	w, err := amoebot.NewWorld(config.Line(100))
+func BenchmarkAmoebotActivation(b *testing.B) { benchmarkActivation(b, 100) }
+
+// BenchmarkAmoebotActivationLine40 is one activation at the amoebot-line
+// workload's shape: an n=40 line at λ=4.
+func BenchmarkAmoebotActivationLine40(b *testing.B) { benchmarkActivation(b, 40) }
+
+// benchmarkActivation steps one Poisson-scheduled world, started from an
+// n-particle line at λ=4, b.N times.
+func benchmarkActivation(b *testing.B, n int) {
+	w, err := amoebot.NewWorld(config.Line(n))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -406,7 +414,7 @@ func BenchmarkConcurrentActivations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		amoebot.RunConcurrent(w, amoebot.MustNewCompression(4), uint64(i), 4, 25_000)
+		amoebot.RunConcurrent(w, amoebot.MustNewCompression(4), uint64(i), 4, 100_000)
 	}
 }
 

@@ -367,7 +367,7 @@ func TestAllCrashedSchedulerStops(t *testing.T) {
 func TestConcurrentRunMatchesInvariants(t *testing.T) {
 	n := 30
 	w, _ := NewWorld(config.Line(n))
-	RunConcurrent(w, MustNewCompression(4), 17, 4, 50000)
+	RunConcurrent(w, MustNewCompression(4), 17, 4, 200_000)
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,8 @@ func TestConcurrentRunMatchesInvariants(t *testing.T) {
 	if !cfg.Connected() {
 		t.Fatal("disconnected after concurrent run")
 	}
-	if w.Activations() != 4*50000 {
-		t.Errorf("activations = %d, want %d", w.Activations(), 4*50000)
+	if w.Activations() != 200_000 {
+		t.Errorf("activations = %d, want %d", w.Activations(), 200_000)
 	}
 	if w.Moves() == 0 {
 		t.Error("no moves at all in a long concurrent run")

@@ -1,6 +1,7 @@
 package amoebot
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 )
@@ -12,54 +13,87 @@ import (
 // the uniform selection of Markov chain M without global coordination.
 // The simulation is sequential and deterministic given the seed.
 type PoissonScheduler struct {
-	w     *World
-	proto Protocol
-	rng   *rand.Rand
-	rates []float64
-	queue eventHeap
-	now   float64
+	w      *World
+	proto  Protocol
+	rng    *rand.Rand
+	rates  []float64
+	clocks clockTree
+	now    float64
 }
 
-type event struct {
-	t  float64
-	id ParticleID
+// removed is the key of a clock that has left the tree. It is above the
+// bits of every time the scheduler can reach, +Inf included, so a live
+// clock at +Inf still fires once every finite clock has left.
+const removed = math.MaxUint64
+
+// clockTree is a loser (tournament) tree over the particles' clocks. Leaf
+// i holds particle i's next activation time as math.Float64bits, which
+// orders the scheduler's times (never negative, never NaN) exactly as the
+// floats; leaves past n are padding, removed from the start. node[j],
+// 0 < j < len(key), holds the loser of match j, whose players are the
+// winners of its children 2j and 2j+1 (position len(key)+i is leaf i), and
+// node[0] holds the overall winner. Changing the winner's key replays the
+// fixed ⌈log₂ n⌉ matches on its leaf-to-root path. Exact ties, which
+// continuous draws make vanishingly rare, go to the lower leaf when the
+// tree is built and to the clock coming up the path when it is replayed.
+type clockTree struct {
+	key  []uint64
+	node []int32
 }
 
-// eventHeap is a binary min-heap of clock events ordered by time. The root
-// is the next event due; it is rescheduled in place, so an activation costs
-// one sift-down. Event times are continuous draws, distinct almost surely,
-// so the order events leave the heap depends only on their times.
-type eventHeap []event
-
-// down moves h[i] toward the leaves until no child is due earlier.
-func (h eventHeap) down(i int) {
-	e := h[i]
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
-		}
-		if r := c + 1; r < len(h) && h[r].t < h[c].t {
-			c = r
-		}
-		if !(h[c].t < e.t) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+// newClockTree returns a tree of n clocks; fill key[:n], then call build.
+func newClockTree(n int) clockTree {
+	size := 1
+	for size < n {
+		size *= 2
 	}
-	h[i] = e
+	t := clockTree{key: make([]uint64, size), node: make([]int32, size)}
+	for i := n; i < size; i++ {
+		t.key[i] = removed
+	}
+	return t
 }
 
-// removeRoot drops the root event by moving the last event into its place.
-func (h *eventHeap) removeRoot() {
-	q := *h
-	last := len(q) - 1
-	q[0] = q[last]
-	*h = q[:last]
-	if last > 0 {
-		h.down(0)
+// build plays every match once; call it after filling the leaf keys.
+func (t *clockTree) build() { t.node[0] = t.play(1) }
+
+// play fills the losers of the subtree at position j and returns its winner.
+func (t *clockTree) play(j int) int32 {
+	if j >= len(t.key) {
+		return int32(j - len(t.key))
 	}
+	a, b := t.play(2*j), t.play(2*j+1)
+	if t.key[b] < t.key[a] {
+		a, b = b, a
+	}
+	t.node[j] = b
+	return a
+}
+
+// winner returns the next clock due and its key (removed when none is live).
+func (t *clockTree) winner() (int32, uint64) {
+	w := t.node[0]
+	return w, t.key[w]
+}
+
+// replace sets the winner's key and replays its matches. Each match
+// compiles to a compare feeding two conditional moves, so it costs no
+// branch misprediction however the times fall.
+func (t *clockTree) replace(k uint64) {
+	key, node := t.key, t.node
+	w := node[0]
+	key[w] = k
+	for j := (int(w) + len(key)) >> 1; j > 0; j >>= 1 {
+		l := node[j]
+		lk := key[l]
+		nw, nk := w, k
+		if lk < k {
+			nw, nk = l, lk
+		}
+		node[j] = w ^ l ^ nw
+		w, k = nw, nk
+	}
+	node[0] = w
 }
 
 // SchedulerOption customizes a PoissonScheduler.
@@ -93,14 +127,12 @@ func NewPoissonScheduler(w *World, proto Protocol, seed uint64, opts ...Schedule
 	for _, o := range opts {
 		o(s)
 	}
-	s.queue = make(eventHeap, 0, w.N())
+	s.clocks = newClockTree(w.N())
 	for i := range w.particles {
 		id := w.particles[i].id
-		s.queue = append(s.queue, event{t: s.rng.ExpFloat64() / s.rates[id], id: id})
+		s.clocks.key[id] = math.Float64bits(s.rng.ExpFloat64() / s.rates[id])
 	}
-	for i := len(s.queue)/2 - 1; i >= 0; i-- {
-		s.queue.down(i)
-	}
+	s.clocks.build()
 	return s
 }
 
@@ -110,20 +142,21 @@ func (s *PoissonScheduler) Time() float64 { return s.now }
 // StepActivation activates the next particle due. It reports false when no
 // live particle remains to schedule.
 func (s *PoissonScheduler) StepActivation() bool {
-	for len(s.queue) > 0 {
-		id := s.queue[0].id
-		s.now = s.queue[0].t
+	for {
+		id, k := s.clocks.winner()
+		if k == removed {
+			return false
+		}
+		s.now = math.Float64frombits(k)
 		if s.w.particles[id].crashed {
-			// Crashed clocks leave the queue permanently.
-			s.queue.removeRoot()
+			// Crashed clocks leave the tree permanently.
+			s.clocks.replace(removed)
 			continue
 		}
-		s.w.activate(id, s.proto, s.rng)
-		s.queue[0].t = s.now + s.rng.ExpFloat64()/s.rates[id]
-		s.queue.down(0)
+		s.w.activate(ParticleID(id), s.proto, s.rng)
+		s.clocks.replace(math.Float64bits(s.now + s.rng.ExpFloat64()/s.rates[id]))
 		return true
 	}
-	return false
 }
 
 // RunActivations executes k activations (fewer if all particles crash).
@@ -182,33 +215,44 @@ func (s *UniformScheduler) RunActivations(k uint64) {
 	}
 }
 
-// RunConcurrent drives the world with `workers` goroutines, each activating
-// uniformly random particles from a private RNG until it has performed
-// perWorker activations. Activations are serialized by a mutex, realizing
+// RunConcurrent drives the world with `workers` goroutines that together
+// perform k activations, k/workers each with the remainder spread one per
+// worker. Each activates uniformly random particles from a private RNG and
+// redraws a pick of a crashed particle, so the whole budget runs unless no
+// live particle remains. Activations are serialized by a mutex, realizing
 // the model's assumption that concurrent executions are equivalent to a
 // sequential ordering of atomic actions (§2.1). The interleaving — and
 // therefore the trajectory — is nondeterministic; invariants and stationary
 // statistics are not.
-func RunConcurrent(w *World, proto Protocol, seed uint64, workers int, perWorker uint64) {
+func RunConcurrent(w *World, proto Protocol, seed uint64, workers int, k uint64) {
 	if workers < 1 {
 		workers = 1
 	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
+		share := k / uint64(workers)
+		if uint64(wk) < k%uint64(workers) {
+			share++
+		}
 		wg.Add(1)
-		go func(stream uint64) {
+		go func(stream, share uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, stream))
-			for i := uint64(0); i < perWorker; i++ {
+			for share > 0 {
 				id := ParticleID(rng.IntN(w.N()))
 				mu.Lock()
+				if w.live == 0 {
+					mu.Unlock()
+					return
+				}
 				if !w.particles[id].crashed {
 					w.activate(id, proto, rng)
+					share--
 				}
 				mu.Unlock()
 			}
-		}(uint64(wk) + 1)
+		}(uint64(wk)+1, share)
 	}
 	wg.Wait()
 }

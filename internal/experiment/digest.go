@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // digestVersion is folded into every spec digest. Bump it whenever the
@@ -48,13 +49,25 @@ func Digest(spec Spec) (string, error) {
 }
 
 // TaskCount returns the total number of (point, rep) tasks the normalized
-// spec expands to. It errors on a spec that does not normalize.
+// spec expands to: the product of its axis lengths and Reps, counted
+// without building the point grid. It errors on a spec that does not
+// normalize or whose count overflows an int.
 func TaskCount(spec Spec) (int, error) {
 	norm, err := Normalize(spec)
 	if err != nil {
 		return 0, err
 	}
-	return len(norm.points()) * norm.Reps, nil
+	// Normalization leaves every factor at least 1; an empty rule axis
+	// means compression only.
+	n := 1
+	for _, k := range []int{len(norm.Lambdas), len(norm.Sizes), len(norm.Starts), len(norm.Engines),
+		len(norm.CrashFractions), max(len(norm.Rules), 1), norm.Reps} {
+		if n > math.MaxInt/k {
+			return 0, fmt.Errorf("experiment: the sweep's task count overflows an int")
+		}
+		n *= k
+	}
+	return n, nil
 }
 
 // MarshalCanonical returns the canonical JSON encoding of the normalized

@@ -53,6 +53,14 @@ func TestNormalizeDefaultsAndPointOrder(t *testing.T) {
 	if len(pts) != 8 {
 		t.Fatalf("got %d points, want 8", len(pts))
 	}
+	spec.Rules, spec.Reps = []string{"compression", "align"}, 3
+	if n, err := TaskCount(spec); err != nil || n != len(spec.points())*3 {
+		t.Fatalf("TaskCount = %d, %v; want %d", n, err, len(spec.points())*3)
+	}
+	spec.Reps = math.MaxInt / 2
+	if n, err := TaskCount(spec); err == nil {
+		t.Fatalf("TaskCount = %d for an overflowing sweep, want an error", n)
+	}
 	// λ outermost, then size, then engine, with the (defaulted) rule axis
 	// innermost: the order is part of the journal format and must not drift.
 	want := []Point{

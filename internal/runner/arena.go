@@ -342,7 +342,7 @@ func (r *amoebotRun) Run(k uint64) uint64 {
 	r.chunk++
 	// Each chunk derives fresh per-worker streams; reusing the raw seed
 	// would replay identical randomness every chunk.
-	amoebot.RunConcurrent(r.w, r.proto, r.seed+r.chunk*0x9e3779b97f4a7c15, r.workers, k/uint64(r.workers))
+	amoebot.RunConcurrent(r.w, r.proto, r.seed+r.chunk*0x9e3779b97f4a7c15, r.workers, k)
 	return k
 }
 

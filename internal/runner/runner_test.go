@@ -41,6 +41,29 @@ func TestSnapshotFuncStreamsInOrder(t *testing.T) {
 	}
 }
 
+// TestConcurrentRunsWholeBudget: a concurrent amoebot run performs exactly
+// its iteration budget, with or without crashed particles, when neither
+// the budget nor each snapshot interval is a multiple of the worker count.
+func TestConcurrentRunsWholeBudget(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		for _, crash := range []float64{0, 0.5} {
+			res, err := runner.Compress(runner.Options{
+				N: 20, Lambda: 4, Iterations: 1000, Seed: 5, Engine: runner.EngineAmoebot,
+				Workers: workers, CrashFraction: crash, SnapshotEvery: 301,
+			})
+			if err != nil {
+				t.Fatalf("workers=%d crash=%v: %v", workers, crash, err)
+			}
+			if res.Iterations != 1000 {
+				t.Errorf("workers=%d crash=%v: %d iterations, want 1000", workers, crash, res.Iterations)
+			}
+			if len(res.Snapshots) != 4 {
+				t.Errorf("workers=%d crash=%v: %d snapshots, want 4", workers, crash, len(res.Snapshots))
+			}
+		}
+	}
+}
+
 // TestSnapshotSVG: with SnapshotSVG set every frame carries a rendering,
 // and the final frame's SVG equals the result's own rendering (same
 // configuration, same code path).

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,6 +94,52 @@ func TestSubmitBodyIsOneBoundedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, ts.URL, job.ID, StateDone)
+}
+
+// TestSubmitWorkLimits: a request for absurd work — a huge run n, a huge
+// sweep size, axes whose product is 10⁸ tasks, or 10¹² reps — is
+// invalid_spec with a message naming the limit, creates no job, and is
+// refused before the server allocates anything near the point grid it
+// asks for (10⁸ points take about 7 GB).
+func TestSubmitWorkLimits(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	var lambdas, sizes []string
+	for i := 0; i < 10_000; i++ {
+		lambdas = append(lambdas, fmt.Sprint(1+float64(i)/1e4))
+		sizes = append(sizes, fmt.Sprint(i+1))
+	}
+	for _, tc := range []struct{ name, body, limit string }{
+		{"run n", `{"run":{"n":4294967296,"lambda":4}}`, "1000000 particles"},
+		{"sweep size", `{"spec":{"scenario":"compress","sizes":[20,2000000]}}`, "1000000 particles"},
+		{"axis product", `{"spec":{"scenario":"compress","lambdas":[` + strings.Join(lambdas, ",") +
+			`],"sizes":[` + strings.Join(sizes, ",") + `]}}`, "100000 tasks"},
+		{"reps", `{"spec":{"scenario":"compress","reps":1000000000000}}`, "100000 tasks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := len(s.mgr.Jobs())
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if resp.StatusCode != http.StatusBadRequest {
+				resp.Body.Close()
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			e := decodeEnvelope(t, resp)
+			if e.Code != CodeInvalidSpec || !strings.Contains(e.Message, tc.limit) {
+				t.Fatalf("error %s %q, want %s naming %q", e.Code, e.Message, CodeInvalidSpec, tc.limit)
+			}
+			if after := len(s.mgr.Jobs()); after != before {
+				t.Fatalf("refused request created %d job(s)", after-before)
+			}
+			if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 64<<20 {
+				t.Fatalf("refusing the request allocated %d MiB", grew>>20)
+			}
+		})
+	}
 }
 
 // TestErrorEnvelopeCodes pins the error contract: every code in

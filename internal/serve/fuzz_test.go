@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
+
+	"sops/internal/experiment"
 )
 
 // FuzzLeaseFile hammers the store-facing parsers a cluster node trusts its
@@ -80,6 +83,66 @@ func FuzzLeaseFile(f *testing.F) {
 			if err := json.Unmarshal(re, &c2); err != nil || c2.Digest != c.Digest || c2.Owner != c.Owner {
 				t.Fatalf("completion round-trip drifted: %+v vs %+v (%v)", c2, c, err)
 			}
+		}
+	})
+}
+
+// FuzzSubmit feeds arbitrary bytes through the POST /v1/jobs decoder and
+// the request normalizer, the path every submission takes before a job
+// exists. It must never panic, and a request it accepts must be within the
+// work limits and already canonical: encoded and submitted again, it
+// normalizes to the same bytes and task count.
+func FuzzSubmit(f *testing.F) {
+	f.Add([]byte(`{"run":{"n":8,"lambda":4,"iterations":2000,"seed":9}}`))
+	f.Add([]byte(`{"run":{"n":30,"lambda":4,"seed":5,"snapshot_every":50000,"engine":"amoebot","workers":3},"svg":true}`))
+	f.Add([]byte(`{"spec":{"scenario":"compress","lambdas":[2,4],"sizes":[20],"engines":["chain","kmc"],"iterations":80000,"reps":2,"seed":1}}`))
+	f.Add([]byte(`{"spec":{"scenario":"forage","sizes":[20],"forage":{"radius":6,"food_steps":20000}}}`))
+	f.Add([]byte(`{"run":{"n":4294967296,"lambda":4}}`))
+	f.Add([]byte(`{"spec":{"scenario":"compress","sizes":[1000001]}}`))
+	f.Add([]byte(`{"spec":{"scenario":"compress","lambdas":[2,3,4,5],"sizes":[1,2,3,4,5,6,7,8,9,10],"reps":2500}}`))
+	f.Add([]byte(`{"spec":{"scenario":"compress","reps":9223372036854775807}}`))
+	f.Add([]byte(`{"kind":"run","spec":{"scenario":"compress"}}`))
+	f.Add([]byte(`{"run":{"n":1,"lambda":4}} {}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeJobRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		tasks, err := req.normalize()
+		if err != nil {
+			return
+		}
+		switch {
+		case req.Kind == KindRun && req.Run != nil && req.Spec == nil:
+			if req.Run.N > maxSubmitN || tasks != 1 {
+				t.Fatalf("accepted run n=%d as %d tasks", req.Run.N, tasks)
+			}
+		case req.Kind == KindSweep && req.Spec != nil && req.Run == nil:
+			for _, n := range req.Spec.Sizes {
+				if n > maxSubmitN {
+					t.Fatalf("accepted sweep size %d", n)
+				}
+			}
+			if n, err := experiment.TaskCount(*req.Spec); err != nil || n != tasks || n > maxSubmitTasks {
+				t.Fatalf("accepted sweep of %d tasks (TaskCount %d, %v)", tasks, n, err)
+			}
+		default:
+			t.Fatalf("accepted a request of kind %q with spec %v and run %v", req.Kind, req.Spec != nil, req.Run != nil)
+		}
+		canon, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("encoding an accepted request: %v", err)
+		}
+		again, err := decodeJobRequest(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("decoding an accepted request's encoding %s: %v", canon, err)
+		}
+		tasks2, err := again.normalize()
+		if err != nil {
+			t.Fatalf("renormalizing %s: %v", canon, err)
+		}
+		if recanon, _ := json.Marshal(again); !bytes.Equal(recanon, canon) || tasks2 != tasks {
+			t.Fatalf("normalize is not a fixpoint:\n %s (%d tasks)\n %s (%d tasks)", canon, tasks, recanon, tasks2)
 		}
 	})
 }

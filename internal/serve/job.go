@@ -76,29 +76,44 @@ type JobRequest struct {
 }
 
 // normalize validates the request, infers Kind, and canonicalizes the
-// embedded spec/options in place.
-func (r *JobRequest) normalize() error {
+// embedded spec/options in place. It returns the number of tasks the job
+// runs, refusing work past maxSubmitN or maxSubmitTasks before anything
+// is allocated for it.
+func (r *JobRequest) normalize() (int, error) {
 	switch {
 	case r.Spec != nil && r.Run != nil:
-		return fmt.Errorf("serve: a job is either a sweep or a run, not both")
+		return 0, fmt.Errorf("serve: a job is either a sweep or a run, not both")
 	case r.Spec != nil:
 		if r.Kind == "" {
 			r.Kind = KindSweep
 		}
 		if r.Kind != KindSweep {
-			return fmt.Errorf("serve: kind %q does not take a sweep spec", r.Kind)
+			return 0, fmt.Errorf("serve: kind %q does not take a sweep spec", r.Kind)
 		}
 		norm, err := experiment.Normalize(*r.Spec)
 		if err != nil {
-			return err
+			return 0, err
+		}
+		for _, n := range norm.Sizes {
+			if n > maxSubmitN {
+				return 0, fmt.Errorf("serve: sweep size %d exceeds the limit of %d particles", n, maxSubmitN)
+			}
+		}
+		tasks, err := experiment.TaskCount(norm)
+		if err != nil || tasks > maxSubmitTasks {
+			return 0, fmt.Errorf("serve: sweep exceeds the limit of %d tasks", maxSubmitTasks)
 		}
 		*r.Spec = norm
+		return tasks, nil
 	case r.Run != nil:
 		if r.Kind == "" {
 			r.Kind = KindRun
 		}
 		if r.Kind != KindRun {
-			return fmt.Errorf("serve: kind %q does not take run options", r.Kind)
+			return 0, fmt.Errorf("serve: kind %q does not take run options", r.Kind)
+		}
+		if r.Run.N > maxSubmitN {
+			return 0, fmt.Errorf("serve: run n=%d exceeds the limit of %d particles", r.Run.N, maxSubmitN)
 		}
 		r.Run.SnapshotFunc = nil
 		r.Run.DeltaFunc = nil
@@ -108,13 +123,12 @@ func (r *JobRequest) normalize() error {
 		}
 		norm, err := r.Run.Normalized()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		*r.Run = norm
-	default:
-		return fmt.Errorf("serve: job request needs a sweep spec or run options")
+		return 1, nil
 	}
-	return nil
+	return 0, fmt.Errorf("serve: job request needs a sweep spec or run options")
 }
 
 // Job is the REST representation of one submitted job — what GET

@@ -331,7 +331,8 @@ func (m *Manager) Submit(req JobRequest) (Job, error) { return m.SubmitAs(req, "
 // sheds with ErrBusy when the node is at capacity and ErrQuota when the
 // client is over its per-client limit.
 func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
-	if err := req.normalize(); err != nil {
+	tasks, err := req.normalize()
+	if err != nil {
 		return Job{}, err
 	}
 	digest, err := jobDigest(req)
@@ -345,13 +346,7 @@ func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 		Request:     req,
 		Client:      client,
 		SubmittedAt: time.Now().UTC(),
-	}
-	if req.Kind == KindSweep {
-		if n, err := experiment.TaskCount(*req.Spec); err == nil {
-			job.TasksTotal = n
-		}
-	} else {
-		job.TasksTotal = 1
+		TasksTotal:  tasks,
 	}
 	h := &handle{stream: newStream()}
 	h.pub = h.stream

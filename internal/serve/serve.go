@@ -143,19 +143,33 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 // cap keeps one request from making the server read an unbounded body.
 const maxSubmitBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// The body cap bounds bytes, not work. These bound the work one accepted
+// request can ask for: the particles of a run or of any sweep size, and
+// the (point, rep) tasks a sweep expands to.
+const (
+	maxSubmitN     = 1_000_000
+	maxSubmitTasks = 100_000
+)
+
+// decodeJobRequest reads a POST /v1/jobs body: exactly one JobRequest
+// object with no unknown fields, followed by nothing but whitespace.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
 	if err == nil {
-		// The body is exactly one object: only whitespace may follow it.
 		if tok, terr := dec.Token(); terr == nil {
 			err = fmt.Errorf("unexpected %v after the job object", tok)
 		} else if terr != io.EOF {
 			err = terr
 		}
 	}
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
