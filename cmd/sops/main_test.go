@@ -142,6 +142,21 @@ func TestCmdRunRejectsUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestCmdRunRejectsNegativeCrash: -crash reaches Options unfiltered, so a
+// negative fraction is refused on every engine, as `sops sweep -crash`
+// refuses it, instead of running with no crashes.
+func TestCmdRunRejectsNegativeCrash(t *testing.T) {
+	for _, engine := range []string{"amoebot", "chain"} {
+		_, err := captureStdout(t, func() error {
+			return cmdRun([]string{"-n", "5", "-iters", "100", "-engine", engine, "-crash", "-0.5",
+				"-snapshots", "0", "-render=false"})
+		})
+		if err == nil || !strings.Contains(err.Error(), "CrashFraction") {
+			t.Errorf("engine %s: -crash -0.5 returned %v, want a CrashFraction error", engine, err)
+		}
+	}
+}
+
 // TestCmdRunWritesSVG: the -svg flag writes a well-formed document.
 func TestCmdRunWritesSVG(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.svg")

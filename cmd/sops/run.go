@@ -27,7 +27,6 @@ func cmdRun(args []string) error {
 		forageDur = fs.Uint64("forage-food", 0, "forage rule: iterations until the food is exhausted (0 = default 60000)")
 		forageEp  = fs.Uint64("forage-epoch", 0, "forage rule: bias epoch length in iterations (0 = default 1024)")
 		workers   = fs.Int("workers", 0, "drive an amoebot run with this many concurrent goroutines")
-		shards    = fs.Int("shards", 0, "stripe-shard a kmc run across this many concurrent row stripes (kmc engine, stateless rules only)")
 		crash     = fs.Float64("crash", 0, "fraction of particles to crash-fail (amoebot engine only)")
 		snapshots = fs.Int("snapshots", 5, "number of equally spaced snapshots to print")
 		render    = fs.Bool("render", true, "print the final configuration")
@@ -35,19 +34,17 @@ func cmdRun(args []string) error {
 	)
 	fs.Parse(args)
 
-	if *engine != experiment.EngineChain && *engine != experiment.EngineKMC && *engine != experiment.EngineAmoebot {
-		return fmt.Errorf("unknown engine %q (want %s|%s|%s)",
-			*engine, experiment.EngineChain, experiment.EngineKMC, experiment.EngineAmoebot)
-	}
 	opts := sops.Options{
-		N:          *n,
-		Lambda:     *lambda,
-		Iterations: *iters,
-		Seed:       *seed,
-		Start:      sops.StartShape(*start),
-		Engine:     *engine,
-		Rule:       *ruleName,
-		RuleStates: *states,
+		N:             *n,
+		Lambda:        *lambda,
+		Iterations:    *iters,
+		Seed:          *seed,
+		Start:         sops.StartShape(*start),
+		Engine:        *engine,
+		Rule:          *ruleName,
+		RuleStates:    *states,
+		CrashFraction: *crash,
+		Workers:       *workers,
 	}
 	if *forageLow != 0 || *forageRad != 0 || *forageDur != 0 || *forageEp != 0 {
 		if *ruleName != sops.RuleForage {
@@ -59,15 +56,6 @@ func cmdRun(args []string) error {
 			FoodSteps: *forageDur,
 			Epoch:     *forageEp,
 		}
-	}
-	if *crash > 0 {
-		opts.CrashFraction = *crash
-	}
-	if *workers > 1 {
-		opts.Workers = *workers
-	}
-	if *shards > 1 {
-		opts.Shards = *shards
 	}
 	total := opts.Iterations
 	if total == 0 {

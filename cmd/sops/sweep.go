@@ -34,7 +34,6 @@ func cmdSweep(args []string) error {
 		forageDur = fs.Uint64("forage-food", 0, "forage rule: iterations until the food is exhausted (0 = default 60000)")
 		forageEp  = fs.Uint64("forage-epoch", 0, "forage rule: bias epoch length in iterations (0 = default 1024)")
 		crash     = fs.String("crash", "", "comma-separated crash fractions (amoebot engine only)")
-		shards    = fs.Int("shards", 0, "stripe-shard every kmc-engine point across this many concurrent row stripes")
 		reps      = fs.Int("reps", 3, "independent replications per sweep point")
 		iters     = fs.Uint64("iters", 0, "per-run budget (0 = scenario default)")
 		snapshot  = fs.Uint64("snapshot-every", 0, "record snapshot metrics at this cadence (0 = off)")
@@ -66,7 +65,6 @@ func cmdSweep(args []string) error {
 		Rules:          parseStrings(*rules),
 		RuleStates:     *states,
 		CrashFractions: crashes,
-		Shards:         *shards,
 		Reps:           *reps,
 		Iterations:     *iters,
 		SnapshotEvery:  *snapshot,

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,12 +53,7 @@ func openJournal(dir string, spec Spec) (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	specPath := filepath.Join(dir, SpecFile)
-	if prev, err := os.ReadFile(specPath); err == nil {
-		var prevSpec Spec
-		if err := json.Unmarshal(prev, &prevSpec); err != nil {
-			return nil, fmt.Errorf("experiment: corrupt %s: %w", specPath, err)
-		}
+	if prevSpec, err := readSpec(dir); err == nil {
 		have, err := json.MarshalIndent(prevSpec, "", "  ")
 		if err != nil {
 			return nil, err
@@ -66,7 +62,7 @@ func openJournal(dir string, spec Spec) (*journal, error) {
 			return nil, fmt.Errorf("experiment: %s holds a different experiment (spec mismatch); use a fresh directory", dir)
 		}
 	} else if errors.Is(err, os.ErrNotExist) {
-		if err := os.WriteFile(specPath, append(want, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, SpecFile), append(want, '\n'), 0o644); err != nil {
 			return nil, err
 		}
 	} else {
@@ -126,13 +122,27 @@ func (j *journal) close() error {
 // LoadSpec reads the Spec recorded in an experiment directory, for
 // `sops resume`.
 func LoadSpec(dir string) (Spec, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, SpecFile))
-	if err != nil {
+	spec, err := readSpec(dir)
+	if errors.Is(err, os.ErrNotExist) {
 		return Spec{}, fmt.Errorf("experiment: %s is not an experiment directory: %w", dir, err)
 	}
+	return spec, err
+}
+
+// readSpec decodes the spec.json of dir. A field this binary does not know
+// is an error, not dropped: a resume would otherwise run the remaining
+// tasks as a different experiment than the journaled ones.
+func readSpec(dir string) (Spec, error) {
+	path := filepath.Join(dir, SpecFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return Spec{}, err
+	}
 	var spec Spec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return Spec{}, fmt.Errorf("experiment: corrupt %s: %w", filepath.Join(dir, SpecFile), err)
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, fmt.Errorf("experiment: %s: %w", path, err)
 	}
 	return spec, nil
 }

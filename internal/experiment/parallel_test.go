@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -69,47 +68,5 @@ func TestRunTaskAllocations(t *testing.T) {
 	perTask := allocs / float64(spec.Reps)
 	if perTask > 40 {
 		t.Errorf("sweep task allocated %.1f times (%.0f per Run); want ≤ 40 — did per-task engine construction come back?", perTask, allocs)
-	}
-}
-
-// TestShardsAxis covers the Spec.Shards knob: sharded kMC points run and
-// summarize deterministically, non-kMC points ignore the knob, and invalid
-// combinations are rejected at normalization.
-func TestShardsAxis(t *testing.T) {
-	spec := Spec{
-		Scenario: "compress",
-		Lambdas:  []float64{4},
-		Sizes:    []int{60},
-		Starts:   []string{"spiral"},
-		Engines:  []string{EngineChain, EngineKMC},
-		Shards:   2,
-		Reps:     2, Iterations: 30_000, Seed: 5,
-	}
-	run := func(workers int) []byte {
-		res, err := Run(context.Background(), spec, RunOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failures > 0 {
-			t.Fatalf("%d failed tasks", res.Failures)
-		}
-		raw, err := json.Marshal(res.Summaries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	a, b := run(1), run(3)
-	if string(a) != string(b) {
-		t.Fatalf("sharded summaries differ across worker counts:\n%s\nvs\n%s", a, b)
-	}
-
-	if _, err := Run(context.Background(), Spec{Scenario: "compress", Shards: 2}, RunOptions{}); err == nil {
-		t.Error("Shards without the kmc engine on the axis must be rejected")
-	}
-	if _, err := Run(context.Background(), Spec{
-		Scenario: "align", Engines: []string{EngineKMC}, Shards: 2,
-	}, RunOptions{}); err == nil {
-		t.Error("Shards with a payload rule must be rejected")
 	}
 }

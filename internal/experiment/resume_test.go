@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -211,6 +212,54 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	f.Close()
 	if _, err := Run(context.Background(), spec, RunOptions{Dir: dir}); err == nil {
 		t.Fatal("journal with wrong seeds must be rejected")
+	}
+}
+
+// TestResumeRefusesUnknownSpecField: a spec.json carrying a field this
+// binary does not know (an option since removed, such as "shards", or one
+// from a newer build) stops a resume before the journal is touched.
+// Dropping the field would run the remaining tasks as a different
+// experiment than the journaled ones.
+func TestResumeRefusesUnknownSpecField(t *testing.T) {
+	spec := Spec{Scenario: "compress", Lambdas: []float64{4}, Sizes: []int{8}, Iterations: 2000, Reps: 2, Seed: 6}
+	for _, tc := range []struct{ field, value string }{{"shards", "2"}, {"bogus", "1"}} {
+		t.Run(tc.field, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := Run(context.Background(), spec, RunOptions{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			// Keep one of the two journaled tasks, so a lenient resume
+			// would run the other and append it.
+			journalPath := filepath.Join(dir, JournalFile)
+			raw, err := os.ReadFile(journalPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := raw[:bytes.IndexByte(raw, '\n')+1]
+			if err := os.WriteFile(journalPath, cut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			specPath := filepath.Join(dir, SpecFile)
+			raw, err = os.ReadFile(specPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = bytes.Replace(raw, []byte("{\n"), []byte(fmt.Sprintf("{\n  %q: %s,\n", tc.field, tc.value)), 1)
+			if err := os.WriteFile(specPath, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			want := fmt.Sprintf("unknown field %q", tc.field)
+			if _, err := LoadSpec(dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("LoadSpec returned %v, want an error naming %s", err, want)
+			}
+			if _, err := Run(context.Background(), spec, RunOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Run returned %v, want an error naming %s", err, want)
+			}
+			if after, err := os.ReadFile(journalPath); err != nil || !bytes.Equal(after, cut) {
+				t.Errorf("refused resume changed the journal (err %v):\n%s", err, after)
+			}
+		})
 	}
 }
 

@@ -33,15 +33,6 @@ func newSequential(sp Spec, t Task) (runner.Sequential, error) {
 	return t.Arena.Sequential(t.Point.Engine, runner.StartShape(t.Point.Start), t.Point.N, ru, t.Seed)
 }
 
-// shardsFor resolves the Spec.Shards knob for one point: stripe sharding
-// exists only on the kMC engine; other engines' points ignore it.
-func shardsFor(sp Spec, p Point) int {
-	if p.Engine == EngineKMC {
-		return sp.Shards
-	}
-	return 0
-}
-
 // forageFor resolves the Spec.Forage schedule for one point: the schedule
 // belongs to the forage rule; points of other rules on a mixed axis ignore
 // it (handing it to runner.Options would be an error there).
@@ -207,7 +198,6 @@ func runCompress(sp Spec, t Task) (Metrics, error) {
 		RuleStates:    ruleStatesFor(t.Point.Rule, sp.RuleStates),
 		Forage:        forageFor(sp, t.Point),
 		CrashFraction: t.Point.Crash,
-		Shards:        shardsFor(sp, t.Point),
 		SnapshotEvery: sp.SnapshotEvery,
 		SnapshotFunc:  t.OnSnapshot,
 		Interrupt:     t.Interrupt,
@@ -293,7 +283,6 @@ func runForage(sp Spec, t Task) (Metrics, error) {
 		Rule:          t.Point.Rule,
 		Forage:        sched,
 		CrashFraction: t.Point.Crash,
-		Shards:        shardsFor(sp, t.Point),
 		SnapshotEvery: every,
 		SnapshotFunc:  t.OnSnapshot,
 		DeltaFunc: func(s runner.Snapshot, d runner.Delta) {

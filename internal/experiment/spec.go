@@ -70,14 +70,6 @@ type Spec struct {
 	Forage *runner.ForageSpec `json:"forage,omitempty"`
 	// CrashFractions are crash-failure fractions (amoebot engine only).
 	CrashFractions []float64 `json:"crash_fractions"`
-	// Shards > 1 runs every kMC-engine point with that many stripe shards
-	// (runner.Options.Shards): interior events of disjoint row stripes fire
-	// concurrently within each task. Shards is identity-side — sharded
-	// trajectories are statistically, not byte-, equivalent to sequential
-	// kMC — so it is part of the Spec, not RunOptions. Points of other
-	// engines ignore it. Requires the kmc engine on the axis and stateless
-	// rules.
-	Shards int `json:"shards,omitempty"`
 	// Reps is the number of independent replications per sweep point
 	// (default 1).
 	Reps int `json:"reps"`
@@ -236,25 +228,6 @@ func (s Spec) normalized(sc Scenario) (Spec, error) {
 	}
 	if !anyPayload {
 		s.RuleStates = 0
-	}
-	if s.Shards < 2 {
-		s.Shards = 0
-	}
-	if s.Shards > 1 {
-		hasKMC := false
-		for _, e := range s.Engines {
-			if e == EngineKMC {
-				hasKMC = true
-			}
-		}
-		if !hasKMC {
-			return s, fmt.Errorf("experiment: Shards requires the %s engine on the axis", EngineKMC)
-		}
-		for _, rn := range s.Rules {
-			if ru, err := rule.New(rn, 1, ruleStatesFor(rn, s.RuleStates)); err == nil && !ru.Stateless() {
-				return s, fmt.Errorf("experiment: Shards supports only stateless rules, not %q", rn)
-			}
-		}
 	}
 	for _, c := range s.CrashFractions {
 		if c < 0 || c >= 1 {

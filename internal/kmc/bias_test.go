@@ -75,37 +75,6 @@ func TestBiasedWeightInvariantAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestShardedBiasedWeightInvariant is the sharded-engine counterpart: bursts
-// across epoch and exhaustion boundaries with CheckWeightSums after each,
-// then the same fresh-sequential-tree comparison once the schedule has gone
-// spatially uniform.
-func TestShardedBiasedWeightInvariant(t *testing.T) {
-	const (
-		lambda = 4
-		low    = 0.7
-		food   = 2048
-		epoch  = 256
-	)
-	ru := forageTestRule(t, lambda, low, 4, food, epoch)
-	sc, err := NewShardedWithRule(vline(80), ru, 23, 3, WithRoundSteps(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for burst := 0; burst < 14; burst++ {
-		sc.Run(300)
-		if err := sc.CheckWeightSums(); err != nil {
-			t.Fatalf("after %d steps: %v", sc.Steps(), err)
-		}
-	}
-	if sc.Steps() <= food+epoch {
-		t.Fatalf("test ran %d steps, never provably past exhaustion at %d", sc.Steps(), food)
-	}
-	fresh := MustNew(sc.Config(), low, 1)
-	if got, want := sc.TotalWeight(), fresh.TotalWeight(); math.Abs(got-want) > 1e-9*(1+want) {
-		t.Fatalf("post-exhaustion total weight %g, fresh λ_low sequential tree %g", got, want)
-	}
-}
-
 // TestBiasedSlotWeightsExhaustive: for every hole-free state at small n
 // under a genuinely site-dependent schedule (food only at the origin), each
 // engine slot weight must equal the brute-force Metropolis acceptance priced
@@ -218,53 +187,6 @@ func TestForageDistributionMatchesMetropolis(t *testing.T) {
 		bound := 4.5 * math.Hypot(se1, se2)
 		if diff := math.Abs(m1 - m2); diff > bound {
 			t.Errorf("mean %s: metropolis %.3f±%.3f vs kmc %.3f±%.3f — |Δ|=%.3f exceeds %.3f",
-				name, m1, se1, m2, se2, diff, bound)
-		}
-	}
-}
-
-// TestForageShardedMatchesSequential extends the parity to the sharded
-// engine under the same biased schedule.
-func TestForageShardedMatchesSequential(t *testing.T) {
-	const (
-		n      = 60
-		budget = 6000
-		food   = 3000
-	)
-	reps := 16
-	if testing.Short() {
-		reps = 8
-	}
-	ru, err := rule.Forage(5, rule.ForageOptions{
-		LambdaLow: 0.9,
-		Radius:    6,
-		FoodSteps: food,
-		Epoch:     256,
-		Sites:     []lattice.Point{{X: 0, Y: n / 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seq, shd sampler
-	for r := 0; r < reps; r++ {
-		seed := uint64(r)*0x51ed2701 + 7
-		sc := MustNewWithRule(vline(n), ru, seed)
-		sc.Run(budget)
-		seq.add(float64(sc.Perimeter()), float64(sc.Edges()))
-
-		sh, err := NewShardedWithRule(vline(n), ru, seed+0x1111, 3, WithRoundSteps(128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh.Run(budget)
-		shd.add(float64(sh.Perimeter()), float64(sh.Edges()))
-	}
-	for mi, name := range [2]string{"perimeter", "edges"} {
-		m1, se1 := seq.meanSE(mi)
-		m2, se2 := shd.meanSE(mi)
-		bound := 4.5 * math.Hypot(se1, se2)
-		if diff := math.Abs(m1 - m2); diff > bound {
-			t.Errorf("mean %s: sequential %.3f±%.3f vs sharded %.3f±%.3f — |Δ|=%.3f exceeds %.3f",
 				name, m1, se1, m2, se2, diff, bound)
 		}
 	}

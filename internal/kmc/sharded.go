@@ -1,6 +1,9 @@
 package kmc
 
-// Domain-decomposed (stripe-sharded) rejection-free kMC.
+// Domain-decomposed (stripe-sharded) rejection-free kMC for compression at
+// a fixed λ. No run path reaches this engine: the repository benchmark's
+// traced mode runs it beside the sequential Chain to report what stripe
+// sharding would gain on the host (kmc.sharded2_speedup).
 //
 // The grid is cut into horizontal stripes of rows. Every (particle, slot)
 // pair is classified by geometry alone: a translation slot is *interior* to
@@ -16,8 +19,8 @@ package kmc
 //     stores rows in distinct words, so the phase is both race-free and
 //     deterministic without any locking. Each stripe owns a Fenwick tree
 //     over its members' interior weights, a private RNG, and private event
-//     counters; shared counters (e(σ), H(σ), events) are accumulated as
-//     local deltas and folded in at the barrier.
+//     counters; shared counters (e(σ), events) are accumulated as local
+//     deltas and folded in at the barrier.
 //  2. Boundary phase — one sequential rejection-free chain runs the
 //     complementary move set (every boundary slot, all stripes) for the
 //     same τ steps, migrating particles across cuts and refreshing both the
@@ -47,7 +50,6 @@ import (
 	"sync"
 
 	"sops/internal/config"
-	"sops/internal/frame"
 	"sops/internal/grid"
 	"sops/internal/lattice"
 	"sops/internal/rule"
@@ -73,16 +75,6 @@ const minStripeRows = 2*halo + 2
 // Fenwick rebuild cadence.
 const rebalanceEvery = 256
 
-// ShardedOption customizes a Sharded engine.
-type ShardedOption func(*Sharded)
-
-// WithRoundSteps overrides the super-round length τ (0 keeps the default,
-// max(1024, n)). Small values exercise the phase machinery in tests; large
-// values amortize the barrier in production runs.
-func WithRoundSteps(tau uint64) ShardedOption {
-	return func(s *Sharded) { s.roundSteps = tau }
-}
-
 // stripe is one row-range shard of the decomposition.
 type stripe struct {
 	id           int
@@ -101,36 +93,21 @@ type stripe struct {
 	// Phase-local accumulators, folded into the shared state at the
 	// barrier.
 	events, moves  uint64
-	hDelta, eDelta int
+	eDelta         int
 	evSinceRebuild int
 
 	// bndTouch collects particles whose boundary weight must be refreshed
 	// at the barrier (the mover plus every dirty boundary-active cell).
 	bndTouch []int32
 	dirtyBuf []grid.CellWindow
-
-	// mlog collects the stripe's interior moves during the concurrent
-	// phase; merged into the shared log at the barrier. Stripe interiors
-	// partition the rows, so per-round concatenation in stripe order is a
-	// reordering of commuting (site-disjoint) moves.
-	mlog frame.MoveLog
-
-	// lcache is the stripe's private ladder cache (biased rules only). The
-	// parallel phase prices only sites in the stripe's own dependence zone,
-	// the epoch fields are read-only during it, and bias schedules are pure,
-	// so per-stripe caches make the phase race-free without locking.
-	lcache *rule.LadderCache
 }
 
-// Sharded is a stripe-decomposed rejection-free chain over a stateless
-// rule. It satisfies the same engine interface as Chain; trajectories are
-// statistically equivalent to the sequential engine but not byte-identical
-// (the decomposition reorders events). It is deterministic given
-// (σ0, rule, seed, shards). Not safe for concurrent use.
+// Sharded is a stripe-decomposed rejection-free compression chain at a
+// fixed λ. Trajectories are statistically equivalent to the sequential
+// engine but not byte-identical (the decomposition reorders events). It is
+// deterministic given (σ0, λ, seed, shards). Not safe for concurrent use.
 type Sharded struct {
 	g      *grid.Grid
-	ru     *rule.Rule
-	lambda float64
 	wTab   [256]float64
 	points []lattice.Point
 	idx    *pindex
@@ -153,36 +130,13 @@ type Sharded struct {
 	bndHold    uint64
 	bndEvSince int
 
-	roundSteps uint64
+	roundSteps uint64 // super-round length τ, max(1024, n)
 	rounds     int
 
-	// Bias-epoch machinery (biased rules only), mirroring Chain: λ is
-	// constant on [epoch, epochEnd); Run clamps every super-round to the
-	// epoch remainder and rebuilds all weights on crossing. lcache serves
-	// sequential sections; each stripe carries its own for the parallel
-	// phase.
-	biased   bool
-	epoch    uint64
-	epochEnd uint64
-	lcache   *rule.LadderCache
-
 	steps, events, moves uint64
-	hval                 int
-	holesGone            bool
 	dirtyBuf             []grid.CellWindow
 	yScratch             []int
-
-	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
-
-// SetMoveLog attaches a move log that records every applied move (for
-// delta frame encoding). Pass nil to detach. Interior moves surface in the
-// log at round barriers, which is exactly when callers observe the grid.
-func (s *Sharded) SetMoveLog(l *frame.MoveLog) { s.mlog = l }
-
-// Grid exposes the live occupancy grid for read-only observation; mutating
-// it corrupts the chain.
-func (s *Sharded) Grid() *grid.Grid { return s.g }
 
 // dirDY[d] is the row delta of a move in direction d (always in {−1, 0, 1}).
 var dirDY = func() (dy [lattice.NumDirs]int) {
@@ -199,20 +153,6 @@ func NewSharded(sigma0 *config.Config, lambda float64, seed uint64, shards int) 
 	if err := rule.ValidateLambda(lambda); err != nil {
 		return nil, fmt.Errorf("kmc: %w", err)
 	}
-	return NewShardedWithRule(sigma0, rule.Compression(lambda), seed, shards)
-}
-
-// NewShardedWithRule creates a stripe-sharded chain for an arbitrary
-// stateless compiled rule. Payload (rotating) rules are not supported: a
-// rotation's weight depends on neighbor payloads, which the halo analysis
-// does not cover.
-func NewShardedWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64, shards int, opts ...ShardedOption) (*Sharded, error) {
-	if ru == nil {
-		return nil, fmt.Errorf("kmc: nil rule")
-	}
-	if !ru.Stateless() {
-		return nil, fmt.Errorf("kmc: sharded execution supports only stateless rules, not %q", ru.Name())
-	}
 	if shards < 1 {
 		return nil, fmt.Errorf("kmc: shard count must be ≥ 1, got %d", shards)
 	}
@@ -223,21 +163,12 @@ func NewShardedWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64, shard
 		return nil, fmt.Errorf("kmc: starting configuration must be connected")
 	}
 	s := &Sharded{
-		ru:     ru,
-		lambda: ru.Lambda(),
+		wTab:   rule.Compression(lambda).WeightTable(),
 		points: sigma0.Points(),
 	}
 	s.n = len(s.points)
-	s.wTab = ru.WeightTable()
-	if ru.Biased() {
-		s.biased = true
-		s.lcache = rule.NewLadderCache(ru)
-		s.epochEnd = ru.BiasEpoch()
-	}
 	s.g = grid.New(s.points, 0)
 	s.idx = newPindex(s.points)
-	s.hval = ru.Energy(s.g)
-	s.holesGone = !sigma0.HasHoles()
 	s.wInt = make([]float64, s.n)
 	s.wBnd = make([]float64, s.n)
 	s.home = make([]int32, s.n)
@@ -254,12 +185,6 @@ func NewShardedWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64, shard
 		s.rngs[j] = rand.New(rand.NewPCG(seed, rngStream+uint64(j)+1))
 	}
 	s.roundSteps = uint64(max(1024, s.n))
-	for _, o := range opts {
-		o(s)
-	}
-	if s.roundSteps == 0 {
-		s.roundSteps = uint64(max(1024, s.n))
-	}
 	s.reshard()
 	return s, nil
 }
@@ -299,9 +224,6 @@ func (s *Sharded) reshard() {
 	s.stripes = s.stripes[:ns]
 	for j, st := range s.stripes {
 		st.id = j
-		if s.biased && st.lcache == nil {
-			st.lcache = rule.NewLadderCache(s.ru)
-		}
 		st.intLo, st.intHi = math.MinInt32, math.MaxInt32
 		if j > 0 {
 			st.intLo = s.cuts[j-1] + halo
@@ -333,9 +255,8 @@ func (s *Sharded) rebuildWeights() {
 		s.pos[i] = int32(len(st.members))
 		st.members = append(st.members, int32(i))
 		win := s.g.Window(p)
-		ld := s.ladderIn(s.lcache, p)
-		s.wInt[i] = s.weightInterior(win, p.Y, st, ld)
-		s.wBnd[i] = s.weightBoundary(win, p.Y, st, ld)
+		s.wInt[i] = s.weightInterior(win, p.Y, st)
+		s.wBnd[i] = s.weightBoundary(win, p.Y, st)
 		if s.wInt[i] != 0 {
 			st.fen.add(i, s.wInt[i])
 		}
@@ -365,23 +286,10 @@ func (st *stripe) interiorDir(y int, d int) bool {
 // active reports whether a particle on row y has any boundary slot.
 func (st *stripe) active(y int) bool { return y <= st.intLo || y >= st.intHi }
 
-// ladderIn returns the pricing ladder for the particle at p in the current
-// bias epoch from the given cache — the stripe's own during the parallel
-// phase, the engine's in sequential sections — or nil for fixed-λ rules.
-// The epoch fields are read-only while stripes run concurrently, so this is
-// phase-safe.
-func (s *Sharded) ladderIn(c *rule.LadderCache, p lattice.Point) *rule.Ladder {
-	if !s.biased {
-		return nil
-	}
-	return c.At(s.epoch, p)
-}
-
 // weightInterior sums the slot weights of the interior directions of a
 // particle on row y of stripe st, from its extracted window, in direction
-// order (fixed fold, bit-reproducible). ld is the site's bias ladder for
-// the current epoch; nil prices through the fixed-λ table.
-func (s *Sharded) weightInterior(win grid.Window, y int, st *stripe, ld *rule.Ladder) float64 {
+// order (fixed fold, bit-reproducible).
+func (s *Sharded) weightInterior(win grid.Window, y int, st *stripe) float64 {
 	if y < st.intLo || y > st.intHi {
 		return 0
 	}
@@ -391,18 +299,14 @@ func (s *Sharded) weightInterior(win grid.Window, y int, st *stripe, ld *rule.La
 	for ; empty != 0; empty &= empty - 1 {
 		d := bits.TrailingZeros8(empty)
 		if ny := y + dirDY[d]; ny >= st.intLo && ny <= st.intHi {
-			if ld != nil {
-				sum += ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
-			} else {
-				sum += s.wTab[uint8(pm>>(8*d))]
-			}
+			sum += s.wTab[uint8(pm>>(8*d))]
 		}
 	}
 	return sum
 }
 
 // weightBoundary sums the slot weights of the non-interior directions.
-func (s *Sharded) weightBoundary(win grid.Window, y int, st *stripe, ld *rule.Ladder) float64 {
+func (s *Sharded) weightBoundary(win grid.Window, y int, st *stripe) float64 {
 	if !st.active(y) {
 		return 0
 	}
@@ -412,73 +316,22 @@ func (s *Sharded) weightBoundary(win grid.Window, y int, st *stripe, ld *rule.La
 	for ; empty != 0; empty &= empty - 1 {
 		d := bits.TrailingZeros8(empty)
 		if !st.interiorDir(y, d) {
-			if ld != nil {
-				sum += ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
-			} else {
-				sum += s.wTab[uint8(pm>>(8*d))]
-			}
+			sum += s.wTab[uint8(pm>>(8*d))]
 		}
 	}
 	return sum
 }
 
 // Run advances the chain by exactly n Metropolis-equivalent iterations,
-// in super-rounds of at most roundSteps. For biased rules each round is
-// additionally clamped to the bias-epoch remainder, and every cached weight
-// is rebuilt when a boundary is crossed — the stripe merge included, since
-// the rebuild recomputes interior and boundary weights for every stripe.
+// in super-rounds of at most roundSteps, and returns the events fired.
 func (s *Sharded) Run(n uint64) uint64 {
 	var fired uint64
 	for n > 0 {
-		if s.biased && s.steps >= s.epochEnd {
-			s.advanceEpoch()
-		}
-		tau := s.roundSteps
-		if tau > n {
-			tau = n
-		}
-		if s.biased {
-			if rem := s.epochEnd - s.steps; tau > rem {
-				tau = rem
-			}
-		}
+		tau := min(s.roundSteps, n)
 		fired += s.runRound(tau)
 		n -= tau
 	}
 	return fired
-}
-
-// advanceEpoch moves the pricing epoch to the one containing the current
-// step and recomputes every interior and boundary weight (and all Fenwick
-// trees) at the new epoch's λ(·). Holds need no explicit reset: both phases
-// resample theirs at entry, which geometric memorylessness makes exact.
-func (s *Sharded) advanceEpoch() {
-	e := s.ru.BiasEpoch()
-	s.epoch = s.steps - s.steps%e
-	s.epochEnd = s.epoch + e
-	s.rebuildWeights()
-}
-
-// RunUntil executes up to max equivalent iterations, invoking check every
-// interval iterations; it stops early when check returns true. It returns
-// the number of iterations executed.
-func (s *Sharded) RunUntil(max, interval uint64, check func() bool) uint64 {
-	if interval == 0 {
-		interval = 1
-	}
-	var done uint64
-	for done < max {
-		batch := interval
-		if done+batch > max {
-			batch = max - done
-		}
-		s.Run(batch)
-		done += batch
-		if check() {
-			return done
-		}
-	}
-	return done
 }
 
 // runRound executes one super-round of tau steps: concurrent interior
@@ -507,10 +360,8 @@ func (s *Sharded) runRound(tau uint64) uint64 {
 		s.events += st.events
 		s.moves += st.moves
 		fired += st.events
-		s.hval += st.hDelta
 		s.g.AddEdgeCount(st.eDelta)
-		st.events, st.moves, st.hDelta, st.eDelta = 0, 0, 0, 0
-		s.mlog.Append(&st.mlog)
+		st.events, st.moves, st.eDelta = 0, 0, 0
 		for _, i := range st.bndTouch {
 			s.refreshBoundary(i)
 		}
@@ -591,20 +442,13 @@ func (s *Sharded) fireInterior(st *stripe, allowGrow bool) bool {
 
 	l := s.points[i]
 	// Direction ∝ interior slot weight, freshly recomputed (the sum is
-	// the authoritative wInt[i] by construction). Biased rules price
-	// through the stripe's private ladder cache — this runs in the
-	// parallel phase.
+	// the authoritative wInt[i] by construction).
 	var ws [lattice.NumDirs]float64
 	var sum float64
 	pm := s.g.Window(l).Packed()
-	ld := s.ladderIn(st.lcache, l)
 	for d := 0; d < lattice.NumDirs; d++ {
 		if pm.NeighborMask()>>d&1 == 0 && st.interiorDir(l.Y, d) {
-			if ld != nil {
-				ws[d] = ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
-			} else {
-				ws[d] = s.wTab[uint8(pm>>(8*d))]
-			}
+			ws[d] = s.wTab[uint8(pm>>(8*d))]
 			sum += ws[d]
 		}
 	}
@@ -662,21 +506,17 @@ func (s *Sharded) applyInterior(st *stripe, i int32, d lattice.Dir, allowGrow bo
 			s.idx.reshape(s.points)
 		}
 	}
-	st.hDelta += s.ru.MoveDelta(s.g.PairMask(l, d), 0)
 	st.eDelta += s.g.MoveUncounted(l, dst)
 	s.points[i] = dst
 	s.idx.clear(l)
 	s.idx.set(dst, i, s.points)
 	st.events++
 	st.moves++
-	if s.mlog != nil {
-		st.mlog.Moved(l, dst, 0)
-	}
 
 	st.dirtyBuf = s.g.DirtyWindows(l, d, st.dirtyBuf[:0])
 	for _, cw := range st.dirtyBuf {
 		j := s.idx.at(cw.P)
-		w := s.weightInterior(cw.Win, cw.P.Y, st, s.ladderIn(st.lcache, cw.P))
+		w := s.weightInterior(cw.Win, cw.P.Y, st)
 		if w != s.wInt[j] {
 			st.fen.add(int(j), w-s.wInt[j])
 			s.wInt[j] = w
@@ -716,7 +556,7 @@ func (s *Sharded) refreshBoundary(i int32) {
 	st := s.stripes[s.home[i]]
 	var w float64
 	if st.active(p.Y) {
-		w = s.weightBoundary(s.g.Window(p), p.Y, st, s.ladderIn(s.lcache, p))
+		w = s.weightBoundary(s.g.Window(p), p.Y, st)
 	}
 	if w != s.wBnd[i] {
 		s.bndFen.add(int(i), w-s.wBnd[i])
@@ -766,14 +606,9 @@ func (s *Sharded) fireBoundary() bool {
 	var ws [lattice.NumDirs]float64
 	var sum float64
 	pm := s.g.Window(l).Packed()
-	ld := s.ladderIn(s.lcache, l)
 	for d := 0; d < lattice.NumDirs; d++ {
 		if pm.NeighborMask()>>d&1 == 0 && !st.interiorDir(l.Y, d) {
-			if ld != nil {
-				ws[d] = ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
-			} else {
-				ws[d] = s.wTab[uint8(pm>>(8*d))]
-			}
+			ws[d] = s.wTab[uint8(pm>>(8*d))]
 			sum += ws[d]
 		}
 	}
@@ -800,14 +635,12 @@ func (s *Sharded) fireBoundary() bool {
 	}
 
 	dst := l.Neighbor(d)
-	s.hval += s.ru.MoveDelta(pm.PairMask(d), 0)
 	s.g.Move(l, dst) // sequential: growing and edge counting are safe
 	s.points[i] = dst
 	s.idx.clear(l)
 	s.idx.set(dst, i, s.points)
 	s.events++
 	s.moves++
-	s.mlog.Moved(l, dst, 0)
 
 	// Migration across a cut: move the interior weight custody to the new
 	// home before the generic dirty sweep below re-prices it.
@@ -828,15 +661,14 @@ func (s *Sharded) fireBoundary() bool {
 	for _, cw := range s.dirtyBuf {
 		j := s.idx.at(cw.P)
 		stj := s.stripes[s.home[j]]
-		ldj := s.ladderIn(s.lcache, cw.P)
-		w := s.weightInterior(cw.Win, cw.P.Y, stj, ldj)
+		w := s.weightInterior(cw.Win, cw.P.Y, stj)
 		if w != s.wInt[j] {
 			stj.fen.add(int(j), w-s.wInt[j])
 			s.wInt[j] = w
 		}
 		var wb float64
 		if stj.active(cw.P.Y) {
-			wb = s.weightBoundary(cw.Win, cw.P.Y, stj, ldj)
+			wb = s.weightBoundary(cw.Win, cw.P.Y, stj)
 		}
 		if wb != s.wBnd[j] {
 			s.bndFen.add(int(j), wb-s.wBnd[j])
@@ -881,25 +713,18 @@ func (s *Sharded) CheckWeightSums() error {
 		}
 		st := s.stripes[j]
 		win := s.g.Window(p)
-		ld := s.ladderIn(s.lcache, p)
-		wi := s.weightInterior(win, p.Y, st, ld)
-		wb := s.weightBoundary(win, p.Y, st, ld)
+		wi := s.weightInterior(win, p.Y, st)
+		wb := s.weightBoundary(win, p.Y, st)
 		if math.Abs(wi-s.wInt[i]) > tol || math.Abs(wb-s.wBnd[i]) > tol {
 			return fmt.Errorf("particle %d: maintained weights (%g, %g), recomputed (%g, %g)",
 				i, s.wInt[i], s.wBnd[i], wi, wb)
 		}
-		// Full weight must match the unrestricted chain's classification
-		// (at the current epoch's bias, for biased rules).
+		// Full weight must match the unrestricted chain's classification.
 		pm := win.Packed()
 		empty := ^pm.NeighborMask() & (1<<lattice.NumDirs - 1)
 		var full float64
 		for ; empty != 0; empty &= empty - 1 {
-			d := bits.TrailingZeros8(empty)
-			if ld != nil {
-				full += ld.Weight(grid.Mask(uint8(pm >> (8 * d))))
-			} else {
-				full += s.wTab[uint8(pm>>(8*d))]
-			}
+			full += s.wTab[uint8(pm>>(8*bits.TrailingZeros8(empty)))]
 		}
 		if math.Abs((wi+wb)-full) > tol*(1+full) {
 			return fmt.Errorf("particle %d: interior %g + boundary %g ≠ full weight %g", i, wi, wb, full)
@@ -939,66 +764,5 @@ func (s *Sharded) CheckWeightSums() error {
 // Shards returns the current number of stripes (the effective shard count).
 func (s *Sharded) Shards() int { return len(s.stripes) }
 
-// Rule returns the rule the chain runs.
-func (s *Sharded) Rule() *rule.Rule { return s.ru }
-
-// Lambda returns the bias parameter.
-func (s *Sharded) Lambda() float64 { return s.lambda }
-
-// N returns the number of particles.
-func (s *Sharded) N() int { return s.n }
-
-// Steps returns the Metropolis-equivalent iterations elapsed.
-func (s *Sharded) Steps() uint64 { return s.steps }
-
 // Events returns the number of applied events.
 func (s *Sharded) Events() uint64 { return s.events }
-
-// Accepted returns the number of applied translations (every event, for
-// stateless rules), matching chain.Chain.Accepted.
-func (s *Sharded) Accepted() uint64 { return s.moves }
-
-// Rotations returns 0: sharded execution is stateless-only.
-func (s *Sharded) Rotations() uint64 { return 0 }
-
-// Edges returns e(σ) for the current configuration.
-func (s *Sharded) Edges() int { return s.g.Edges() }
-
-// Energy returns H(σ), maintained incrementally.
-func (s *Sharded) Energy() int { return s.hval }
-
-// TotalWeight returns W(σ), summed across every stripe and the boundary.
-func (s *Sharded) TotalWeight() float64 {
-	var sum float64
-	for _, st := range s.stripes {
-		sum += st.fen.total()
-	}
-	return sum + s.bndFen.total()
-}
-
-// Perimeter returns p(σ), via the Lemma 2.3 identity once hole-free.
-func (s *Sharded) Perimeter() int {
-	if s.n == 1 {
-		return 0
-	}
-	if s.holesGone {
-		return 3*s.n - 3 - s.Edges()
-	}
-	cycles, edges := s.g.Boundaries()
-	if cycles <= 1 {
-		s.holesGone = true
-		return 3*s.n - 3 - s.Edges()
-	}
-	return edges
-}
-
-// HoleFree reports whether the chain has reached the hole-free space Ω*.
-func (s *Sharded) HoleFree() bool {
-	if !s.holesGone && !s.g.HasHoles() {
-		s.holesGone = true
-	}
-	return s.holesGone
-}
-
-// Config returns a snapshot copy of the current configuration.
-func (s *Sharded) Config() *config.Config { return config.FromGrid(s.g) }

@@ -8,7 +8,6 @@ import (
 	"sops/internal/chain"
 	"sops/internal/config"
 	"sops/internal/lattice"
-	"sops/internal/rule"
 )
 
 // vline builds a vertical line of n particles — n occupied rows, the
@@ -66,10 +65,10 @@ func TestShardedMatchesMetropolis(t *testing.T) {
 					t.Fatalf("decomposition degenerated to %d stripes; the test geometry should support %d", sc.Shards(), tc.shards)
 				}
 				sc.Run(budget)
-				if got := sc.Steps(); got != budget {
-					t.Fatalf("sharded consumed %d equivalent steps, want %d", got, budget)
+				if sc.steps != budget {
+					t.Fatalf("sharded consumed %d equivalent steps, want %d", sc.steps, budget)
 				}
-				shd.add(float64(sc.Perimeter()), float64(sc.Edges()), float64(sc.Accepted()))
+				shd.add(float64(sc.g.Perimeter()), float64(sc.g.Edges()), float64(sc.moves))
 			}
 			for mi, name := range [3]string{"perimeter", "edges", "moves"} {
 				m1, se1 := met.meanSE(mi)
@@ -94,31 +93,35 @@ func TestShardedWeightInvariant(t *testing.T) {
 	if testing.Short() {
 		n, bursts = 60, 6
 	}
-	// Rounds of 128 steps make the bursts cross several rebalanceEvery
-	// boundaries, so the invariant check sees post-reshard state too.
-	sc, err := NewShardedWithRule(vline(n), rule.Compression(4), 5, 4, WithRoundSteps(128))
+	sc, err := NewSharded(vline(n), 4, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rounds of 128 steps make the bursts cross several rebalanceEvery
+	// boundaries, so the invariant check sees post-reshard state too.
+	sc.roundSteps = 128
 	for b := 0; b < bursts; b++ {
 		sc.Run(uint64(40 * n))
 		if err := sc.CheckWeightSums(); err != nil {
 			t.Fatalf("burst %d: %v", b, err)
 		}
-		seq := MustNew(sc.Config(), 4, 1)
-		got, want := sc.TotalWeight(), seq.TotalWeight()
+		got := sc.bndFen.total()
+		for _, st := range sc.stripes {
+			got += st.fen.total()
+		}
+		want := MustNew(config.FromGrid(sc.g), 4, 1).TotalWeight()
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Fatalf("burst %d: sharded total weight %g, sequential tree says %g", b, got, want)
 		}
 	}
-	if sc.Events() == 0 {
+	if sc.events == 0 {
 		t.Fatal("no events fired; the invariant test exercised nothing")
 	}
 }
 
 // TestShardedDeterministic pins the engine's reproducibility contract: two
 // runs with identical (σ0, λ, seed, shards) must agree exactly — counters,
-// energy, and every particle position — despite the concurrent interior
+// edges, and every particle position — despite the concurrent interior
 // phases (stripes touch disjoint state, so scheduling cannot leak in).
 func TestShardedDeterministic(t *testing.T) {
 	n, steps := 90, uint64(300_000)
@@ -134,16 +137,14 @@ func TestShardedDeterministic(t *testing.T) {
 		return sc
 	}
 	a, b := run(), run()
-	if a.Steps() != b.Steps() || a.Events() != b.Events() || a.Accepted() != b.Accepted() ||
-		a.Energy() != b.Energy() || a.Edges() != b.Edges() {
-		t.Fatalf("counters diverged: (%d %d %d %d %d) vs (%d %d %d %d %d)",
-			a.Steps(), a.Events(), a.Accepted(), a.Energy(), a.Edges(),
-			b.Steps(), b.Events(), b.Accepted(), b.Energy(), b.Edges())
+	if a.steps != b.steps || a.events != b.events || a.moves != b.moves || a.g.Edges() != b.g.Edges() {
+		t.Fatalf("counters diverged: (%d %d %d %d) vs (%d %d %d %d)",
+			a.steps, a.events, a.moves, a.g.Edges(), b.steps, b.events, b.moves, b.g.Edges())
 	}
-	if ak, bk := a.Config().Key(), b.Config().Key(); ak != bk {
+	if ak, bk := config.FromGrid(a.g).Key(), config.FromGrid(b.g).Key(); ak != bk {
 		t.Fatalf("final configurations diverged:\n%s\nvs\n%s", ak, bk)
 	}
-	if a.Events() == 0 {
+	if a.events == 0 {
 		t.Fatal("no events fired; determinism was tested vacuously")
 	}
 }
@@ -177,16 +178,6 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, err := NewSharded(config.New(), 4, 1, 2); err == nil {
 		t.Error("accepted an empty configuration")
-	}
-	if _, err := NewShardedWithRule(vline(10), nil, 1, 2); err == nil {
-		t.Error("accepted a nil rule")
-	}
-	align, err := rule.Alignment(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedWithRule(vline(10), align, 1, 2); err == nil {
-		t.Error("accepted a payload rule; sharding is stateless-only")
 	}
 	disc := config.New(lattice.Point{}, lattice.Point{X: 5, Y: 5})
 	if _, err := NewSharded(disc, 4, 1, 2); err == nil {

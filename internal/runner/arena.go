@@ -77,7 +77,7 @@ func (a *Arena) Compress(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validate(engine, ru); err != nil {
+	if err := opts.validate(engine); err != nil {
 		return nil, err
 	}
 	pts, err := a.startPoints(opts)
@@ -119,15 +119,8 @@ type simulation interface {
 
 // newSimulation readies the task's engine over the starting points.
 func (a *Arena) newSimulation(engine string, opts Options, pts []lattice.Point, ru *rule.Rule) (simulation, error) {
-	switch {
-	case engine == EngineAmoebot:
+	if engine == EngineAmoebot {
 		return a.amoebot(opts, pts, ru)
-	case opts.Shards > 1:
-		s, err := kmc.NewShardedWithRule(config.New(pts...), ru, opts.Seed, opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
 	}
 	return a.engineFor(engine, pts, ru, opts.Seed)
 }

@@ -24,13 +24,13 @@ func TestArenaCompressMatchesPlain(t *testing.T) {
 		{N: 30, Lambda: 4, Iterations: 15_000, Seed: 7, Rule: RuleAlignment, RuleStates: 4, Engine: EngineKMC},
 		{N: 30, Lambda: 5, Iterations: 24_000, Seed: 3, SnapshotEvery: 6000},
 		{N: 30, Lambda: 5, Iterations: 24_000, Seed: 3, SnapshotEvery: 6000, Engine: EngineKMC},
-		{N: 24, Lambda: 4, Iterations: 8_000, Seed: 2, Engine: EngineKMC, Shards: 2},
+		{N: 24, Lambda: 4, Iterations: 8_000, Seed: 2, Engine: EngineKMC, Start: StartRandom},
 		{N: 24, Lambda: 4, Iterations: 4_000, Seed: 2, Engine: EngineAmoebot},
 		{N: 20, Lambda: 5, Iterations: 8_000, Seed: 1, Engine: EngineAmoebot, CrashFraction: 0.2, SnapshotEvery: 2000},
 		{N: 14, Lambda: 4, Iterations: 6_000, Seed: 17, Engine: EngineAmoebot, Rule: RuleAlignment, RuleStates: 4},
 		{N: 10, Lambda: 4, Iterations: 4_000, Seed: 3, Engine: EngineKMC, SnapshotEvery: 1000, SnapshotSVG: true},
-		{N: 24, Lambda: 4, Iterations: 8_000, Seed: 2, Engine: EngineKMC, Shards: 2, SnapshotEvery: 2000},
-		{N: 30, Lambda: 4, Iterations: 30_000, Seed: 5}, // chain again, after a sharded task
+		{N: 24, Lambda: 4, Iterations: 8_000, Seed: 2, Engine: EngineKMC, SnapshotEvery: 2000},
+		{N: 30, Lambda: 4, Iterations: 30_000, Seed: 5}, // chain again, after a kmc task
 	}
 	for i, opts := range cases {
 		t.Run(fmt.Sprintf("case-%d", i), func(t *testing.T) {

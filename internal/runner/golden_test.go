@@ -25,8 +25,8 @@ type goldenCase struct {
 
 // compressGoldenCases is the pinned matrix: every engine × rule × start
 // shape, each with and without snapshots, plus the options only some
-// engines take (SVG frames, crash faults, stripe shards, a payload-state
-// override on Algorithm A).
+// engines take (SVG frames, crash faults, a payload-state override on
+// Algorithm A).
 func compressGoldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, engine := range Engines() {
@@ -50,8 +50,6 @@ func compressGoldenCases() []goldenCase {
 		goldenCase{"amoebot/svg", Options{N: 10, Lambda: 4, Iterations: 4000, Seed: 3, Engine: EngineAmoebot, SnapshotEvery: 1000, SnapshotSVG: true}},
 		goldenCase{"amoebot/crash", Options{N: 20, Lambda: 5, Iterations: 8000, Seed: 1, Engine: EngineAmoebot, CrashFraction: 0.2}},
 		goldenCase{"amoebot/crash/snap", Options{N: 20, Lambda: 5, Iterations: 8000, Seed: 1, Engine: EngineAmoebot, CrashFraction: 0.2, SnapshotEvery: 2000}},
-		goldenCase{"kmc/shards", Options{N: 30, Lambda: 4, Iterations: 8000, Seed: 5, Engine: EngineKMC, Shards: 2}},
-		goldenCase{"kmc/shards/snap", Options{N: 30, Lambda: 4, Iterations: 8000, Seed: 5, Engine: EngineKMC, Shards: 2, SnapshotEvery: 2000}},
 		goldenCase{"amoebot/alignment/states4", Options{N: 14, Lambda: 4, Iterations: 6000, Seed: 17, Engine: EngineAmoebot, Rule: RuleAlignment, RuleStates: 4, SnapshotEvery: 1500}},
 	)
 }

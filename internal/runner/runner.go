@@ -81,7 +81,6 @@ type Sequential interface {
 var (
 	_ Sequential = (*chain.Chain)(nil)
 	_ Sequential = (*kmc.Chain)(nil)
-	_ Sequential = (*kmc.Sharded)(nil)
 )
 
 // NewSequentialWithRule constructs the named sequential engine over a copy
@@ -257,13 +256,6 @@ type Options struct {
 	// runs; invariants and long-run statistics are unaffected. Only valid
 	// with EngineAmoebot.
 	Workers int `json:"workers,omitempty"`
-	// Shards > 1 runs the kMC engine with that many stripe shards
-	// (kmc.Sharded): the grid is domain-decomposed into row stripes whose
-	// interior events fire concurrently. Trajectories are statistically —
-	// not byte- — equivalent to the sequential kMC engine, and are
-	// reproducible given equal options and seed. Only valid with EngineKMC
-	// and a stateless rule.
-	Shards int `json:"shards,omitempty"`
 	// SnapshotEvery records a snapshot every given number of iterations;
 	// zero disables snapshots.
 	SnapshotEvery uint64 `json:"snapshot_every,omitempty"`
@@ -356,11 +348,10 @@ func (o Options) Normalized() (Options, error) {
 	if err != nil {
 		return o, err
 	}
-	ru, err := NewRule(o.Rule, o.Lambda, o.RuleStates, o.Forage)
-	if err != nil {
+	if _, err := NewRule(o.Rule, o.Lambda, o.RuleStates, o.Forage); err != nil {
 		return o, err
 	}
-	if err := o.validate(engine, ru); err != nil {
+	if err := o.validate(engine); err != nil {
 		return o, err
 	}
 	o.Engine = engine
@@ -376,16 +367,13 @@ func (o Options) Normalized() (Options, error) {
 	if o.Workers < 2 {
 		o.Workers = 0
 	}
-	if o.Shards < 2 {
-		o.Shards = 0
-	}
 	return o, nil
 }
 
-// validate checks o against its resolved engine and compiled rule (λ is
-// checked by the compile). It is the one validation behind Compress and
-// Normalized; callers pass the rule so an arena's cached one serves.
-func (o Options) validate(engine string, ru *rule.Rule) error {
+// validate checks o against its resolved engine (λ and the rule options
+// are checked by the rule compile). It is the one validation behind
+// Compress and Normalized.
+func (o Options) validate(engine string) error {
 	if o.N < 1 {
 		return fmt.Errorf("sops: N must be positive, got %d", o.N)
 	}
@@ -400,12 +388,6 @@ func (o Options) validate(engine string, ru *rule.Rule) error {
 	}
 	if o.Workers > 1 && engine != EngineAmoebot {
 		return fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
-	}
-	if o.Shards > 1 && engine != EngineKMC {
-		return fmt.Errorf("sops: Shards requires the %s engine, got %q", EngineKMC, engine)
-	}
-	if o.Shards > 1 && !ru.Stateless() {
-		return fmt.Errorf("sops: Shards supports only stateless rules, not %q", ru.Name())
 	}
 	return nil
 }

@@ -234,14 +234,16 @@ func (m *Manager) lookup(id string) (*handle, bool) {
 }
 
 // readRecord loads a job record straight from the store. Records are
-// written by atomic rename, so a successful read is never torn.
+// written by atomic rename, so a successful read is never torn. A record
+// whose request this binary cannot fully read comes back failed
+// (decodeRecord), so the claim path settles it instead of running it.
 func (m *Manager) readRecord(id string) (Job, error) {
 	raw, err := os.ReadFile(m.recordPath(id))
 	if err != nil {
 		return Job{}, err
 	}
-	var job Job
-	if err := json.Unmarshal(raw, &job); err != nil {
+	job, _, err := decodeRecord(raw)
+	if err != nil {
 		return Job{}, fmt.Errorf("serve: corrupt job record %s: %w", id, err)
 	}
 	if job.ID != id {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -275,9 +276,11 @@ func Open(opt Options) (*Manager, error) {
 // loadRecords scans jobs/*.json, rebuilding the in-memory table. In
 // single-node mode, jobs left pending or running by a previous process are
 // reset to pending and returned for requeueing — their journals resume
-// exactly like `sops resume`. In cluster mode nothing is requeued here:
-// non-terminal jobs keep their on-disk state and ownership flows through
-// the lease scanner, which claims what is free and steals what is stale.
+// exactly like `sops resume` — and a job whose stored request this binary
+// cannot fully read is persisted failed instead (decodeRecord). In cluster
+// mode nothing is requeued or written here: non-terminal jobs keep their
+// on-disk state and ownership flows through the lease scanner, which
+// claims what is free and steals what is stale.
 func (m *Manager) loadRecords() ([]*handle, error) {
 	entries, err := os.ReadDir(filepath.Join(m.dir, "jobs"))
 	if err != nil {
@@ -296,9 +299,15 @@ func (m *Manager) loadRecords() ([]*handle, error) {
 		if err != nil {
 			return nil, err
 		}
-		var job Job
-		if err := json.Unmarshal(raw, &job); err != nil {
+		job, refused, err := decodeRecord(raw)
+		if err != nil {
 			return nil, fmt.Errorf("serve: corrupt job record %s: %w", name, err)
+		}
+		if refused && !m.cluster() {
+			if err := m.writeRecord(job); err != nil {
+				return nil, fmt.Errorf("serve: failing job record %s: %w", name, err)
+			}
+			m.add("jobs_failed", 1)
 		}
 		h := &handle{job: job, stream: newStream()}
 		h.pub = h.stream
@@ -1226,6 +1235,32 @@ func (m *Manager) persist(h *handle) error {
 	job := h.job
 	h.mu.Unlock()
 	return m.writeRecord(job)
+}
+
+// decodeRecord parses a stored job record. A record still to run must also
+// hold a request that decodes as a submission does (decodeJobRequest): a
+// field this binary does not know would otherwise be dropped, and the job
+// would run as something other than what was submitted. Such a record
+// comes back failed with the decode error, and refused set. Terminal
+// records decode leniently, so their stored results stay servable.
+func decodeRecord(raw []byte) (job Job, refused bool, err error) {
+	if err := json.Unmarshal(raw, &job); err != nil {
+		return Job{}, false, err
+	}
+	if terminal(job.State) {
+		return job, false, nil
+	}
+	var stored struct {
+		Request json.RawMessage `json:"request"`
+	}
+	_ = json.Unmarshal(raw, &stored) // raw decoded as a Job just above
+	if _, err := decodeJobRequest(bytes.NewReader(stored.Request)); err != nil {
+		fin := time.Now().UTC()
+		job.State, job.FinishedAt = StateFailed, &fin
+		job.Error = fmt.Sprintf("serve: stored request: %v", err)
+		return job, true, nil
+	}
+	return job, false, nil
 }
 
 func (m *Manager) writeRecord(job Job) error {

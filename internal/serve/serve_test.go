@@ -761,6 +761,83 @@ func TestRestartStreamsRecoveredJob(t *testing.T) {
 	}
 }
 
+// TestRecoveredJobWithUnknownFieldFails: a job record left pending by a
+// previous process whose stored request carries a field this binary does
+// not know (an option since removed, such as "shards") must not be re-run
+// with the field dropped. Open fails it with the decode error and persists
+// that; a terminal record with the same field still loads as it was. In
+// cluster mode the claim path, which reads through readRecord, settles it
+// the same way instead of claiming it.
+func TestRecoveredJobWithUnknownFieldFails(t *testing.T) {
+	record := func(t *testing.T, dir, id, state string) {
+		t.Helper()
+		req := JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 4}}
+		if _, err := req.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		digest, err := jobDigest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(Job{ID: id, Kind: KindRun, State: state, Digest: digest,
+			Request: req, SubmittedAt: time.Now().UTC(), TasksTotal: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = bytes.Replace(raw, []byte(`"run":{`), []byte(`"run":{"shards":2,`), 1)
+		if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const field = `unknown field "shards"`
+	refused := func(t *testing.T, m *Manager, id string) {
+		t.Helper()
+		j, ok := m.Job(id)
+		if !ok || j.State != StateFailed || !strings.Contains(j.Error, field) {
+			t.Fatalf("recovered job %s: state %q error %q, want failed naming %s", id, j.State, j.Error, field)
+		}
+		if n := counterVal(m, "tasks_run"); n != 0 {
+			t.Fatalf("tasks_run = %d after recovery, want 0", n)
+		}
+	}
+
+	t.Run("single-node", func(t *testing.T) {
+		dir := t.TempDir()
+		record(t, dir, "j00000000", StatePending)
+		record(t, dir, "j00000001", StateDone)
+		m, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		refused(t, m, "j00000000")
+		stored, err := m.readRecord("j00000000")
+		if err != nil || stored.State != StateFailed || !strings.Contains(stored.Error, field) {
+			t.Fatalf("stored record: state %q error %q (%v), want failed naming %s", stored.State, stored.Error, err, field)
+		}
+		if j, ok := m.Job("j00000001"); !ok || j.State != StateDone {
+			t.Fatalf("terminal record with an unknown field: %+v, want it loaded as done", j)
+		}
+		if n := counterVal(m, "jobs_failed"); n != 1 {
+			t.Fatalf("jobs_failed = %d after recovery, want 1", n)
+		}
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		dir := t.TempDir()
+		m := openNode(t, clusterOpts(dir, "node-a"))
+		record(t, dir, "j00000000-node-b", StatePending)
+		m.scanOnce()
+		refused(t, m, "j00000000-node-b")
+		if _, err := os.Stat(m.jobLeasePath("j00000000-node-b")); !os.IsNotExist(err) {
+			t.Fatalf("refused job was leased (stat: %v)", err)
+		}
+	})
+}
+
 // TestWorkCounterAdvancesOnRealWork pins the other direction of the
 // cache assertion: distinct specs do simulate.
 func TestWorkCounterAdvancesOnRealWork(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 	"sops/internal/runner"
 )
 
-// streamGoldenCases enumerates the engine × rule matrix (plus the sharded
-// kMC, SVG, and sweep variants) whose NDJSON stream bytes are pinned under
+// streamGoldenCases enumerates the engine × rule matrix (plus the SVG and
+// sweep variants) whose NDJSON stream bytes are pinned under
 // testdata/golden/streams/. Every case is fully deterministic: fixed seed,
 // sequential execution, snapshot cadence that divides the budget.
 func streamGoldenCases() []struct {
@@ -36,7 +36,6 @@ func streamGoldenCases() []struct {
 		{"chain-align", run("chain", "align", nil)},
 		{"kmc-compression", run("kmc", "", nil)},
 		{"kmc-align", run("kmc", "align", nil)},
-		{"kmc-compression-shards", run("kmc", "", func(o *runner.Options) { o.Shards = 2 })},
 		{"amoebot-compression", run("amoebot", "", nil)},
 		{"amoebot-align", run("amoebot", "", func(o *runner.Options) { o.Rule = "align" })},
 		{"chain-compression-svg", func() JobRequest {
