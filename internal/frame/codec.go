@@ -1,8 +1,10 @@
 package frame
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"sops/internal/grid"
@@ -58,16 +60,6 @@ func (l *MoveLog) Drain() []Move {
 	return m
 }
 
-// Append copies other's moves onto l and resets other — used to merge
-// per-stripe logs at a sharded-engine barrier in stripe order.
-func (l *MoveLog) Append(other *MoveLog) {
-	if l == nil || other == nil {
-		return
-	}
-	l.moves = append(l.moves, other.moves...)
-	other.moves = other.moves[:0]
-}
-
 // Snap is the scalar prelude of a snapshot record — the non-configuration
 // fields of one stream frame.
 type Snap struct {
@@ -95,8 +87,10 @@ const DefaultKeyframeEvery = 32
 // siteTrack is the per-touched-site state of delta coalescing. orig is the
 // site's occupancy at the start of the interval, inferred at first touch:
 // a site first seen as a move destination was empty, one first seen as a
-// source or rotation target was occupied.
+// source or rotation target was occupied. pay is the latest payload a
+// move or rotation left at p.
 type siteTrack struct {
+	p    lattice.Point
 	orig bool
 	cur  bool
 	pay  uint8
@@ -114,12 +108,16 @@ type Encoder struct {
 	started  bool
 	sinceKey int
 
-	touched map[lattice.Point]siteTrack
-	removed []lattice.Point
-	added   []lattice.Point
-	addPay  []uint8
-	rotated []lattice.Point
-	rotPay  []uint8
+	// cells is a dense table over the bounding box of the interval's
+	// moves: 1 + the index in sites of each touched site, 0 elsewhere.
+	// Every cell an interval touches is zeroed again before coalesce
+	// returns, so the table is all zeros between intervals whatever the
+	// box; it only grows, to the largest box seen.
+	cells   []int32
+	sites   []siteTrack // touched sites, in first-touch order
+	removed []siteTrack
+	added   []siteTrack
+	rotated []siteTrack
 
 	pts  []lattice.Point
 	pays []uint8
@@ -189,15 +187,10 @@ func (e *Encoder) EncodeSnapshot(s Snap, moves []Move, tracked bool, g *grid.Gri
 		}
 		e.sinceKey = 0
 	} else {
-		e.body = binary.AppendUvarint(e.body, uint64(len(e.removed)))
-		e.body = appendPoints(e.body, e.removed)
-		e.body = binary.AppendUvarint(e.body, uint64(len(e.added)))
-		e.body = appendPoints(e.body, e.added)
+		e.body = appendSites(e.body, e.removed, false)
+		e.body = appendSites(e.body, e.added, s.Payloads)
 		if s.Payloads {
-			e.body = append(e.body, e.addPay...)
-			e.body = binary.AppendUvarint(e.body, uint64(len(e.rotated)))
-			e.body = appendPoints(e.body, e.rotated)
-			e.body = append(e.body, e.rotPay...)
+			e.body = appendSites(e.body, e.rotated, true)
 		}
 		e.sinceKey++
 	}
@@ -213,67 +206,86 @@ func (e *Encoder) EncodeSnapshot(s Snap, moves []Move, tracked bool, g *grid.Gri
 // that leaves and returns (or a vacated site refilled by another) nets out
 // to nothing or a rotation; only true occupancy changes survive.
 func (e *Encoder) coalesce(moves []Move, payloads bool) {
-	if e.touched == nil {
-		e.touched = make(map[lattice.Point]siteTrack, 2*len(moves)+1)
-	}
-	clear(e.touched)
-	for _, m := range moves {
-		if m.Rotate {
-			t := e.site(m.To, true)
-			t.pay = m.Payload
-			e.touched[m.To] = t
-			continue
-		}
-		f := e.site(m.From, true)
-		f.cur = false
-		e.touched[m.From] = f
-		t := e.site(m.To, false)
-		t.cur = true
-		t.pay = m.Payload
-		e.touched[m.To] = t
-	}
+	e.sites = e.sites[:0]
 	e.removed = e.removed[:0]
 	e.added = e.added[:0]
-	e.addPay = e.addPay[:0]
 	e.rotated = e.rotated[:0]
-	e.rotPay = e.rotPay[:0]
-	for p, t := range e.touched {
+	if len(moves) == 0 {
+		return
+	}
+	lo, hi := moves[0].To, moves[0].To
+	for _, m := range moves {
+		lo.X, hi.X = min(lo.X, m.From.X, m.To.X), max(hi.X, m.From.X, m.To.X)
+		lo.Y, hi.Y = min(lo.Y, m.From.Y, m.To.Y), max(hi.Y, m.From.Y, m.To.Y)
+	}
+	w := hi.X - lo.X + 1
+	if area := w * (hi.Y - lo.Y + 1); len(e.cells) < area {
+		e.cells = make([]int32, area)
+	}
+	cell := func(p lattice.Point) *int32 { return &e.cells[(p.Y-lo.Y)*w+p.X-lo.X] }
+	for _, m := range moves {
+		if m.Rotate {
+			e.touch(cell(m.To), m.To, true).pay = m.Payload
+			continue
+		}
+		e.touch(cell(m.From), m.From, true).cur = false
+		t := e.touch(cell(m.To), m.To, false)
+		t.cur = true
+		t.pay = m.Payload
+	}
+	for _, t := range e.sites {
+		*cell(t.p) = 0
 		switch {
 		case t.orig && !t.cur:
-			e.removed = append(e.removed, p)
+			e.removed = append(e.removed, t)
 		case !t.orig && t.cur:
-			e.added = append(e.added, p)
+			e.added = append(e.added, t)
 		case t.orig && t.cur && payloads:
 			// Net-stationary but touched: its payload may have changed
 			// (rotation, or a different particle settled here). Emitting
 			// an unchanged payload is harmless — decode is idempotent.
-			e.rotated = append(e.rotated, p)
+			e.rotated = append(e.rotated, t)
 		}
 	}
-	sortPoints(e.removed)
-	sortPoints(e.added)
-	sortPoints(e.rotated)
-	if payloads {
-		for _, p := range e.added {
-			e.addPay = append(e.addPay, e.touched[p].pay)
-		}
-		for _, p := range e.rotated {
-			e.rotPay = append(e.rotPay, e.touched[p].pay)
-		}
-	}
+	slices.SortFunc(e.removed, compareSites)
+	slices.SortFunc(e.added, compareSites)
+	slices.SortFunc(e.rotated, compareSites)
 }
 
-// site returns the tracking state for p, initializing occupancy at first
-// touch from how the site is being used.
-func (e *Encoder) site(p lattice.Point, occIfNew bool) siteTrack {
-	if t, ok := e.touched[p]; ok {
-		return t
+// touch returns the tracking state of p, whose table cell is c, adding it
+// at first touch with its occupancy inferred from how the site is used.
+// The pointer is valid until the next touch.
+func (e *Encoder) touch(c *int32, p lattice.Point, occIfNew bool) *siteTrack {
+	if *c == 0 {
+		e.sites = append(e.sites, siteTrack{p: p, orig: occIfNew, cur: occIfNew})
+		*c = int32(len(e.sites))
 	}
-	return siteTrack{orig: occIfNew, cur: occIfNew}
+	return &e.sites[*c-1]
 }
 
-func sortPoints(pts []lattice.Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
+// compareSites orders sites canonically, by (Y, X).
+func compareSites(a, b siteTrack) int {
+	if c := cmp.Compare(a.p.Y, b.p.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.p.X, b.p.X)
+}
+
+// appendSites writes a sorted site list as a count, its delta-coded
+// points and, with pays set, one payload byte per site.
+func appendSites(dst []byte, sites []siteTrack, pays bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(sites)))
+	prev := lattice.Point{}
+	for _, t := range sites {
+		dst = appendPoint(dst, prev, t.p)
+		prev = t.p
+	}
+	if pays {
+		for _, t := range sites {
+			dst = append(dst, t.pay)
+		}
+	}
+	return dst
 }
 
 // appendPoints delta-codes a sorted point list: zigzag-varint (dx, dy)
@@ -281,11 +293,15 @@ func sortPoints(pts []lattice.Point) {
 func appendPoints(dst []byte, pts []lattice.Point) []byte {
 	prev := lattice.Point{}
 	for _, p := range pts {
-		dst = binary.AppendVarint(dst, int64(p.X-prev.X))
-		dst = binary.AppendVarint(dst, int64(p.Y-prev.Y))
+		dst = appendPoint(dst, prev, p)
 		prev = p
 	}
 	return dst
+}
+
+func appendPoint(dst []byte, prev, p lattice.Point) []byte {
+	dst = binary.AppendVarint(dst, int64(p.X-prev.X))
+	return binary.AppendVarint(dst, int64(p.Y-prev.Y))
 }
 
 // A Record is one decoded frame record.

@@ -2,9 +2,13 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sops/internal/grid"
@@ -345,22 +349,312 @@ func TestNilMoveLog(t *testing.T) {
 	var l *MoveLog
 	l.Moved(lattice.Point{}, lattice.Point{X: 1}, 0)
 	l.Rotated(lattice.Point{}, 1)
-	l.Append(nil)
 	if l.Len() != 0 || l.Drain() != nil {
 		t.Fatal("nil MoveLog not inert")
 	}
 }
 
-func TestMoveLogAppend(t *testing.T) {
-	var a, b MoveLog
-	a.Moved(lattice.Point{}, lattice.Point{X: 1}, 0)
-	b.Moved(lattice.Point{X: 2}, lattice.Point{X: 3}, 4)
-	a.Append(&b)
-	if a.Len() != 2 || b.Len() != 0 {
-		t.Fatalf("after Append: a=%d b=%d", a.Len(), b.Len())
+// mapEncoder is the map-based encoder the dense-table coalescer replaced,
+// kept verbatim as the oracle TestCoalesceMatchesMapOracle compares
+// EncodeSnapshot against byte for byte.
+type mapEncoder struct {
+	started  bool
+	sinceKey int
+
+	touched map[lattice.Point]mapSite
+	removed []lattice.Point
+	added   []lattice.Point
+	addPay  []uint8
+	rotated []lattice.Point
+	rotPay  []uint8
+}
+
+type mapSite struct {
+	orig, cur bool
+	pay       uint8
+}
+
+func (e *mapEncoder) encodeSnapshot(s Snap, moves []Move, tracked bool, g *grid.Grid) []byte {
+	key := !tracked || !e.started || e.sinceKey >= DefaultKeyframeEvery
+	if !key {
+		e.coalesce(moves, s.Payloads)
+		if len(e.removed)+len(e.added)+len(e.rotated) >= g.N() {
+			key = true
+		}
 	}
-	moves := a.Drain()
-	if moves[1].Payload != 4 || a.Len() != 0 {
-		t.Fatalf("drain = %+v", moves)
+	var flags byte
+	if s.HoleFree {
+		flags |= flagHoleFree
+	}
+	if s.SVG {
+		flags |= flagSVG
+	}
+	if s.Payloads {
+		flags |= flagPayloads
+	}
+	if s.Bias != 0 {
+		flags |= flagBias
+	}
+	kind := KindDelta
+	if key {
+		kind = KindKeyframe
+	}
+	body := []byte{kind, flags}
+	body = binary.AppendUvarint(body, uint64(s.Seq))
+	body = binary.AppendUvarint(body, s.Iteration)
+	body = binary.AppendUvarint(body, uint64(s.Perimeter))
+	body = binary.AppendUvarint(body, uint64(s.Edges))
+	body = binary.AppendVarint(body, int64(s.Energy))
+	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(s.Alpha))
+	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(s.Beta))
+	if s.Bias != 0 {
+		body = binary.LittleEndian.AppendUint64(body, math.Float64bits(s.Bias))
+	}
+	if key {
+		pts := g.AppendPoints(nil)
+		body = binary.AppendUvarint(body, uint64(len(pts)))
+		body = appendPoints(body, pts)
+		if s.Payloads {
+			for _, p := range pts {
+				body = append(body, g.Payload(p))
+			}
+		}
+		e.sinceKey = 0
+	} else {
+		body = binary.AppendUvarint(body, uint64(len(e.removed)))
+		body = appendPoints(body, e.removed)
+		body = binary.AppendUvarint(body, uint64(len(e.added)))
+		body = appendPoints(body, e.added)
+		if s.Payloads {
+			body = append(body, e.addPay...)
+			body = binary.AppendUvarint(body, uint64(len(e.rotated)))
+			body = appendPoints(body, e.rotated)
+			body = append(body, e.rotPay...)
+		}
+		e.sinceKey++
+	}
+	e.started = true
+	rec := binary.AppendUvarint(nil, uint64(len(body)))
+	return append(rec, body...)
+}
+
+func (e *mapEncoder) coalesce(moves []Move, payloads bool) {
+	e.touched = make(map[lattice.Point]mapSite, 2*len(moves)+1)
+	site := func(p lattice.Point, occIfNew bool) mapSite {
+		if t, ok := e.touched[p]; ok {
+			return t
+		}
+		return mapSite{orig: occIfNew, cur: occIfNew}
+	}
+	for _, m := range moves {
+		if m.Rotate {
+			t := site(m.To, true)
+			t.pay = m.Payload
+			e.touched[m.To] = t
+			continue
+		}
+		f := site(m.From, true)
+		f.cur = false
+		e.touched[m.From] = f
+		t := site(m.To, false)
+		t.cur = true
+		t.pay = m.Payload
+		e.touched[m.To] = t
+	}
+	e.removed, e.added, e.addPay = e.removed[:0], e.added[:0], e.addPay[:0]
+	e.rotated, e.rotPay = e.rotated[:0], e.rotPay[:0]
+	for p, t := range e.touched {
+		switch {
+		case t.orig && !t.cur:
+			e.removed = append(e.removed, p)
+		case !t.orig && t.cur:
+			e.added = append(e.added, p)
+		case t.orig && t.cur && payloads:
+			e.rotated = append(e.rotated, p)
+		}
+	}
+	for _, pts := range [][]lattice.Point{e.removed, e.added, e.rotated} {
+		sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
+	}
+	if payloads {
+		for _, p := range e.added {
+			e.addPay = append(e.addPay, e.touched[p].pay)
+		}
+		for _, p := range e.rotated {
+			e.rotPay = append(e.rotPay, e.touched[p].pay)
+		}
+	}
+}
+
+// oracleRun applies scripted intervals to a grid and checks that Encoder
+// and the map oracle emit identical records for each, and that the records
+// decode to the grid.
+type oracleRun struct {
+	t        *testing.T
+	g        *grid.Grid
+	payloads bool
+	enc      Encoder
+	ora      mapEncoder
+	dec      Decoder
+	log      MoveLog
+	seq      int
+	deltas   int
+}
+
+func newOracleRun(t *testing.T, pts []lattice.Point, payloads bool) *oracleRun {
+	r := &oracleRun{t: t, g: grid.New(pts, 0), payloads: payloads}
+	if payloads {
+		r.g.EnablePayload()
+		for i, p := range pts {
+			r.g.SetPayload(p, uint8(i%6))
+		}
+	}
+	return r
+}
+
+// hop moves the particle at from to the free site to, logging it.
+func (r *oracleRun) hop(from, to lattice.Point) {
+	pay := r.g.Payload(from)
+	r.g.Move(from, to)
+	if r.payloads {
+		r.g.SetPayload(to, pay)
+	}
+	r.log.Moved(from, to, pay)
+}
+
+// rotate sets the payload at p (possibly to its current value), logging it.
+func (r *oracleRun) rotate(p lattice.Point, pay uint8) {
+	r.g.SetPayload(p, pay)
+	r.log.Rotated(p, pay)
+}
+
+// snapshot ends the interval: both encoders must emit the same bytes.
+func (r *oracleRun) snapshot() {
+	r.t.Helper()
+	s := Snap{
+		Seq: r.seq, Iteration: uint64(r.seq) * 1000, Perimeter: r.g.Perimeter(),
+		Edges: r.g.Edges(), Energy: -r.g.Edges(), Alpha: 1.5, Beta: 0.5,
+		Payloads: r.payloads,
+	}
+	moves := r.log.Drain()
+	got := r.enc.EncodeSnapshot(s, moves, true, r.g)
+	want := r.ora.encodeSnapshot(s, moves, true, r.g)
+	if !bytes.Equal(got, want) {
+		r.t.Fatalf("seq %d (%d moves): record differs from the map oracle:\n got %x\nwant %x", r.seq, len(moves), got, want)
+	}
+	if k, _ := Kind(got); k == KindDelta {
+		r.deltas++
+	}
+	if _, err := r.dec.Decode(got); err != nil {
+		r.t.Fatalf("seq %d: decode: %v", r.seq, err)
+	}
+	checkState(r.t, &r.dec, r.g)
+	r.seq++
+}
+
+// walk runs k random moves among pts (updated in place): hops to a free
+// site within distance 2, hops straight back (revisits), and rotations,
+// some of which keep the payload unchanged.
+func (r *oracleRun) walk(rng *rand.Rand, pts []lattice.Point, k int) {
+	for m := 0; m < k; m++ {
+		i := rng.Intn(len(pts))
+		p := pts[i]
+		switch op := rng.Intn(10); {
+		case op < 2 && r.payloads:
+			pay := uint8(rng.Intn(6))
+			if op == 0 {
+				pay = r.g.Payload(p)
+			}
+			r.rotate(p, pay)
+		default:
+			q := lattice.Point{X: p.X + rng.Intn(5) - 2, Y: p.Y + rng.Intn(5) - 2}
+			if q == p || r.g.Has(q) {
+				continue
+			}
+			r.hop(p, q)
+			pts[i] = q
+			if op == 9 {
+				r.hop(q, p) // and straight back
+				pts[i] = p
+			}
+		}
+	}
+}
+
+// TestCoalesceMatchesMapOracle: the dense-table coalescer emits the bytes
+// of the map-based one it replaced, over seeded random intervals and the
+// shapes a cell table can get wrong — revisits, vacated sites refilled by
+// another particle, rotations that keep the payload, wide sparse boxes,
+// empty intervals, and successive boxes of different shape.
+func TestCoalesceMatchesMapOracle(t *testing.T) {
+	for _, payloads := range []bool{false, true} {
+		t.Run(fmt.Sprintf("payloads=%v", payloads), func(t *testing.T) {
+			t.Run("random", func(t *testing.T) {
+				rng := rand.New(rand.NewSource(7))
+				var pts []lattice.Point
+				for y := 0; y < 40; y++ {
+					for x := 0; x < 40; x++ {
+						if rng.Intn(2) == 0 {
+							pts = append(pts, lattice.Point{X: x, Y: y})
+						}
+					}
+				}
+				r := newOracleRun(t, pts, payloads)
+				r.snapshot()
+				for i := 0; i < 200; i++ {
+					r.walk(rng, pts, []int{0, 1, 2, 10, 100, 1350, 3000}[rng.Intn(7)])
+					r.snapshot()
+				}
+				if r.deltas < 100 {
+					t.Fatalf("only %d of %d records were deltas", r.deltas, r.seq)
+				}
+			})
+			t.Run("refill-and-rotate", func(t *testing.T) {
+				r := newOracleRun(t, line(lattice.Point{}, 12), payloads)
+				r.snapshot()
+				a, b := lattice.Point{X: 0}, lattice.Point{X: 1}
+				vacated, out := lattice.Point{X: 2}, lattice.Point{X: 2, Y: 1}
+				r.hop(vacated, out) // vacate…
+				r.hop(b, vacated)   // …refill with another particle…
+				r.hop(a, b)         // …and refill its site in turn
+				if payloads {
+					r.rotate(lattice.Point{X: 4}, r.g.Payload(lattice.Point{X: 4})) // unchanged payload
+					r.rotate(lattice.Point{X: 5}, 3)
+					r.rotate(lattice.Point{X: 5}, r.g.Payload(lattice.Point{X: 5}))
+				}
+				r.snapshot()
+				r.snapshot() // empty interval
+				if r.deltas != 2 {
+					t.Fatalf("%d deltas, want 2", r.deltas)
+				}
+			})
+			t.Run("sparse-boxes", func(t *testing.T) {
+				rng := rand.New(rand.NewSource(11))
+				clusters := []lattice.Point{{}, {X: 3000}, {Y: 2000}, {X: 700, Y: 900}, {X: -400, Y: 5}}
+				var all []lattice.Point
+				groups := make([][]lattice.Point, len(clusters))
+				for c, o := range clusters {
+					for y := 0; y < 4; y++ {
+						groups[c] = append(groups[c], line(lattice.Point{X: o.X, Y: o.Y + 2*y}, 8)...)
+					}
+					all = append(all, groups[c]...)
+				}
+				r := newOracleRun(t, all, payloads)
+				r.snapshot()
+				for i := 0; i < 60; i++ {
+					// Each interval moves particles of a random subset of
+					// the clusters: boxes from a few cells to ~3000×2000.
+					for c := range clusters {
+						if rng.Intn(3) == 0 {
+							r.walk(rng, groups[c], 1+rng.Intn(20))
+						}
+					}
+					r.snapshot()
+				}
+				if r.deltas < 30 {
+					t.Fatalf("only %d of %d records were deltas", r.deltas, r.seq)
+				}
+			})
+		})
 	}
 }

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"sops/internal/grid"
@@ -32,6 +33,14 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte("SOPF"))
 	f.Add([]byte{0x05, 0x02, 0x00, 0x01})
 	f.Add(bytes.Repeat([]byte{0xff}, 16))
+	// One interval of thousands of moves: every op byte is odd, so no
+	// snapshot falls before the script ends.
+	long := make([]byte, 2*maxScriptOps)
+	rand.New(rand.NewSource(1)).Read(long)
+	for i := 1; i < len(long); i += 2 {
+		long[i] |= 1
+	}
+	f.Add(long)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzDecode(t, data)
@@ -69,6 +78,9 @@ func fuzzDecode(t *testing.T, data []byte) {
 		}
 	}
 }
+
+// maxScriptOps caps the ops fuzzRoundTrip reads from one input.
+const maxScriptOps = 4096
 
 // fuzzRoundTrip reads data as a move script: two bytes per op over a small
 // payload-enabled grid, snapshotting every few ops.
@@ -117,7 +129,7 @@ func fuzzRoundTrip(t *testing.T, data []byte) {
 		}
 		seq++
 	}
-	for i := 0; i+1 < len(data) && i < 64; i += 2 {
+	for i := 0; i+1 < len(data) && i < 2*maxScriptOps; i += 2 {
 		a, b := data[i], data[i+1]
 		idx := int(a) % len(pts)
 		p := pts[idx]

@@ -97,7 +97,8 @@ func TestSubmitBodyIsOneBoundedObject(t *testing.T) {
 }
 
 // TestSubmitWorkLimits: a request for absurd work — a huge run n, a huge
-// sweep size, axes whose product is 10⁸ tasks, or 10¹² reps — is
+// sweep size, axes whose product is 10⁸ tasks, 10¹² reps, or a run
+// snapshotting every one of its 2·10⁹ steps — is
 // invalid_spec with a message naming the limit, creates no job, and is
 // refused before the server allocates anything near the point grid it
 // asks for (10⁸ points take about 7 GB).
@@ -114,6 +115,7 @@ func TestSubmitWorkLimits(t *testing.T) {
 		{"axis product", `{"spec":{"scenario":"compress","lambdas":[` + strings.Join(lambdas, ",") +
 			`],"sizes":[` + strings.Join(sizes, ",") + `]}}`, "100000 tasks"},
 		{"reps", `{"spec":{"scenario":"compress","reps":1000000000000}}`, "100000 tasks"},
+		{"run frames", `{"run":{"n":10,"lambda":4,"iterations":2000000000,"snapshot_every":1}}`, "10000 frames"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := len(s.mgr.Jobs())

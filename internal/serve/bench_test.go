@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,6 +104,48 @@ func BenchmarkFrameDelta(b *testing.B) {
 		total += len(enc.EncodeSnapshot(snap, moves, true, g))
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "frame_bytes")
+}
+
+// BenchmarkFrameDeltaInterval measures the frame encoder on the intervals
+// a serve run job streams: ten 20k-step chain intervals at n=50, λ=4 from
+// a line (about 1,350 accepted moves each while the line compresses),
+// recorded once with each snapshot's grid, then encoded by a fresh encoder
+// per op — one keyframe and nine coalesced deltas. BenchmarkFrameDelta's
+// two-move interval hides the coalescing cost this one reports.
+func BenchmarkFrameDeltaInterval(b *testing.B) {
+	type interval struct {
+		snap  frame.Snap
+		moves []frame.Move
+		grid  *grid.Grid
+	}
+	var ivs []interval
+	_, err := runner.Compress(runner.Options{
+		N: 50, Lambda: 4, Iterations: 200_000, Seed: 1, SnapshotEvery: 20_000,
+		DeltaFunc: func(s runner.Snapshot, d runner.Delta) {
+			ivs = append(ivs, interval{
+				snap: frame.Snap{
+					Seq: len(ivs), Iteration: s.Iteration, Perimeter: s.Perimeter,
+					Edges: s.Edges, Energy: s.Energy, Alpha: s.Alpha, Beta: s.Beta,
+					HoleFree: s.HoleFree,
+				},
+				moves: slices.Clone(d.Moves),
+				grid:  d.Grid.Clone(),
+			})
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var enc frame.Encoder
+		for _, iv := range ivs {
+			total += len(enc.EncodeSnapshot(iv.snap, iv.moves, true, iv.grid))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ivs)), "ns/frame")
+	b.ReportMetric(float64(total)/float64(b.N*len(ivs)), "frame_bytes")
 }
 
 // BenchmarkStreamFanout measures publish with live followers: one

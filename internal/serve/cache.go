@@ -53,6 +53,16 @@ type completion struct {
 	Owner string `json:"owner,omitempty"`
 }
 
+// serve marks job as served from the workspace c completes, taking its
+// task counts from c.
+func (c completion) serve(job *Job) {
+	job.CacheHit = true
+	if c.TasksTotal > 0 {
+		job.TasksTotal = c.TasksTotal
+	}
+	job.TasksFailed = c.TasksFailed
+}
+
 // jobDigest computes the content address of a normalized request.
 func jobDigest(req JobRequest) (string, error) {
 	switch req.Kind {

@@ -7,6 +7,7 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"sops/internal/experiment"
+	"sops/internal/runner"
 )
 
 // Cluster fault-injection and lifecycle tests: in-process nodes sharing one
@@ -289,6 +291,53 @@ func TestClusterFaultInjectionStealResume(t *testing.T) {
 	tasksAfter := counterVal(a, "tasks_run") + counterVal(b, "tasks_run") + counterVal(c, "tasks_run")
 	if tasksAfter != tasksBefore {
 		t.Fatalf("cache hit did simulation work: %d → %d", tasksBefore, tasksAfter)
+	}
+}
+
+// TestClusterCacheHitAtSubmit: a job done through node a and resubmitted
+// through node b is done in b's POST body, owned by b, and never leased;
+// either node streams it as the cold job's frames replayed from the store.
+func TestClusterCacheHitAtSubmit(t *testing.T) {
+	store := t.TempDir()
+	a := openNode(t, clusterOpts(store, "node-a"))
+	b := openNode(t, clusterOpts(store, "node-b"))
+	front := &Server{mgr: b, mux: http.NewServeMux()}
+	front.routes()
+	ts := httptest.NewServer(front)
+	t.Cleanup(ts.Close)
+
+	req := JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 3000, Seed: 9, SnapshotEvery: 1000}}
+	cold, err := a.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, a, cold.ID, StateDone, 30*time.Second)
+	coldFrames := collectFrames(t, a, cold.ID, 30*time.Second)
+	claimed := counterVal(a, "leases_claimed") + counterVal(b, "leases_claimed")
+
+	hit := submit(t, ts.URL, req)
+	if hit.State != StateDone || !hit.CacheHit || hit.Owner != "node-b" {
+		t.Fatalf("resubmission's POST body on node b: %+v, want done, cached, owned by node-b", hit)
+	}
+	if _, err := os.Stat(b.jobLeasePath(hit.ID)); !os.IsNotExist(err) {
+		t.Fatalf("lease file for the cache hit: %v", err)
+	}
+	if n := counterVal(a, "leases_claimed") + counterVal(b, "leases_claimed"); n != claimed {
+		t.Fatalf("leases_claimed %d → %d for a cache hit", claimed, n)
+	}
+	for _, m := range []*Manager{a, b} {
+		frames := collectFrames(t, m, hit.ID, 30*time.Second)
+		if len(frames) != len(coldFrames) {
+			t.Fatalf("%s streams %d frames, cold job %d", m.nodeID, len(frames), len(coldFrames))
+		}
+		for i, f := range frames[:len(frames)-1] {
+			if f.Seq != coldFrames[i].Seq || *f.Snapshot != *coldFrames[i].Snapshot {
+				t.Fatalf("%s: frame %d differs from the cold job's", m.nodeID, i)
+			}
+		}
+		if last := frames[len(frames)-1]; last.State != StateDone || !last.CacheHit {
+			t.Fatalf("%s: done frame %+v", m.nodeID, last)
+		}
 	}
 }
 

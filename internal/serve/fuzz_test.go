@@ -90,8 +90,9 @@ func FuzzLeaseFile(f *testing.F) {
 // FuzzSubmit feeds arbitrary bytes through the POST /v1/jobs decoder and
 // the request normalizer, the path every submission takes before a job
 // exists. It must never panic, and a request it accepts must be within the
-// work limits and already canonical: encoded and submitted again, it
-// normalizes to the same bytes and task count.
+// work limits — particles, tasks, and a run's snapshot frames — and
+// already canonical: encoded and submitted again, it normalizes to the
+// same bytes and task count.
 func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"run":{"n":8,"lambda":4,"iterations":2000,"seed":9}}`))
 	f.Add([]byte(`{"run":{"n":30,"lambda":4,"seed":5,"snapshot_every":50000,"engine":"amoebot","workers":3},"svg":true}`))
@@ -103,6 +104,8 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"spec":{"scenario":"compress","reps":9223372036854775807}}`))
 	f.Add([]byte(`{"kind":"run","spec":{"scenario":"compress"}}`))
 	f.Add([]byte(`{"run":{"n":1,"lambda":4}} {}`))
+	f.Add([]byte(`{"run":{"n":10,"lambda":4,"iterations":2000000000,"snapshot_every":1}}`))
+	f.Add([]byte(`{"run":{"n":10,"lambda":4,"iterations":100000,"snapshot_every":10}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeJobRequest(bytes.NewReader(body))
 		if err != nil {
@@ -116,6 +119,13 @@ func FuzzSubmit(f *testing.F) {
 		case req.Kind == KindRun && req.Run != nil && req.Spec == nil:
 			if req.Run.N > maxSubmitN || tasks != 1 {
 				t.Fatalf("accepted run n=%d as %d tasks", req.Run.N, tasks)
+			}
+			// The runner snapshots after every SnapshotEvery steps and
+			// after a final partial interval, unless one interval covers
+			// the whole budget.
+			iters, every := req.Run.Iterations, req.Run.SnapshotEvery
+			if every != 0 && every < iters && (iters-1)/every+1 > maxSubmitFrames {
+				t.Fatalf("accepted a run of %d iterations snapshotting every %d", iters, every)
 			}
 		case req.Kind == KindSweep && req.Spec != nil && req.Run == nil:
 			for _, n := range req.Spec.Sizes {

@@ -77,8 +77,8 @@ type JobRequest struct {
 
 // normalize validates the request, infers Kind, and canonicalizes the
 // embedded spec/options in place. It returns the number of tasks the job
-// runs, refusing work past maxSubmitN or maxSubmitTasks before anything
-// is allocated for it.
+// runs, refusing work past maxSubmitN, maxSubmitTasks or maxSubmitFrames
+// before anything is allocated for it.
 func (r *JobRequest) normalize() (int, error) {
 	switch {
 	case r.Spec != nil && r.Run != nil:
@@ -125,10 +125,27 @@ func (r *JobRequest) normalize() (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		if n := snapshots(norm); n > maxSubmitFrames {
+			return 0, fmt.Errorf("serve: run takes %d snapshots (iterations / snapshot_every), over the limit of %d frames", n, maxSubmitFrames)
+		}
 		*r.Run = norm
 		return 1, nil
 	}
 	return 0, fmt.Errorf("serve: job request needs a sweep spec or run options")
+}
+
+// snapshots returns how many snapshots a normalized run takes: one per
+// SnapshotEvery iterations, the last after a partial interval, and none
+// when SnapshotEvery is zero or covers the whole budget.
+func snapshots(o runner.Options) uint64 {
+	if o.SnapshotEvery == 0 || o.SnapshotEvery >= o.Iterations {
+		return 0
+	}
+	n := o.Iterations / o.SnapshotEvery
+	if o.Iterations%o.SnapshotEvery != 0 {
+		n++
+	}
+	return n
 }
 
 // Job is the REST representation of one submitted job — what GET

@@ -92,7 +92,8 @@ type handle struct {
 	canceled bool
 	// coldStream marks a terminal job whose frame history lives in the
 	// store, not in memory — set for jobs recovered from a previous
-	// process and for completed run jobs once their frames are persisted.
+	// process, for cache hits answered at submit, and for completed run
+	// jobs once their frames are persisted.
 	// The first Stream call hydrates it, so neither restart cost nor
 	// resident memory scales with the store's history.
 	coldStream bool
@@ -336,9 +337,10 @@ func (m *Manager) loadRecords() ([]*handle, error) {
 func (m *Manager) Submit(req JobRequest) (Job, error) { return m.SubmitAs(req, "") }
 
 // SubmitAs validates, records, and enqueues a job on behalf of a client
-// quota key. The returned Job is the accepted record (state pending). It
-// sheds with ErrBusy when the node is at capacity and ErrQuota when the
-// client is over its per-client limit.
+// quota key. The returned Job is the accepted record: state pending, or
+// state done for a cache hit, which SubmitAs answers itself. It sheds a
+// job it must run with ErrBusy when the node is at capacity and ErrQuota
+// when the client is over its per-client limit.
 func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 	tasks, err := req.normalize()
 	if err != nil {
@@ -359,6 +361,11 @@ func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 	}
 	h := &handle{stream: newStream()}
 	h.pub = h.stream
+	if cacheable(req) {
+		if c, ok := readCompletion(m.workspace(&job), digest); ok {
+			return m.submitCached(h, job, c)
+		}
+	}
 
 	m.mu.Lock()
 	if m.closing {
@@ -375,20 +382,11 @@ func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 		m.add("requests_shed", 1)
 		return Job{}, fmt.Errorf("%w (client %q, %d active jobs)", ErrQuota, client, m.clientQuota)
 	}
-	job.ID = fmt.Sprintf("j%08d", m.seq)
-	if m.cluster() {
-		// Node-scoped IDs: two nodes allocating concurrently over one
-		// store must never collide on a record path.
-		job.ID += "-" + m.nodeID
-	}
-	m.seq++
 	m.active[client]++
 	m.activeTotal++
-	h.job = job
 	h.counted = true
 	h.remote = m.cluster() // until this node claims the lease below
-	m.jobs[job.ID] = h
-	m.order = append(m.order, job.ID)
+	m.register(h, &job)
 	m.mu.Unlock()
 
 	if err := m.persist(h); err != nil {
@@ -423,6 +421,51 @@ func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 	}
 	m.add("jobs_submitted", 1)
 	return h.view(), nil
+}
+
+// submitCached answers a submission the store already holds a completed
+// workspace for: the job is born done, persisted once, and registered as a
+// cold stream that replays the stored frames on first request. It takes no
+// admission slot, so it is never shed, and no worker or lease ever sees it.
+func (m *Manager) submitCached(h *handle, job Job, c completion) (Job, error) {
+	now := time.Now().UTC()
+	job.State = StateDone
+	job.StartedAt, job.FinishedAt = &now, &now
+	c.serve(&job)
+	if m.cluster() {
+		job.Owner = m.nodeID
+	}
+	h.coldStream = true
+	m.mu.Lock()
+	if m.closing {
+		m.mu.Unlock()
+		return Job{}, fmt.Errorf("serve: manager is shutting down")
+	}
+	m.register(h, &job)
+	m.mu.Unlock()
+	if err := m.persist(h); err != nil {
+		m.withdraw(h)
+		return Job{}, err
+	}
+	m.add("jobs_submitted", 1)
+	m.add("cache_hits", 1)
+	m.add("jobs_completed", 1)
+	return h.view(), nil
+}
+
+// register assigns job the next ID and enters it into the job table as
+// h's record. The caller holds m.mu.
+func (m *Manager) register(h *handle, job *Job) {
+	job.ID = fmt.Sprintf("j%08d", m.seq)
+	if m.cluster() {
+		// Node-scoped IDs: two nodes allocating concurrently over one
+		// store must never collide on a record path.
+		job.ID += "-" + m.nodeID
+	}
+	m.seq++
+	h.job = *job
+	m.jobs[job.ID] = h
+	m.order = append(m.order, job.ID)
 }
 
 // withdraw removes a just-submitted job that was never admitted to any
@@ -982,9 +1025,6 @@ func (m *Manager) runSweep(ctx context.Context, h *handle) error {
 	job := h.view()
 	dir := m.workspace(&job)
 	pub := h.pubStream()
-	if m.tryCached(h, dir) {
-		return nil
-	}
 	lk := m.digestLock(job.Digest)
 	lk.Lock()
 	defer lk.Unlock()
@@ -1053,9 +1093,6 @@ func (m *Manager) runRun(ctx context.Context, h *handle) error {
 	job := h.view()
 	dir := m.workspace(&job)
 	pub := h.pubStream()
-	if cacheable(job.Request) && m.tryCached(h, dir) {
-		return nil
-	}
 	lk := m.digestLock(job.Digest)
 	lk.Lock()
 	defer lk.Unlock()
@@ -1143,11 +1180,15 @@ func (m *Manager) runRun(ctx context.Context, h *handle) error {
 	return writeCompletion(dir, completion{Digest: job.Digest, ResultFile: "result.json", Owner: m.nodeID})
 }
 
-// tryCached serves the job from a completed workspace. Returning true means
-// the job is done without any simulation work — the cache hit the digest
-// scheme promises. The stored completion must name the job's full digest:
-// workspaces are keyed by a 16-hex prefix, and serving across a prefix
-// collision (or a hand-copied store directory) would be a silent lie.
+// tryCached serves a queued job from a completed workspace. Returning true
+// means the job is done without any simulation work — the cache hit the
+// digest scheme promises. A workspace already complete at submission is
+// answered by SubmitAs; this check, under the digest lock, catches a job
+// whose identical twin finished while it queued and a recovered job whose
+// workspace completed before the crash. The stored completion must name
+// the job's full digest: workspaces are keyed by a 16-hex prefix, and
+// serving across a prefix collision (or a hand-copied store directory)
+// would be a silent lie.
 func (m *Manager) tryCached(h *handle, dir string) bool {
 	job := h.view()
 	c, ok := readCompletion(dir, job.Digest)
@@ -1155,11 +1196,7 @@ func (m *Manager) tryCached(h *handle, dir string) bool {
 		return false
 	}
 	h.mu.Lock()
-	h.job.CacheHit = true
-	if c.TasksTotal > 0 {
-		h.job.TasksTotal = c.TasksTotal
-	}
-	h.job.TasksFailed = c.TasksFailed
+	c.serve(&h.job)
 	h.mu.Unlock()
 	if job.Kind == KindRun {
 		m.replayStoredFrames(h.pubStream(), &job)

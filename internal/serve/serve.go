@@ -144,11 +144,13 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 const maxSubmitBytes = 1 << 20
 
 // The body cap bounds bytes, not work. These bound the work one accepted
-// request can ask for: the particles of a run or of any sweep size, and
-// the (point, rep) tasks a sweep expands to.
+// request can ask for: the particles of a run or of any sweep size, the
+// (point, rep) tasks a sweep expands to, and the snapshots a run takes —
+// each one a frame in the stream log and an entry of Result.Snapshots.
 const (
-	maxSubmitN     = 1_000_000
-	maxSubmitTasks = 100_000
+	maxSubmitN      = 1_000_000
+	maxSubmitTasks  = 100_000
+	maxSubmitFrames = 10_000
 )
 
 // decodeJobRequest reads a POST /v1/jobs body: exactly one JobRequest

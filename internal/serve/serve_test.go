@@ -262,6 +262,113 @@ func TestSubmitStreamFetchCachedResubmit(t *testing.T) {
 	}
 }
 
+// streamBytes reads a job's whole NDJSON stream.
+func streamBytes(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream %s: status %d, %v: %s", id, resp.StatusCode, err, raw)
+	}
+	return raw
+}
+
+// checkCachedStream asserts that a cache hit's NDJSON stream replays the
+// cold job's frames exactly and ends in the same done frame, marked as a
+// cache hit.
+func checkCachedStream(t *testing.T, cold, cached []byte) {
+	t.Helper()
+	coldLines := bytes.Split(bytes.TrimSuffix(cold, []byte("\n")), []byte("\n"))
+	cachedLines := bytes.Split(bytes.TrimSuffix(cached, []byte("\n")), []byte("\n"))
+	if len(coldLines) < 2 || len(cachedLines) != len(coldLines) {
+		t.Fatalf("cached stream has %d lines, cold stream %d", len(cachedLines), len(coldLines))
+	}
+	last := len(coldLines) - 1
+	for i := range last {
+		if !bytes.Equal(cachedLines[i], coldLines[i]) {
+			t.Fatalf("frame %d differs on replay:\n%s\nvs\n%s", i, cachedLines[i], coldLines[i])
+		}
+	}
+	var coldDone, cachedDone Frame
+	if err := json.Unmarshal(coldLines[last], &coldDone); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(cachedLines[last], &cachedDone); err != nil {
+		t.Fatal(err)
+	}
+	if cachedDone.Type != FrameDone || cachedDone.Seq != coldDone.Seq ||
+		cachedDone.State != coldDone.State || !cachedDone.CacheHit {
+		t.Fatalf("cached done frame %s after cold done frame %s", cachedLines[last], coldLines[last])
+	}
+}
+
+// TestCacheHitAnsweredAtSubmit: resubmitting a completed run job is
+// answered by the POST itself — its body is the finished record — and the
+// job's stream replays the cold job's frames from the store, with no
+// simulation work and one count each of submitted, cache hit, completed.
+func TestCacheHitAnsweredAtSubmit(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	base := ts.URL
+	req := JobRequest{Run: &runner.Options{N: 12, Lambda: 4, Iterations: 4000, Seed: 3, SnapshotEvery: 1000}}
+	cold := submit(t, base, req)
+	waitState(t, base, cold.ID, StateDone)
+	coldStream := streamBytes(t, base, cold.ID)
+	before := metricsMap(t, base)
+
+	hit := submit(t, base, req)
+	if hit.State != StateDone || !hit.CacheHit || hit.TasksTotal != 1 ||
+		hit.StartedAt == nil || hit.FinishedAt == nil || !hit.StartedAt.Equal(*hit.FinishedAt) {
+		t.Fatalf("resubmission's POST body is %+v, want a finished cache hit", hit)
+	}
+	checkCachedStream(t, coldStream, streamBytes(t, base, hit.ID))
+	if got := getJob(t, base, hit.ID); got.State != StateDone || !got.CacheHit {
+		t.Fatalf("cache hit's record: %+v", got)
+	}
+	after := metricsMap(t, base)
+	for name, want := range map[string]int64{"tasks_run": 0, "jobs_submitted": 1, "cache_hits": 1, "jobs_completed": 1} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestCacheHitIsNeverShed: a cache hit takes no admission slot, so a node
+// whose only slot a long job holds still answers a resubmission of a
+// completed job with 202 done instead of shedding it.
+func TestCacheHitIsNeverShed(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxActive: 1, ClientQuota: 1, Jobs: 1})
+	base := ts.URL
+	done := submit(t, base, JobRequest{Spec: smallSweep(70)})
+	waitState(t, base, done.ID, StateDone)
+	hog := submit(t, base, JobRequest{Spec: &experiment.Spec{
+		Scenario: "compress", Lambdas: []float64{4}, Sizes: []int{60},
+		Engines: []string{"chain"}, Iterations: 40_000_000, SnapshotEvery: 100_000,
+		Reps: 2, Seed: 71,
+	}})
+	before := metricsMap(t, base)
+	hit := submit(t, base, JobRequest{Spec: smallSweep(70)})
+	if hit.State != StateDone || !hit.CacheHit {
+		t.Fatalf("resubmission at capacity: %+v, want a done cache hit", hit)
+	}
+	if after := metricsMap(t, base); after["requests_shed"] != before["requests_shed"] {
+		t.Fatalf("requests_shed %d → %d", before["requests_shed"], after["requests_shed"])
+	}
+	if st := getJob(t, base, hog.ID).State; terminal(st) {
+		t.Fatalf("the long job ended (%s) before the resubmission was checked", st)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+hog.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, base, hog.ID, StateCanceled)
+}
+
 // TestRunJobStreamsSVGAndCachesFrames: run jobs stream SVG-bearing
 // snapshots, persist their frames, and replay them byte-identically on a
 // cache hit.

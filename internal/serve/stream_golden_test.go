@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"testing"
 
 	"sops/internal/experiment"
@@ -68,19 +66,7 @@ func TestGoldenStreams(t *testing.T) {
 			_, ts := newTestServer(t, Options{TaskWorkers: 1})
 			job := submit(t, ts.URL, tc.Req)
 			waitState(t, ts.URL, job.ID, StateDone)
-			resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/stream")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("stream: %d (%s)", resp.StatusCode, body)
-			}
-			checkGolden(t, fmt.Sprintf("streams/%s.ndjson", tc.Name), body)
+			checkGolden(t, fmt.Sprintf("streams/%s.ndjson", tc.Name), streamBytes(t, ts.URL, job.ID))
 		})
 	}
 }
