@@ -211,7 +211,7 @@ func BenchmarkAlgorithmA(b *testing.B) {
 		// flag contention, so the activation budget is ~4× Fig 2's
 		// iteration budget for a comparable trajectory length.
 		res, err := sops.Compress(sops.Options{
-			N: 50, Lambda: 4, Iterations: 5_000_000, Seed: uint64(i + 1), Distributed: true,
+			N: 50, Lambda: 4, Iterations: 5_000_000, Seed: uint64(i + 1), Engine: sops.EngineAmoebot,
 		})
 		if err != nil {
 			b.Fatal(err)

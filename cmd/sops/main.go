@@ -22,10 +22,13 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
+
+	"sops"
 )
 
 // commands is the subcommand dispatch table; dispatch resolves names against
@@ -88,6 +91,22 @@ commands:
 
 run 'sops <command> -h' for the command's flags.
 `)
+}
+
+// forageFlags registers the -forage-* flags of run and sweep on fs. The
+// returned function assembles the parsed flags into a forage schedule, nil
+// when none is set.
+func forageFlags(fs *flag.FlagSet) func() *sops.ForageSpec {
+	low := fs.Float64("forage-lambda-low", 0, "forage rule: bias λ_low away from food and after exhaustion (0 = default 1)")
+	radius := fs.Int("forage-radius", 0, "forage rule: food-disk radius in hex distance (0 = default 4)")
+	food := fs.Uint64("forage-food", 0, "forage rule: iterations until the food is exhausted (0 = default 60000)")
+	epoch := fs.Uint64("forage-epoch", 0, "forage rule: bias epoch length in iterations (0 = default 1024)")
+	return func() *sops.ForageSpec {
+		if *low == 0 && *radius == 0 && *food == 0 && *epoch == 0 {
+			return nil
+		}
+		return &sops.ForageSpec{LambdaLow: *low, Radius: *radius, FoodSteps: *food, Epoch: *epoch}
+	}
 }
 
 // parseFloats parses a comma-separated float list ("" → nil).

@@ -22,10 +22,7 @@ func cmdRun(args []string) error {
 		engine    = fs.String("engine", experiment.EngineChain, "execution engine: chain|kmc|amoebot")
 		ruleName  = fs.String("rule", sops.RuleCompression, "local rule: compression|align|forage")
 		states    = fs.Int("states", 0, "payload state count for payload rules (0 = rule default; align defaults to 6 orientations)")
-		forageLow = fs.Float64("forage-lambda-low", 0, "forage rule: bias λ_low away from food and after exhaustion (0 = default 1)")
-		forageRad = fs.Int("forage-radius", 0, "forage rule: food-disk radius in hex distance (0 = default 4)")
-		forageDur = fs.Uint64("forage-food", 0, "forage rule: iterations until the food is exhausted (0 = default 60000)")
-		forageEp  = fs.Uint64("forage-epoch", 0, "forage rule: bias epoch length in iterations (0 = default 1024)")
+		forage    = forageFlags(fs)
 		workers   = fs.Int("workers", 0, "drive an amoebot run with this many concurrent goroutines")
 		crash     = fs.Float64("crash", 0, "fraction of particles to crash-fail (amoebot engine only)")
 		snapshots = fs.Int("snapshots", 5, "number of equally spaced snapshots to print")
@@ -34,7 +31,7 @@ func cmdRun(args []string) error {
 	)
 	fs.Parse(args)
 
-	opts := sops.Options{
+	opts, err := sops.Options{
 		N:             *n,
 		Lambda:        *lambda,
 		Iterations:    *iters,
@@ -43,26 +40,15 @@ func cmdRun(args []string) error {
 		Engine:        *engine,
 		Rule:          *ruleName,
 		RuleStates:    *states,
+		Forage:        forage(),
 		CrashFraction: *crash,
 		Workers:       *workers,
-	}
-	if *forageLow != 0 || *forageRad != 0 || *forageDur != 0 || *forageEp != 0 {
-		if *ruleName != sops.RuleForage {
-			return fmt.Errorf("-forage-* flags require -rule %s", sops.RuleForage)
-		}
-		opts.Forage = &sops.ForageSpec{
-			LambdaLow: *forageLow,
-			Radius:    *forageRad,
-			FoodSteps: *forageDur,
-			Epoch:     *forageEp,
-		}
-	}
-	total := opts.Iterations
-	if total == 0 {
-		total = 200 * uint64(*n) * uint64(*n)
+	}.Normalized()
+	if err != nil {
+		return err
 	}
 	if *snapshots > 0 {
-		opts.SnapshotEvery = total / uint64(*snapshots)
+		opts.SnapshotEvery = opts.Iterations / uint64(*snapshots)
 	}
 
 	res, err := sops.Compress(opts)

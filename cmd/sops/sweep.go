@@ -22,25 +22,22 @@ import (
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sops sweep", flag.ExitOnError)
 	var (
-		scenario  = fs.String("scenario", "compress", "workload from the registry (see `sops list-scenarios`)")
-		lambdas   = fs.String("lambdas", "", "comma-separated λ values (scenario default if empty)")
-		sizes     = fs.String("sizes", "", "comma-separated particle counts (scenario default if empty)")
-		starts    = fs.String("starts", "", "comma-separated start shapes: line|spiral|random|tree")
-		engines   = fs.String("engines", "", "comma-separated engines: chain|kmc|amoebot")
-		rules     = fs.String("rules", "", "comma-separated local rules: compression|align|forage (scenario default if empty)")
-		states    = fs.Int("states", 0, "payload state count for payload rules (0 = rule default)")
-		forageLow = fs.Float64("forage-lambda-low", 0, "forage rule: bias λ_low away from food and after exhaustion (0 = default 1)")
-		forageRad = fs.Int("forage-radius", 0, "forage rule: food-disk radius in hex distance (0 = default 4)")
-		forageDur = fs.Uint64("forage-food", 0, "forage rule: iterations until the food is exhausted (0 = default 60000)")
-		forageEp  = fs.Uint64("forage-epoch", 0, "forage rule: bias epoch length in iterations (0 = default 1024)")
-		crash     = fs.String("crash", "", "comma-separated crash fractions (amoebot engine only)")
-		reps      = fs.Int("reps", 3, "independent replications per sweep point")
-		iters     = fs.Uint64("iters", 0, "per-run budget (0 = scenario default)")
-		snapshot  = fs.Uint64("snapshot-every", 0, "record snapshot metrics at this cadence (0 = off)")
-		seed      = fs.Uint64("seed", 1, "base seed; task seeds derive from it deterministically")
-		workers   = fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		dir       = fs.String("dir", "", "experiment directory for the journal and result files (enables resume)")
-		quiet     = fs.Bool("quiet", false, "suppress per-task progress on stderr")
+		scenario = fs.String("scenario", "compress", "workload from the registry (see `sops list-scenarios`)")
+		lambdas  = fs.String("lambdas", "", "comma-separated λ values (scenario default if empty)")
+		sizes    = fs.String("sizes", "", "comma-separated particle counts (scenario default if empty)")
+		starts   = fs.String("starts", "", "comma-separated start shapes: line|spiral|random|tree")
+		engines  = fs.String("engines", "", "comma-separated engines: chain|kmc|amoebot")
+		rules    = fs.String("rules", "", "comma-separated local rules: compression|align|forage (scenario default if empty)")
+		states   = fs.Int("states", 0, "payload state count for payload rules (0 = rule default)")
+		forage   = forageFlags(fs)
+		crash    = fs.String("crash", "", "comma-separated crash fractions (amoebot engine only)")
+		reps     = fs.Int("reps", 3, "independent replications per sweep point")
+		iters    = fs.Uint64("iters", 0, "per-run budget (0 = scenario default)")
+		snapshot = fs.Uint64("snapshot-every", 0, "record snapshot metrics at this cadence (0 = off)")
+		seed     = fs.Uint64("seed", 1, "base seed; task seeds derive from it deterministically")
+		workers  = fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+		dir      = fs.String("dir", "", "experiment directory for the journal and result files (enables resume)")
+		quiet    = fs.Bool("quiet", false, "suppress per-task progress on stderr")
 	)
 	fs.Parse(args)
 
@@ -64,19 +61,12 @@ func cmdSweep(args []string) error {
 		Engines:        parseStrings(*engines),
 		Rules:          parseStrings(*rules),
 		RuleStates:     *states,
+		Forage:         forage(),
 		CrashFractions: crashes,
 		Reps:           *reps,
 		Iterations:     *iters,
 		SnapshotEvery:  *snapshot,
 		Seed:           *seed,
-	}
-	if *forageLow != 0 || *forageRad != 0 || *forageDur != 0 || *forageEp != 0 {
-		spec.Forage = &sops.ForageSpec{
-			LambdaLow: *forageLow,
-			Radius:    *forageRad,
-			FoodSteps: *forageDur,
-			Epoch:     *forageEp,
-		}
 	}
 	return runSweep(spec, *dir, *workers, *quiet)
 }

@@ -20,7 +20,7 @@ func main() {
 		Lambda:        5,
 		Iterations:    3_000_000,
 		Seed:          7,
-		Distributed:   true, // the real amoebot algorithm with Poisson clocks
+		Engine:        sops.EngineAmoebot, // the real amoebot algorithm with Poisson clocks
 		CrashFraction: 0.10,
 		SnapshotEvery: 750_000,
 	})

@@ -25,22 +25,12 @@ func newSequential(sp Spec, t Task) (runner.Sequential, error) {
 	if t.Point.Rule == runner.RuleForage {
 		ru, err = t.Arena.ForageRule(t.Point.Lambda, sp.Forage)
 	} else {
-		ru, err = t.Arena.Rule(t.Point.Rule, t.Point.Lambda, ruleStatesFor(t.Point.Rule, sp.RuleStates))
+		ru, err = t.Arena.Rule(t.Point.Rule, t.Point.Lambda, sp.RuleStates)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return t.Arena.Sequential(t.Point.Engine, runner.StartShape(t.Point.Start), t.Point.N, ru, t.Seed)
-}
-
-// forageFor resolves the Spec.Forage schedule for one point: the schedule
-// belongs to the forage rule; points of other rules on a mixed axis ignore
-// it (handing it to runner.Options would be an error there).
-func forageFor(sp Spec, p Point) *runner.ForageSpec {
-	if p.Rule == runner.RuleForage {
-		return sp.Forage
-	}
-	return nil
 }
 
 // The built-in scenarios: every workload the five pre-consolidation binaries
@@ -187,22 +177,7 @@ func init() {
 }
 
 func runCompress(sp Spec, t Task) (Metrics, error) {
-	opts := runner.Options{
-		N:             t.Point.N,
-		Lambda:        t.Point.Lambda,
-		Iterations:    sp.Iterations,
-		Seed:          t.Seed,
-		Start:         runner.StartShape(t.Point.Start),
-		Engine:        t.Point.Engine,
-		Rule:          t.Point.Rule,
-		RuleStates:    ruleStatesFor(t.Point.Rule, sp.RuleStates),
-		Forage:        forageFor(sp, t.Point),
-		CrashFraction: t.Point.Crash,
-		SnapshotEvery: sp.SnapshotEvery,
-		SnapshotFunc:  t.OnSnapshot,
-		Interrupt:     t.Interrupt,
-	}
-	res, err := t.Arena.Compress(opts)
+	res, err := t.Arena.Compress(sp.options(t))
 	if err != nil {
 		return nil, err
 	}
@@ -248,8 +223,8 @@ func runForage(sp Spec, t Task) (Metrics, error) {
 	if t.Point.Rule != runner.RuleForage {
 		return nil, fmt.Errorf("scenario requires rule %q, got %q", runner.RuleForage, t.Point.Rule)
 	}
-	sched := forageFor(sp, t.Point)
-	resolved := sched.Normalized()
+	opts := sp.options(t)
+	resolved := opts.Forage.Normalized()
 	if resolved == nil {
 		r := runner.ForageSpec{}.WithDefaults()
 		resolved = &r
@@ -273,28 +248,15 @@ func runForage(sp Spec, t Task) (Metrics, error) {
 		occ  float64
 	}
 	var samples []occSample
-	opts := runner.Options{
-		N:             t.Point.N,
-		Lambda:        t.Point.Lambda,
-		Iterations:    iters,
-		Seed:          t.Seed,
-		Start:         runner.StartShape(t.Point.Start),
-		Engine:        t.Point.Engine,
-		Rule:          t.Point.Rule,
-		Forage:        sched,
-		CrashFraction: t.Point.Crash,
-		SnapshotEvery: every,
-		SnapshotFunc:  t.OnSnapshot,
-		DeltaFunc: func(s runner.Snapshot, d runner.Delta) {
-			occ := 0
-			for _, p := range disk {
-				if d.Grid.Has(p) {
-					occ++
-				}
+	opts.Iterations, opts.SnapshotEvery = iters, every
+	opts.DeltaFunc = func(s runner.Snapshot, d runner.Delta) {
+		occ := 0
+		for _, p := range disk {
+			if d.Grid.Has(p) {
+				occ++
 			}
-			samples = append(samples, occSample{s.Iteration, float64(occ) / float64(len(disk))})
-		},
-		Interrupt: t.Interrupt,
+		}
+		samples = append(samples, occSample{s.Iteration, float64(occ) / float64(len(disk))})
 	}
 	res, err := t.Arena.Compress(opts)
 	if err != nil {

@@ -15,6 +15,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"sops/internal/rule"
 	"sops/internal/runner"
@@ -163,100 +164,118 @@ func (s Spec) normalized(sc Scenario) (Spec, error) {
 			return s, fmt.Errorf("experiment: %w", err)
 		}
 	}
+	rules := s.Rules
+	if len(rules) == 0 {
+		rules = []string{runner.RuleCompression}
+	}
+	// Every other option of the sweep's runs is runner's to check: each
+	// axis value once (each distinct engine × crash pair and rule once), in
+	// the run options of a point that takes every other axis at its first
+	// value. The grid is never expanded, and no rule is compiled twice.
+	first := Point{Lambda: s.Lambdas[0], N: s.Sizes[0], Start: s.Starts[0], Engine: s.Engines[0],
+		Rule: rules[0], Crash: s.CrashFractions[0]}
+	check := func(p Point) error {
+		if err := s.options(Task{Point: p}).Validate(); err != nil {
+			return fmt.Errorf("experiment: %w", err)
+		}
+		return nil
+	}
 	for _, n := range s.Sizes {
-		if n < 1 {
-			return s, fmt.Errorf("experiment: size must be positive, got %d", n)
+		p := first
+		p.N = n
+		if err := check(p); err != nil {
+			return s, err
 		}
 	}
 	for _, st := range s.Starts {
-		if !validStart(st) {
-			return s, fmt.Errorf("experiment: unknown start shape %q", st)
+		p := first
+		p.Start = st
+		if err := check(p); err != nil {
+			return s, err
 		}
 	}
-	anySequential := false
-	for _, e := range s.Engines {
-		switch e {
-		case EngineChain, EngineKMC:
-			anySequential = true
-		case EngineAmoebot:
-		default:
-			return s, fmt.Errorf("experiment: unknown engine %q (want %s|%s|%s)", e, EngineChain, EngineKMC, EngineAmoebot)
+	for _, e := range distinct(s.Engines) {
+		for _, c := range distinct(s.CrashFractions) {
+			p := first
+			p.Engine, p.Crash = e, c
+			if err := check(p); err != nil {
+				return s, err
+			}
 		}
 	}
-	// The rule axis: every named rule must compile (against a harmless λ;
-	// per-task λ comes from the grid), and a compression-only axis collapses
-	// to empty so the normalized Spec — the identity resume checks — is
-	// unchanged for every pre-rule-axis experiment directory.
-	for _, rn := range s.Rules {
-		if _, err := rule.New(rn, 1, ruleStatesFor(rn, s.RuleStates)); err != nil {
+	// Each rule compiles once, which checks its name, its states and the
+	// forage schedule. A states override survives only if a payload rule
+	// keeps it, so a stray one cannot make two behaviorally identical
+	// sweeps look like different experiments.
+	keepStates := false
+	for _, r := range distinct(rules) {
+		p := first
+		p.Rule = r
+		o, err := s.options(Task{Point: p}).Normalized()
+		if err != nil {
 			return s, fmt.Errorf("experiment: %w", err)
 		}
+		keepStates = keepStates || o.RuleStates != 0
 	}
+	if !keepStates {
+		s.RuleStates = 0
+	}
+	// A compression-only axis collapses to empty and a schedule equal to
+	// the default to nil, so the normalized Spec — the identity resume
+	// checks — is unchanged for every experiment directory journaled before
+	// the rule axis or the schedule existed.
 	if len(s.Rules) == 1 && s.Rules[0] == runner.RuleCompression {
 		s.Rules = nil
 	}
-	// The forage schedule: only meaningful with the forage rule on the
-	// axis, validated by compiling against a harmless λ, and collapsed to
-	// its canonical form (nil when it equals the default schedule) so
-	// spec.json stays byte-identical for every sweep that never set it.
-	if s.Forage != nil {
-		hasForage := false
-		for _, rn := range s.Rules {
-			if rn == runner.RuleForage {
-				hasForage = true
-			}
-		}
-		if !hasForage {
-			return s, fmt.Errorf("experiment: Forage schedule requires rule %q on the rules axis", runner.RuleForage)
-		}
-		if _, err := runner.NewRule(runner.RuleForage, 1, 0, s.Forage); err != nil {
-			return s, fmt.Errorf("experiment: %w", err)
-		}
-	}
 	s.Forage = s.Forage.Normalized()
-	if s.RuleStates < 0 {
-		return s, fmt.Errorf("experiment: RuleStates must be non-negative, got %d", s.RuleStates)
-	}
-	// A states override only means something to a payload rule; drop it
-	// otherwise so it cannot leak into spec.json and make two behaviorally
-	// identical sweeps look like different experiments.
-	anyPayload := false
-	for _, rn := range s.Rules {
-		if ruleStatesFor(rn, s.RuleStates) != 0 {
-			anyPayload = true
-		}
-	}
-	if !anyPayload {
-		s.RuleStates = 0
-	}
-	for _, c := range s.CrashFractions {
-		if c < 0 || c >= 1 {
-			return s, fmt.Errorf("experiment: crash fraction must be in [0,1), got %v", c)
-		}
-		if c > 0 && anySequential {
-			return s, fmt.Errorf("experiment: crash fraction %v requires engine %q only", c, EngineAmoebot)
-		}
-	}
 	return s, nil
 }
 
-// ruleStatesFor resolves the Spec-level RuleStates override for one named
-// rule: payload rules take it, stateless rules ignore it (the override is a
-// payload knob; handing it to compression would be an error).
-func ruleStatesFor(name string, states int) int {
-	if name == "" || name == runner.RuleCompression {
-		return 0
-	}
-	return states
-}
-
-func validStart(s string) bool {
-	for _, shape := range runner.StartShapes() {
-		if s == string(shape) {
-			return true
+// distinct returns vs without repeats, in first-seen order.
+func distinct[T comparable](vs []T) []T {
+	seen := make(map[T]bool, len(vs))
+	var out []T
+	for _, v := range vs {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
 		}
 	}
-	return false
+	return out
+}
+
+// options returns the run options of a task: its point's axis values, the
+// spec's budget, states override, forage schedule and snapshot cadence, and
+// the task's seed and hooks. Normalization checks these same options.
+func (s Spec) options(t Task) runner.Options {
+	p := t.Point
+	return runner.Options{
+		N:             p.N,
+		Lambda:        p.Lambda,
+		Iterations:    s.Iterations,
+		Seed:          t.Seed,
+		Start:         runner.StartShape(p.Start),
+		Engine:        p.Engine,
+		Rule:          p.Rule,
+		RuleStates:    s.RuleStates,
+		Forage:        forageFor(s, p),
+		CrashFraction: p.Crash,
+		SnapshotEvery: s.SnapshotEvery,
+		SnapshotFunc:  t.OnSnapshot,
+		Interrupt:     t.Interrupt,
+	}
+}
+
+// forageFor returns the Spec.Forage schedule a point's run carries. The
+// schedule belongs to the forage rule: on a rules axis with forage, points
+// of other rules run without it. On an axis without forage every point
+// carries it, and runner refuses a schedule on any other rule, so such a
+// spec does not normalize.
+func forageFor(sp Spec, p Point) *runner.ForageSpec {
+	if p.Rule == runner.RuleForage || !slices.Contains(sp.Rules, runner.RuleForage) {
+		return sp.Forage
+	}
+	return nil
 }
 
 // points expands the axes into the sweep grid. The order — λ outermost, then

@@ -23,8 +23,7 @@ import (
 // the chain/kMC engines, grid, index buffers, move log and the Result
 // itself are recycled via the engines' Reset, so steady-state chain and kMC
 // task execution performs no cross-task allocation (asserted by
-// TestArenaCompressZeroAlloc). Amoebot and stripe-sharded runs build their
-// engine per task.
+// TestArenaCompressZeroAlloc). Amoebot runs build their engine per task.
 //
 // The returned Result — including its Points and Snapshots slices — is owned
 // by the arena and valid only until the next Compress call; callers that
@@ -69,7 +68,7 @@ func NewArena() *Arena {
 // Compress runs one task — any engine, any option, any hook — reusing the
 // arena's rules, start shapes, engines and buffers.
 func (a *Arena) Compress(opts Options) (*Result, error) {
-	engine, err := opts.engine()
+	opts, err := opts.resolved()
 	if err != nil {
 		return nil, err
 	}
@@ -77,19 +76,13 @@ func (a *Arena) Compress(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validate(engine); err != nil {
-		return nil, err
-	}
-	pts, err := a.startPoints(opts)
-	if err != nil {
-		return nil, err
-	}
+	pts := a.startPoints(opts)
 	a.res = Result{
 		N: opts.N, Lambda: opts.Lambda, Rule: ru.Name(),
 		Points:    a.res.Points[:0],
 		Snapshots: a.res.Snapshots[:0],
 	}
-	sim, err := a.newSimulation(engine, opts, pts, ru)
+	sim, err := a.newSimulation(opts, pts, ru)
 	if err != nil {
 		return nil, err
 	}
@@ -118,17 +111,17 @@ type simulation interface {
 }
 
 // newSimulation readies the task's engine over the starting points.
-func (a *Arena) newSimulation(engine string, opts Options, pts []lattice.Point, ru *rule.Rule) (simulation, error) {
-	if engine == EngineAmoebot {
+func (a *Arena) newSimulation(opts Options, pts []lattice.Point, ru *rule.Rule) (simulation, error) {
+	if opts.Engine == EngineAmoebot {
 		return a.amoebot(opts, pts, ru)
 	}
-	return a.engineFor(engine, pts, ru, opts.Seed)
+	return a.engineFor(opts.Engine, pts, ru, opts.Seed)
 }
 
 // run advances sim by the task's budget in SnapshotEvery intervals, taking
 // a snapshot after each and polling Interrupt before each.
 func (a *Arena) run(sim simulation, opts Options) error {
-	total := opts.iterations()
+	total := opts.Iterations
 	every := opts.SnapshotEvery
 	if every == 0 || every >= total {
 		every = total
@@ -211,37 +204,30 @@ func (a *Arena) ruleWith(name string, lambda float64, states int, forage *Forage
 // arena's next Compress or Sequential call; callers drive it directly
 // (scaling and mixing scenarios, which need RunUntil and mid-run reads).
 func (a *Arena) Sequential(engine string, shape StartShape, n int, ru *rule.Rule, seed uint64) (Sequential, error) {
-	pts, err := a.startPoints(Options{Start: shape, N: n, Seed: seed})
+	o, err := Options{Engine: engine, Start: shape, N: n, Seed: seed}.resolved()
 	if err != nil {
 		return nil, err
 	}
-	return a.engineFor(engine, pts, ru, seed)
+	return a.engineFor(o.Engine, a.startPoints(o), ru, seed)
 }
 
-// startPoints returns the task's starting configuration as a canonical
-// point list. Deterministic shapes (line, spiral) are seed-independent and
-// cached per (shape, n); randomized shapes are rebuilt from the seed.
-func (a *Arena) startPoints(opts Options) ([]lattice.Point, error) {
-	shape := opts.Start
-	if shape == "" {
-		shape = StartLine
-	}
-	deterministic := shape == StartLine || shape == StartSpiral
-	k := arenaStartKey{shape: shape, n: opts.N}
+// startPoints returns the starting configuration of resolved options as a
+// canonical point list. Deterministic shapes (line, spiral) are
+// seed-independent and cached per (shape, n); randomized shapes are rebuilt
+// from the seed.
+func (a *Arena) startPoints(opts Options) []lattice.Point {
+	deterministic := opts.Start == StartLine || opts.Start == StartSpiral
+	k := arenaStartKey{shape: opts.Start, n: opts.N}
 	if deterministic {
 		if pts, ok := a.starts[k]; ok {
-			return pts, nil
+			return pts
 		}
 	}
-	cfg, err := NewStartConfig(shape, opts.N, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pts := cfg.Points()
+	pts := opts.startConfig().Points()
 	if deterministic {
 		a.starts[k] = pts
 	}
-	return pts, nil
+	return pts
 }
 
 // engineFor readies the requested engine over the starting points: the
@@ -250,7 +236,7 @@ func (a *Arena) startPoints(opts Options) ([]lattice.Point, error) {
 // reset tests) and detaches the previous task's delta tap.
 func (a *Arena) engineFor(engine string, pts []lattice.Point, ru *rule.Rule, seed uint64) (Sequential, error) {
 	switch engine {
-	case EngineChain, "":
+	case EngineChain:
 		if a.chain == nil {
 			c, err := chain.NewWithRule(config.New(pts...), ru, seed)
 			if err != nil {

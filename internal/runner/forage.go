@@ -122,17 +122,18 @@ func (f *ForageSpec) cacheKey() string {
 }
 
 // NewRule compiles a task's rule axis: the named rule at λ with the
-// optional payload-state override, and — for the forage rule — the bias
-// schedule. A schedule on any other rule is an error.
+// payload-state override, which only the alignment rule carries (the
+// stateless rules drop it), and — for the forage rule — the bias schedule.
+// A schedule on any other rule is an error.
 func NewRule(name string, lambda float64, states int, forage *ForageSpec) (*rule.Rule, error) {
+	if name != RuleAlignment {
+		states = 0
+	}
 	if forage == nil {
 		return rule.New(name, lambda, states)
 	}
 	if name != RuleForage {
-		return nil, fmt.Errorf("sops: Forage schedule requires Rule %q, got %q", RuleForage, name)
-	}
-	if states > 1 {
-		return nil, fmt.Errorf("rule: forage carries no payload states (got states=%d)", states)
+		return nil, fmt.Errorf("sops: a Forage schedule requires Rule %q", RuleForage)
 	}
 	return rule.Forage(lambda, forage.ruleOptions())
 }

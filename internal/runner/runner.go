@@ -83,17 +83,14 @@ var (
 	_ Sequential = (*kmc.Chain)(nil)
 )
 
-// NewSequentialWithRule constructs the named sequential engine over a copy
-// of σ0, running an arbitrary compiled rule.
+// NewSequentialWithRule constructs the named sequential engine ("" selects
+// EngineChain) over a copy of σ0, running an arbitrary compiled rule.
 func NewSequentialWithRule(engine string, sigma0 *config.Config, ru *rule.Rule, seed uint64) (Sequential, error) {
-	switch engine {
-	case EngineChain, "":
-		return chain.NewWithRule(sigma0, ru, seed)
-	case EngineKMC:
-		return kmc.NewWithRule(sigma0, ru, seed)
-	default:
-		return nil, fmt.Errorf("sops: engine %q is not sequential (want %s|%s)", engine, EngineChain, EngineKMC)
+	o, err := Options{N: sigma0.N(), Engine: engine}.resolved()
+	if err != nil {
+		return nil, err
 	}
+	return new(Arena).engineFor(o.Engine, sigma0.Points(), ru, seed)
 }
 
 // StartShape selects the initial configuration of a run.
@@ -227,8 +224,8 @@ type Options struct {
 	// Start selects the initial shape; default StartLine.
 	Start StartShape `json:"start,omitempty"`
 	// Engine selects the execution engine: EngineChain (default), EngineKMC
-	// (rejection-free sequential engine), or EngineAmoebot (equivalent to
-	// Distributed).
+	// (rejection-free sequential engine), or EngineAmoebot (the distributed
+	// Algorithm A under Poisson clocks).
 	Engine string `json:"engine,omitempty"`
 	// Rule selects the local rule: RuleCompression (default),
 	// RuleAlignment, or RuleForage. Every engine runs every rule.
@@ -239,13 +236,8 @@ type Options struct {
 	Forage *ForageSpec `json:"forage,omitempty"`
 	// RuleStates overrides the payload state count of rules that carry one
 	// (alignment's orientation count k); zero selects the rule's default.
-	// Stateless rules reject an override.
+	// Stateless rules drop an override; a negative count is an error.
 	RuleStates int `json:"rule_states,omitempty"`
-	// Distributed selects the amoebot Algorithm A with Poisson-clock
-	// scheduling instead of the sequential Markov chain M. It is the legacy
-	// spelling of Engine == EngineAmoebot; setting both to conflicting
-	// values is an error.
-	Distributed bool `json:"distributed,omitempty"`
 	// CrashFraction crash-fails this fraction of particles at the start of
 	// a distributed run (§3.3 fault tolerance). Only valid with
 	// EngineAmoebot.
@@ -286,31 +278,24 @@ type Options struct {
 // their randomness from the seed, so equal arguments rebuild the identical
 // configuration.
 func NewStartConfig(shape StartShape, n int, seed uint64) (*config.Config, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("sops: N must be positive, got %d", n)
+	o, err := Options{N: n, Start: shape, Seed: seed}.resolved()
+	if err != nil {
+		return nil, err
 	}
-	if shape == "" {
-		shape = StartLine
-	}
-	switch shape {
-	case StartLine:
-		return config.Line(n), nil
-	case StartSpiral:
-		return config.Spiral(n), nil
-	case StartRandom:
-		return config.RandomConnected(rand.New(rand.NewPCG(seed, 0xabcd)), n), nil
-	case StartTree:
-		return config.RandomTree(rand.New(rand.NewPCG(seed, 0xabce)), n), nil
-	default:
-		return nil, fmt.Errorf("sops: unknown start shape %q", shape)
-	}
+	return o.startConfig(), nil
 }
 
-func (o Options) iterations() uint64 {
-	if o.Iterations > 0 {
-		return o.Iterations
+// startConfig builds the starting configuration of resolved options.
+func (o Options) startConfig() *config.Config {
+	switch o.Start {
+	case StartSpiral:
+		return config.Spiral(o.N)
+	case StartRandom:
+		return config.RandomConnected(rand.New(rand.NewPCG(o.Seed, 0xabcd)), o.N)
+	case StartTree:
+		return config.RandomTree(rand.New(rand.NewPCG(o.Seed, 0xabce)), o.N)
 	}
-	return 200 * uint64(o.N) * uint64(o.N)
+	return config.Line(o.N)
 }
 
 // Compress runs one simulation on the engine Options.Engine selects —
@@ -336,89 +321,83 @@ func Compress(opts Options) (*Result, error) {
 	return &out, nil
 }
 
-// Normalized returns the canonical form of o: the engine resolved (the
-// legacy Distributed bit folded into Engine), the start shape, rule name,
-// and iteration budget made explicit, and the options validated exactly as
-// Compress validates them. Two Options with equal normalized forms run
-// identical simulations, which is what makes the normalized encoding a
-// sound cache key for `sops serve` run jobs (callback fields are excluded
-// from serialization and cannot affect results).
+// Normalized returns the canonical form of o: every default made explicit,
+// a states override the rule drops zeroed, and the options validated
+// exactly as Compress validates them. Two Options with equal normalized
+// forms run identical simulations, which is what makes the normalized
+// encoding a sound cache key for `sops serve` run jobs (callback fields are
+// excluded from serialization and cannot affect results).
 func (o Options) Normalized() (Options, error) {
-	engine, err := o.engine()
+	o, err := o.resolved()
 	if err != nil {
 		return o, err
 	}
-	if _, err := NewRule(o.Rule, o.Lambda, o.RuleStates, o.Forage); err != nil {
+	ru, err := NewRule(o.Rule, o.Lambda, o.RuleStates, o.Forage)
+	if err != nil {
 		return o, err
 	}
-	if err := o.validate(engine); err != nil {
-		return o, err
+	if ru.Stateless() {
+		o.RuleStates = 0
 	}
-	o.Engine = engine
-	o.Distributed = false
+	o.Forage = o.Forage.Normalized()
+	return o, nil
+}
+
+// Validate checks o as Compress does, except for λ and the rule, which
+// only compiling the rule checks (NewRule). A sweep checks each of its
+// axis values once through it, without compiling a rule per value.
+func (o Options) Validate() error {
+	_, err := o.resolved()
+	return err
+}
+
+// resolved returns o with each default made explicit, after checking every
+// option but λ and the rule, which NewRule checks. Together they are the
+// one place where a run option gets its default and its check: Compress,
+// Normalized, Validate and the package's constructors all go through
+// resolved.
+func (o Options) resolved() (Options, error) {
+	if o.N < 1 {
+		return o, fmt.Errorf("sops: N must be positive, got %d", o.N)
+	}
 	if o.Start == "" {
 		o.Start = StartLine
+	}
+	switch o.Start {
+	case StartLine, StartSpiral, StartRandom, StartTree:
+	default:
+		return o, fmt.Errorf("sops: unknown start shape %q", o.Start)
+	}
+	if o.Engine == "" {
+		o.Engine = EngineChain
+	}
+	switch o.Engine {
+	case EngineChain, EngineKMC, EngineAmoebot:
+	default:
+		return o, fmt.Errorf("sops: unknown engine %q (want %s|%s|%s)", o.Engine, EngineChain, EngineKMC, EngineAmoebot)
 	}
 	if o.Rule == "" {
 		o.Rule = RuleCompression
 	}
-	o.Forage = o.Forage.Normalized()
-	o.Iterations = o.iterations()
+	if o.RuleStates < 0 {
+		return o, fmt.Errorf("sops: RuleStates must be non-negative, got %d", o.RuleStates)
+	}
+	if !(o.CrashFraction >= 0 && o.CrashFraction < 1) { // refuses NaN too
+		return o, fmt.Errorf("sops: CrashFraction must be in [0,1), got %v", o.CrashFraction)
+	}
+	if o.CrashFraction > 0 && o.Engine != EngineAmoebot {
+		return o, fmt.Errorf("sops: CrashFraction requires the %s engine", EngineAmoebot)
+	}
+	if o.Workers > 1 && o.Engine != EngineAmoebot {
+		return o, fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
+	}
 	if o.Workers < 2 {
 		o.Workers = 0
 	}
+	if o.Iterations == 0 {
+		o.Iterations = 200 * uint64(o.N) * uint64(o.N)
+	}
 	return o, nil
-}
-
-// validate checks o against its resolved engine (λ and the rule options
-// are checked by the rule compile). It is the one validation behind
-// Compress and Normalized.
-func (o Options) validate(engine string) error {
-	if o.N < 1 {
-		return fmt.Errorf("sops: N must be positive, got %d", o.N)
-	}
-	if o.Start != "" && !validShape(o.Start) {
-		return fmt.Errorf("sops: unknown start shape %q", o.Start)
-	}
-	if o.CrashFraction < 0 || o.CrashFraction >= 1 {
-		return fmt.Errorf("sops: CrashFraction must be in [0,1), got %v", o.CrashFraction)
-	}
-	if o.CrashFraction > 0 && engine != EngineAmoebot {
-		return fmt.Errorf("sops: CrashFraction requires the %s engine", EngineAmoebot)
-	}
-	if o.Workers > 1 && engine != EngineAmoebot {
-		return fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
-	}
-	return nil
-}
-
-func validShape(s StartShape) bool {
-	for _, shape := range StartShapes() {
-		if s == shape {
-			return true
-		}
-	}
-	return false
-}
-
-// engine resolves the Engine/Distributed pair to one engine name.
-func (o Options) engine() (string, error) {
-	switch o.Engine {
-	case "":
-		if o.Distributed {
-			return EngineAmoebot, nil
-		}
-		return EngineChain, nil
-	case EngineChain, EngineKMC:
-		if o.Distributed {
-			return "", fmt.Errorf("sops: Distributed conflicts with Engine %q", o.Engine)
-		}
-		return o.Engine, nil
-	case EngineAmoebot:
-		return EngineAmoebot, nil
-	default:
-		return "", fmt.Errorf("sops: unknown engine %q (want %s|%s|%s)", o.Engine, EngineChain, EngineKMC, EngineAmoebot)
-	}
 }
 
 // Delta carries the incremental state behind one snapshot to

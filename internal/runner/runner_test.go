@@ -3,6 +3,7 @@ package runner_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -167,27 +168,52 @@ func TestOptionsNormalized(t *testing.T) {
 		t.Fatalf("Normalized not idempotent: %+v vs %+v", again, norm)
 	}
 
-	dist, err := (runner.Options{N: 5, Lambda: 2, Distributed: true}).Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist.Engine != runner.EngineAmoebot || dist.Distributed {
-		t.Fatalf("Distributed not folded into Engine: %+v", dist)
-	}
-
 	for name, bad := range map[string]runner.Options{
 		"zero N":            {Lambda: 4},
 		"zero lambda":       {N: 5},
-		"conflict":          {N: 5, Lambda: 4, Engine: runner.EngineChain, Distributed: true},
 		"bad shape":         {N: 5, Lambda: 4, Start: "blob"},
 		"bad engine":        {N: 5, Lambda: 4, Engine: "warp"},
 		"bad rule":          {N: 5, Lambda: 4, Rule: "telepathy"},
+		"negative states":   {N: 5, Lambda: 4, RuleStates: -1},
 		"crash sequential":  {N: 5, Lambda: 4, CrashFraction: 0.2},
 		"workers chain":     {N: 5, Lambda: 4, Workers: 4},
-		"crash out of unit": {N: 5, Lambda: 4, Distributed: true, CrashFraction: 1},
+		"crash out of unit": {N: 5, Lambda: 4, Engine: runner.EngineAmoebot, CrashFraction: 1},
+		"crash NaN":         {N: 5, Lambda: 4, Engine: runner.EngineAmoebot, CrashFraction: math.NaN()},
 	} {
 		if _, err := bad.Normalized(); err == nil {
 			t.Errorf("%s: Normalized accepted %+v", name, bad)
+		}
+	}
+}
+
+// TestRuleStatesDroppedByStatelessRules: a states override on a stateless
+// rule normalizes away, so the run's canonical form (the serve cache key)
+// is the one it has without the override; alignment keeps its k, and a
+// negative count is refused on every rule.
+func TestRuleStatesDroppedByStatelessRules(t *testing.T) {
+	for _, name := range []string{runner.RuleCompression, runner.RuleForage} {
+		plain, err := (runner.Options{N: 8, Lambda: 4, Rule: name}).Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, states := range []int{1, 3} {
+			got, err := (runner.Options{N: 8, Lambda: 4, Rule: name, RuleStates: states}).Normalized()
+			if err != nil {
+				t.Fatalf("%s states=%d: %v", name, states, err)
+			}
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", plain) {
+				t.Errorf("%s states=%d normalized to %+v, want %+v", name, states, got, plain)
+			}
+		}
+	}
+	align, err := (runner.Options{N: 8, Lambda: 4, Rule: runner.RuleAlignment, RuleStates: 3}).Normalized()
+	if err != nil || align.RuleStates != 3 {
+		t.Fatalf("alignment states: %+v, %v", align, err)
+	}
+	for _, name := range runner.Rules() {
+		_, err := (runner.Options{N: 8, Lambda: 4, Rule: name, RuleStates: -1}).Normalized()
+		if err == nil || !strings.Contains(err.Error(), "RuleStates must be non-negative") {
+			t.Errorf("%s states=-1: got %v", name, err)
 		}
 	}
 }

@@ -148,13 +148,27 @@ func writeCompletion(dir string, c completion) error {
 	return writeFileAtomic(filepath.Join(dir, completeMarker), append(raw, '\n'))
 }
 
-// writeFileAtomic writes path via a temp file and rename.
+// writeFileAtomic writes path via a temp file of its own next to it and a
+// rename, the commit point. Concurrent writers of one path never share a
+// temp file, so each rename publishes one whole payload.
 func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err = f.Chmod(0o644); err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // best effort: the write has already failed
+	}
+	return err
 }
 
 // readResult opens a job's stored result artifact.

@@ -171,7 +171,7 @@ type Manager struct {
 	// identical jobs never race one journal; the loser rechecks the cache
 	// and replays. In cluster mode the digest lease extends the same
 	// guarantee across nodes.
-	digestLocks map[string]*sync.Mutex
+	digestLocks map[string]*digestLock
 	// active tracks the non-terminal jobs submitted through this node, per
 	// client quota key; activeTotal is their sum (admission control).
 	active      map[string]int
@@ -238,7 +238,7 @@ func Open(opt Options) (*Manager, error) {
 		stop:        cancel,
 		closed:      make(chan struct{}),
 		jobs:        map[string]*handle{},
-		digestLocks: map[string]*sync.Mutex{},
+		digestLocks: map[string]*digestLock{},
 		active:      map[string]int{},
 		counters:    new(expvar.Map).Init(),
 	}
@@ -675,6 +675,11 @@ func (m *Manager) Delete(id string) (Job, bool, error) {
 		_ = os.Remove(m.cancelMarkPath(id))
 		_ = os.Remove(m.mirrorPath(id))
 	}
+	if !cacheable(job.Request) {
+		// A nondeterministic run's workspace carries its job ID, so no
+		// other job can ever use it: it goes with the record too.
+		_ = os.RemoveAll(m.workspace(&job))
+	}
 	return job, true, nil
 }
 
@@ -1025,9 +1030,8 @@ func (m *Manager) runSweep(ctx context.Context, h *handle) error {
 	job := h.view()
 	dir := m.workspace(&job)
 	pub := h.pubStream()
-	lk := m.digestLock(job.Digest)
-	lk.Lock()
-	defer lk.Unlock()
+	unlock := m.lockDigest(job.Digest)
+	defer unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -1093,9 +1097,8 @@ func (m *Manager) runRun(ctx context.Context, h *handle) error {
 	job := h.view()
 	dir := m.workspace(&job)
 	pub := h.pubStream()
-	lk := m.digestLock(job.Digest)
-	lk.Lock()
-	defer lk.Unlock()
+	unlock := m.lockDigest(job.Digest)
+	defer unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -1237,15 +1240,32 @@ func splitTolerant(raw []byte) [][]byte {
 
 // --- small helpers ---------------------------------------------------------
 
-func (m *Manager) digestLock(digest string) *sync.Mutex {
+// digestLock is one digest's single-flight mutex. users counts the jobs
+// holding or waiting for it; the last one out drops it from digestLocks.
+type digestLock struct {
+	sync.Mutex
+	users int
+}
+
+// lockDigest locks the digest's single-flight mutex and returns its unlock.
+func (m *Manager) lockDigest(digest string) (unlock func()) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	lk, ok := m.digestLocks[digest]
 	if !ok {
-		lk = &sync.Mutex{}
+		lk = &digestLock{}
 		m.digestLocks[digest] = lk
 	}
-	return lk
+	lk.users++
+	m.mu.Unlock()
+	lk.Lock()
+	return func() {
+		lk.Unlock()
+		m.mu.Lock()
+		if lk.users--; lk.users == 0 {
+			delete(m.digestLocks, digest)
+		}
+		m.mu.Unlock()
+	}
 }
 
 func (m *Manager) add(counter string, delta int64) {

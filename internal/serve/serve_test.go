@@ -600,6 +600,8 @@ func TestEndpointValidation(t *testing.T) {
 		{"tiny lambda", `{"spec":{"scenario":"compress","lambdas":[1e-40]}}`, "overflows"},
 		{"bad run engine", `{"run":{"n":5,"lambda":4,"engine":"warp"}}`, "unknown engine"},
 		{"bad run n", `{"run":{"n":0,"lambda":4}}`, "N must be positive"},
+		{"removed run field", `{"run":{"n":10,"lambda":4,"distributed":true}}`, `unknown field \"distributed\"`},
+		{"negative rule states", `{"run":{"n":10,"lambda":4,"rule_states":-1}}`, "RuleStates must be non-negative"},
 		{"unknown field", `{"sepc":{}}`, "unknown field"},
 		{"kind mismatch", `{"kind":"run","spec":{"scenario":"compress"}}`, "does not take"},
 	} {
@@ -825,6 +827,85 @@ func TestNonCacheableRunsDoNotShareWorkspace(t *testing.T) {
 	}
 	if m := metricsMap(t, base); m["cache_hits"] != 0 {
 		t.Fatalf("cache_hits = %d for uncacheable jobs", m["cache_hits"])
+	}
+}
+
+// TestRunRuleStatesOnStatelessRuleHitsCache: a states override on a
+// stateless rule normalizes away, so the run digests as it does without
+// the override and resubmitting it is a cache hit.
+func TestRunRuleStatesOnStatelessRuleHitsCache(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	base := ts.URL
+	for i, name := range []string{runner.RuleCompression, runner.RuleForage} {
+		plain := runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: uint64(50 + i), Rule: name}
+		cold := waitState(t, base, submit(t, base, JobRequest{Run: &plain}).ID, StateDone)
+		for _, states := range []int{1, 3} {
+			override := plain
+			override.RuleStates = states
+			hit := submit(t, base, JobRequest{Run: &override})
+			if hit.Digest != cold.Digest || !hit.CacheHit || hit.Request.Run.RuleStates != 0 {
+				t.Errorf("%s states=%d: digest %.16s cache_hit=%v rule_states=%d, want digest %.16s served from the cache",
+					name, states, hit.Digest, hit.CacheHit, hit.Request.Run.RuleStates, cold.Digest)
+			}
+		}
+	}
+}
+
+// TestDeleteRemovesNondeterministicWorkspace: deleting a finished
+// nondeterministic run removes its job-suffixed workspace, which no other
+// job can ever use; a cacheable run's workspace is the cache and outlives
+// its delete.
+func TestDeleteRemovesNondeterministicWorkspace(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	base := ts.URL
+	m := s.Manager()
+	for _, tc := range []struct {
+		name string
+		run  runner.Options
+		kept bool
+	}{
+		{"workers 2", runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 2, Engine: runner.EngineAmoebot, Workers: 2}, false},
+		{"cacheable", runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 2, Engine: runner.EngineAmoebot}, true},
+	} {
+		run := tc.run
+		job := waitState(t, base, submit(t, base, JobRequest{Run: &run}).ID, StateDone)
+		dir := m.workspace(&job)
+		if _, err := os.Stat(dir); err != nil {
+			t.Fatalf("%s: finished run has no workspace: %v", tc.name, err)
+		}
+		if _, deleted, err := m.Delete(job.ID); err != nil || !deleted {
+			t.Fatalf("%s: delete: deleted=%v err=%v", tc.name, deleted, err)
+		}
+		if _, err := os.Stat(dir); (err == nil) != tc.kept {
+			t.Errorf("%s: workspace %s after delete: stat error %v, want kept=%v", tc.name, dir, err, tc.kept)
+		}
+	}
+}
+
+// TestDigestLocksDrain: a digest's single-flight lock lives only while a
+// job holds or waits for it, so distinct workloads do not grow the manager
+// for the life of the process. Each workload is submitted twice, so a twin
+// can wait on the lock its first copy holds.
+func TestDigestLocksDrain(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	base := ts.URL
+	var ids []string
+	for seed := uint64(1); seed <= 4; seed++ {
+		run := &runner.Options{N: 8, Lambda: 4, Iterations: 20000, Seed: seed}
+		for twin := 0; twin < 2; twin++ {
+			ids = append(ids, submit(t, base, JobRequest{Run: run}).ID)
+		}
+	}
+	ids = append(ids, submit(t, base, JobRequest{Spec: smallSweep(41)}).ID)
+	for _, id := range ids {
+		waitState(t, base, id, StateDone)
+	}
+	m := s.Manager()
+	m.mu.Lock()
+	left := len(m.digestLocks)
+	m.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d digest locks left after %d finished jobs", left, len(ids))
 	}
 }
 

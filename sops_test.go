@@ -23,8 +23,8 @@ func TestCompressValidation(t *testing.T) {
 		{N: 10, Lambda: 0},
 		{N: 10, Lambda: -3},
 		{N: 10, Lambda: 4, Start: "pyramid"},
-		{N: 10, Lambda: 4, CrashFraction: 0.5}, // crash without distributed
-		{N: 10, Lambda: 4, Distributed: true, CrashFraction: 1.5},
+		{N: 10, Lambda: 4, CrashFraction: 0.5}, // crash on the sequential chain
+		{N: 10, Lambda: 4, Engine: EngineAmoebot, CrashFraction: 1.5},
 	}
 	for i, opts := range cases {
 		if _, err := Compress(opts); err == nil {
@@ -82,7 +82,7 @@ func TestCompressDeterminism(t *testing.T) {
 
 func TestCompressDistributed(t *testing.T) {
 	res, err := Compress(Options{
-		N: 20, Lambda: 5, Iterations: 400000, Seed: 3, Distributed: true,
+		N: 20, Lambda: 5, Iterations: 400000, Seed: 3, Engine: EngineAmoebot,
 		SnapshotEvery: 100000,
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestCompressDistributed(t *testing.T) {
 
 func TestCompressWithCrashes(t *testing.T) {
 	res, err := Compress(Options{
-		N: 30, Lambda: 5, Iterations: 300000, Seed: 5, Distributed: true,
+		N: 30, Lambda: 5, Iterations: 300000, Seed: 5, Engine: EngineAmoebot,
 		CrashFraction: 0.1,
 	})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestPMinPMaxExported(t *testing.T) {
 func TestCompressConcurrentWorkers(t *testing.T) {
 	res, err := Compress(Options{
 		N: 30, Lambda: 5, Iterations: 600000, Seed: 8,
-		Distributed: true, Workers: 4, SnapshotEvery: 200000,
+		Engine: EngineAmoebot, Workers: 4, SnapshotEvery: 200000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +181,8 @@ func TestCompressConcurrentWorkers(t *testing.T) {
 	if res.Moves == 0 {
 		t.Error("no moves in concurrent run")
 	}
-	// Workers without Distributed must be rejected.
+	// Workers on the sequential chain must be rejected.
 	if _, err := Compress(Options{N: 10, Lambda: 4, Workers: 4}); err == nil {
-		t.Error("Workers without Distributed should error")
+		t.Error("Workers without the amoebot engine should error")
 	}
 }
