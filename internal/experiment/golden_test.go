@@ -57,27 +57,56 @@ func TestGoldenEmission(t *testing.T) {
 		if name == BenchFile("compress") {
 			got = elapsedRe.ReplaceAll(got, []byte(`"elapsed_sec": 0`))
 		}
-		goldenPath := filepath.Join("testdata", "golden", name)
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("updated %s (%d bytes)", goldenPath, len(got))
-			continue
-		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("missing golden %s (run with -update to create): %v", goldenPath, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from its golden bytes.\nIf the format change is deliberate, rerun with -update AND bump the"+
-				" digest version in digest.go — stale cache entries must not be served.\n--- got ---\n%s\n--- want ---\n%s",
-				name, clip(got), clip(want))
-		}
+		checkGolden(t, filepath.Join("testdata", "golden", name), got)
 	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from its golden bytes.\nIf the format change is deliberate, rerun with -update AND bump the"+
+			" digest version in digest.go — stale cache entries must not be served.\n--- got ---\n%s\n--- want ---\n%s",
+			path, clip(got), clip(want))
+	}
+}
+
+// TestGoldenAblation pins the results.jsonl bytes of a Lemma 3.2 ablation
+// sweep: chain M without its degree guard, from a spiral at λ ∈ {1, 4}, so
+// the pinned rows hold both holes formed and runs that never form one.
+func TestGoldenAblation(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{
+		Scenario:   "ablation-degree-guard",
+		Lambdas:    []float64{1, 4},
+		Sizes:      []int{20},
+		Iterations: 4000,
+		Reps:       4,
+		Seed:       5,
+	}
+	if _, err := Run(context.Background(), spec, RunOptions{Dir: dir, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, ResultsJSONL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "golden", "ablation-degree-guard", ResultsJSONL), got)
 }
 
 // TestGoldenDigestPinned: the golden spec's content address is stable. A
