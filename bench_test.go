@@ -26,6 +26,7 @@ import (
 	"sops/internal/enumerate"
 	"sops/internal/linesweep"
 	"sops/internal/metrics"
+	"sops/internal/rule"
 	"sops/internal/saw"
 	"sops/internal/stats"
 )
@@ -227,11 +228,12 @@ func BenchmarkAlgorithmA(b *testing.B) {
 // run is sampled every 200 steps, not only at the end). The unablated chain
 // reports zero by Lemma 3.2 — see the chain invariant tests.
 func BenchmarkAblationDegreeGuard(b *testing.B) {
+	ablated := rule.CompressionVariant(1, false, true, true)
 	var holeRuns int
 	for i := 0; i < b.N; i++ {
 		holeRuns = 0
 		for trial := 0; trial < 20; trial++ {
-			c := chain.MustNew(config.Spiral(20), 1, uint64(trial), chain.WithoutDegreeGuard())
+			c := chain.MustNewWithRule(config.Spiral(20), ablated, uint64(trial))
 			for batch := 0; batch < 40; batch++ {
 				c.Run(200)
 				if c.Config().HasHoles() {

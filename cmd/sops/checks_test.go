@@ -45,31 +45,31 @@ func TestFrontDoorsShareRunnerChecks(t *testing.T) {
 		{"start", []string{"-start", "pyramid"}, []string{"-starts", "pyramid"},
 			`{"n":10,"lambda":4,"start":"pyramid"}`,
 			`{"scenario":"compress","sizes":[10],"starts":["pyramid"]}`,
-			`sops: unknown start shape "pyramid"`},
+			`runner: unknown start shape "pyramid"`},
 		{"engine", []string{"-engine", "quantum"}, []string{"-engines", "quantum"},
 			`{"n":10,"lambda":4,"engine":"quantum"}`,
 			`{"scenario":"compress","sizes":[10],"engines":["quantum"]}`,
-			`sops: unknown engine "quantum"`},
+			`runner: unknown engine "quantum"`},
 		{"n", []string{"-n", "0"}, []string{"-sizes", "0"},
 			`{"n":0,"lambda":4}`,
 			`{"scenario":"compress","sizes":[0]}`,
-			"sops: N must be positive, got 0"},
+			"runner: N must be positive, got 0"},
 		{"crash on chain", []string{"-crash", "0.1", "-engine", "chain"}, []string{"-crash", "0.1", "-engines", "chain"},
 			`{"n":10,"lambda":4,"engine":"chain","crash_fraction":0.1}`,
 			`{"scenario":"compress","sizes":[10],"engines":["chain"],"crash_fractions":[0.1]}`,
-			"sops: CrashFraction requires the amoebot engine"},
+			"runner: CrashFraction requires the amoebot engine"},
 		{"crash range", []string{"-crash", "1.5", "-engine", "amoebot"}, []string{"-crash", "1.5", "-engines", "amoebot"},
 			`{"n":10,"lambda":4,"engine":"amoebot","crash_fraction":1.5}`,
 			`{"scenario":"compress","sizes":[10],"engines":["amoebot"],"crash_fractions":[1.5]}`,
-			"sops: CrashFraction must be in [0,1), got 1.5"},
+			"runner: CrashFraction must be in [0,1), got 1.5"},
 		{"rule states", []string{"-states", "-1"}, []string{"-states", "-1"},
 			`{"n":10,"lambda":4,"rule_states":-1}`,
 			`{"scenario":"compress","sizes":[10],"rule_states":-1}`,
-			"sops: RuleStates must be non-negative, got -1"},
+			"runner: RuleStates must be non-negative, got -1"},
 		{"forage on compression", []string{"-forage-radius", "3"}, []string{"-forage-radius", "3"},
 			`{"n":10,"lambda":4,"forage":{"radius":3}}`,
 			`{"scenario":"compress","sizes":[10],"forage":{"radius":3}}`,
-			`sops: a Forage schedule requires Rule "forage"`},
+			`runner: a Forage schedule requires Rule "forage"`},
 	} {
 		runArgs := append([]string{"-n", "10", "-lambda", "4", "-iters", "100", "-snapshots", "0", "-render=false"}, tc.run...)
 		_, runErr := captureStdout(t, func() error { return cmdRun(runArgs) })

@@ -5,7 +5,6 @@ import (
 
 	"sops/internal/grid"
 	"sops/internal/lattice"
-	"sops/internal/move"
 )
 
 // Protocol is the algorithm each particle runs upon activation. Activations
@@ -88,53 +87,13 @@ func (a *Activation) Expand(d lattice.Dir) bool {
 	return true
 }
 
-// TailDegree returns e = |N*(ℓ)|: particles adjacent to the tail node,
-// counting expanded neighbors as contracted at their tails (heads excluded)
-// and never counting the particle itself. The tail grid holds exactly the
-// tails, and the particle's own tail is the center cell, which Degree never
-// counts.
-func (a *Activation) TailDegree() int {
-	return a.w.tails.Degree(a.p.tail)
-}
-
-// HeadDegree returns e′ = |N*(ℓ′)|: the neighbors the particle would have
-// if it contracted to its head node, under the same N* convention. The
-// particle's own tail is adjacent to its head while expanded, so it is
-// excluded explicitly.
-func (a *Activation) HeadDegree() int {
-	return a.w.tails.DegreeExcluding(a.p.head, a.p.tail)
-}
-
-// SatisfiesMoveProperties reports whether the expanded particle's tail ℓ and
-// head ℓ′ satisfy Property 1 or Property 2 with respect to N*(·)
-// (Algorithm A, step 11, condition (2)). The check reads only the ten nodes
-// surrounding the pair: one 8-cell mask extraction from the tail grid (which
-// by construction excludes ℓ, the particle's own tail, and contains no
-// heads) answers both properties from the move.Classify table.
-func (a *Activation) SatisfiesMoveProperties() bool {
-	cl, ok := a.MoveClass()
-	return ok && (cl.Property1() || cl.Property2())
-}
-
-// MoveClass returns the move.Class of the expanded particle's (tail, head)
-// pair over N*(·): Property 1, Property 2, e, and e′ from a single 8-cell
-// mask extraction. The second return is false if the particle is not
-// expanded. For an expanded particle the head cell holds no tail, so
-// Class.Degree equals TailDegree and Class.TargetDegree equals HeadDegree;
-// the three finer-grained accessors remain for protocols that need only one
-// quantity.
-func (a *Activation) MoveClass() (move.Class, bool) {
-	m, ok := a.MoveMask()
-	if !ok {
-		return 0, false
-	}
-	return move.Classify(m), true
-}
-
 // MoveMask returns the raw canonical pair mask of the expanded particle's
 // (tail, head) pair over N*(·) — the index into a rule's compiled guard and
-// Hamiltonian tables. The second return is false if the particle is not
-// expanded.
+// Hamiltonian tables, and through move.Classify the pair's Property 1,
+// Property 2, e = |N*(ℓ)| and e′ = |N*(ℓ′)| (Algorithm A, step 11). The
+// ten nodes around the pair are read from the tail grid, which holds
+// exactly the tails (heads are invisible) and never counts the particle's
+// own tail. The second return is false if the particle is not expanded.
 func (a *Activation) MoveMask() (grid.Mask, bool) {
 	if !a.p.Expanded() {
 		return 0, false
@@ -166,18 +125,6 @@ func (a *Activation) sameNeighborMask(s uint8) uint8 {
 // whose payload equals the particle's own.
 func (a *Activation) moveSame(m grid.Mask) grid.Mask {
 	return a.w.tails.PairSame(a.p.tail, a.p.dir, m, a.Payload())
-}
-
-// satisfiesMovePropertiesOracle is the pre-refactor implementation over the
-// cell index's tail view; tests assert it agrees with the mask fast path at
-// every activation.
-func (a *Activation) satisfiesMovePropertiesOracle() bool {
-	d, ok := a.p.tail.DirTo(a.p.head)
-	if !ok {
-		return false
-	}
-	v := tailView{w: a.w, excl: a.p.id}
-	return move.Property1(v, a.p.tail, d) || move.Property2(v, a.p.tail, d)
 }
 
 // ContractToHead completes the particle's relocation.

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"sops/internal/config"
+	"sops/internal/lattice"
+	"sops/internal/move"
 )
 
 // checkedProtocol wraps Compression and, at every activation of an expanded
-// particle, cross-checks the mask-table fast paths against the pre-refactor
+// particle, cross-checks move.Classify of the tail-grid mask against an
 // oracle over the cell index before delegating.
 type checkedProtocol struct {
 	inner Protocol
@@ -15,35 +17,52 @@ type checkedProtocol struct {
 }
 
 func (cp *checkedProtocol) Activate(a *Activation) {
-	if a.Expanded() {
-		if got, want := a.SatisfiesMoveProperties(), a.satisfiesMovePropertiesOracle(); got != want {
-			cp.t.Fatalf("SatisfiesMoveProperties mask=%v oracle=%v at tail %v head %v",
+	if m, ok := a.MoveMask(); ok {
+		cl := move.Classify(m)
+		if got, want := cl.Property1() || cl.Property2(), movePropertiesOracle(a); got != want {
+			cp.t.Fatalf("Property 1 or 2: mask=%v oracle=%v at tail %v head %v",
 				got, want, a.p.tail, a.p.head)
 		}
-		if got, want := a.TailDegree(), tailDegreeOracle(a); got != want {
-			cp.t.Fatalf("TailDegree grid=%d oracle=%d at %v", got, want, a.p.tail)
+		if got, want := cl.Degree(), degreeOracle(a, a.p.tail); got != want {
+			cp.t.Fatalf("e = |N*(tail)|: mask=%d oracle=%d at %v", got, want, a.p.tail)
 		}
-		if got, want := a.HeadDegree(), headDegreeOracle(a); got != want {
-			cp.t.Fatalf("HeadDegree grid=%d oracle=%d at %v", got, want, a.p.head)
+		if got, want := cl.TargetDegree(), degreeOracle(a, a.p.head); got != want {
+			cp.t.Fatalf("e′ = |N*(head)|: mask=%d oracle=%d at %v", got, want, a.p.head)
 		}
 	}
 	cp.inner.Activate(a)
 }
 
-func tailDegreeOracle(a *Activation) int {
-	n := 0
-	for d := 0; d < 6; d++ {
-		if a.w.tailAt(a.p.tail.Neighbors()[d], a.p.id) {
-			n++
-		}
-	}
-	return n
+// tailView adapts the world to move.Occupancy through the cell index:
+// occupancy by tails only (heads of expanded particles are invisible),
+// excluding one particle — the N*(·) sets of Algorithm A's expanded branch.
+type tailView struct {
+	w    *World
+	excl ParticleID
 }
 
-func headDegreeOracle(a *Activation) int {
+func (v tailView) Has(pt lattice.Point) bool {
+	c := v.w.idx.cells[v.w.idx.at(pt)]
+	return c&(cellOccupied|cellHead) == cellOccupied && ParticleID(c>>cellIDShift) != v.excl
+}
+
+// movePropertiesOracle evaluates Property 1 or 2 of the expanded particle's
+// (tail, head) pair with the map-style predicates of internal/move.
+func movePropertiesOracle(a *Activation) bool {
+	d, ok := a.p.tail.DirTo(a.p.head)
+	if !ok {
+		return false
+	}
+	v := tailView{w: a.w, excl: a.p.id}
+	return move.Property1(v, a.p.tail, d) || move.Property2(v, a.p.tail, d)
+}
+
+// degreeOracle counts the tails of other particles adjacent to pt.
+func degreeOracle(a *Activation, pt lattice.Point) int {
+	v := tailView{w: a.w, excl: a.p.id}
 	n := 0
-	for d := 0; d < 6; d++ {
-		if a.w.tailAt(a.p.head.Neighbors()[d], a.p.id) {
+	for _, q := range pt.Neighbors() {
+		if v.Has(q) {
 			n++
 		}
 	}
@@ -51,9 +70,9 @@ func headDegreeOracle(a *Activation) int {
 }
 
 // TestWorldGridAgreesWithOracle runs the full distributed stack with the
-// cross-checking protocol: every expanded activation compares the tail-grid
-// mask path with the cell-index oracle, and world invariants (including the
-// tail grid) are verified periodically.
+// cross-checking protocol: every expanded activation compares the class of
+// its tail-grid mask with the cell-index oracle, and world invariants
+// (including the tail grid) are verified periodically.
 func TestWorldGridAgreesWithOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		w, err := NewWorld(config.Line(40))

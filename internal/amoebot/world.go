@@ -284,24 +284,6 @@ func (w *World) occupied(pt lattice.Point) bool {
 	return w.idx.cells[w.idx.at(pt)] != 0
 }
 
-// tailAt reports whether a tail of a particle other than excl occupies pt.
-// Heads of expanded particles are invisible, implementing the N*(·) sets of
-// Algorithm A.
-func (w *World) tailAt(pt lattice.Point, excl ParticleID) bool {
-	c := w.idx.cells[w.idx.at(pt)]
-	return c&(cellOccupied|cellHead) == cellOccupied && ParticleID(c>>cellIDShift) != excl
-}
-
-// tailView adapts the world to move.Occupancy: occupancy by tails only,
-// excluding one particle — exactly the neighborhood Algorithm A's expanded
-// branch evaluates.
-type tailView struct {
-	w    *World
-	excl ParticleID
-}
-
-func (v tailView) Has(pt lattice.Point) bool { return v.w.tailAt(pt, v.excl) }
-
 // expand moves a contracted particle's head into the unoccupied adjacent
 // node in direction d.
 func (w *World) expand(p *Particle, d lattice.Dir) {

@@ -5,6 +5,7 @@ import (
 
 	"sops/internal/config"
 	"sops/internal/metrics"
+	"sops/internal/rule"
 )
 
 // TestAblationProperty1Frozen: with Property 1 disabled, a straight line is
@@ -13,7 +14,7 @@ import (
 // tips' Property-2 leapfrog targets have no landing neighbor. Property 1 is
 // what lets lines fold at all.
 func TestAblationProperty1Frozen(t *testing.T) {
-	c := MustNew(config.Line(10), 4, 5, WithoutProperty1())
+	c := MustNewWithRule(config.Line(10), rule.CompressionVariant(4, true, false, true), 5)
 	c.Run(50000)
 	if c.Accepted() != 0 {
 		t.Errorf("Property-2-only chain accepted %d moves from a line; expected frozen", c.Accepted())
@@ -25,12 +26,12 @@ func TestAblationProperty1Frozen(t *testing.T) {
 // state space, cf. Fig 3, not the compression drive).
 func TestAblationProperty2StillCompresses(t *testing.T) {
 	n := 25
-	c := MustNew(config.Line(n), 6, 9, WithoutProperty2())
+	c := MustNewWithRule(config.Line(n), rule.CompressionVariant(6, true, true, false), 9)
 	c.Run(300000)
 	if p := c.Perimeter(); p >= metrics.PMax(n)*2/3 {
 		t.Errorf("perimeter %d: no compression without Property 2", p)
 	}
-	if !c.view().Connected() {
+	if !c.Config().Connected() {
 		t.Error("disconnected under Property-1-only dynamics")
 	}
 }

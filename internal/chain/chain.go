@@ -17,9 +17,10 @@
 // mask back to grid.MoveMasked, which updates e(σ) from it instead of
 // re-counting degrees. The canonical rule.Compression(λ) reproduces the
 // pre-rule hard-coded chain bit for bit: a (σ0, λ, seed) triple produces the
-// same trajectory. The original map-backed implementation remains available
-// via WithReferenceEngine as the differential-testing oracle for the
-// compression rule.
+// same trajectory. The ablated chains of the Lemma 3.2 / Fig 3 experiments
+// are rules too (rule.CompressionVariant), built through NewWithRule. The
+// original map-backed step survives in this package's tests as the
+// differential-testing oracle for compression and its ablations.
 //
 // Randomness: every draw comes from one *rand.PCG seeded (seed, rngStream),
 // called directly rather than through rand.Rand's interface-typed source.
@@ -32,7 +33,6 @@ package chain
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand/v2"
 
@@ -40,7 +40,6 @@ import (
 	"sops/internal/frame"
 	"sops/internal/grid"
 	"sops/internal/lattice"
-	"sops/internal/move"
 	"sops/internal/rule"
 )
 
@@ -75,44 +74,17 @@ func unitFloat(p *rand.PCG) float64 {
 	return float64(p.Uint64()<<11>>11) / (1 << 53)
 }
 
-// Option customizes a Chain; the variants are used by the ablation
-// experiments in EXPERIMENTS.md to demonstrate that each rule of M is
-// load-bearing.
-type Option func(*Chain)
-
-// WithoutDegreeGuard disables condition (1) of step 6 (e ≠ 5). Without it
-// the chain can create holes; used only for ablation experiments.
-func WithoutDegreeGuard() Option { return func(c *Chain) { c.degreeGuard = false } }
-
-// WithoutProperty1 disables Property 1 moves; used only for ablations.
-func WithoutProperty1() Option { return func(c *Chain) { c.prop1 = false } }
-
-// WithoutProperty2 disables Property 2 moves. Without them the hole-free
-// state space is not connected (Fig 3); used only for ablations.
-func WithoutProperty2() Option { return func(c *Chain) { c.prop2 = false } }
-
-// WithReferenceEngine runs the chain on the original map-backed
-// config.Config with the BFS/ring-walk move checks instead of the bit-packed
-// grid and rule tables. It exists for differential testing: both engines
-// must produce identical trajectories from identical (σ0, λ, seed). It is
-// compression-only (NewWithRule rejects it for other rules).
-func WithReferenceEngine() Option { return func(c *Chain) { c.reference = true } }
-
 // Chain is a running Metropolis instance of a local rule. It is not safe
 // for concurrent use; run independent chains in separate goroutines instead.
 type Chain struct {
-	g      *grid.Grid     // fast engine (nil when reference is set)
-	cfg    *config.Config // reference engine (nil unless reference is set)
+	g      *grid.Grid
 	points []lattice.Point
 	ru     *rule.Rule
 	lambda float64
 	// stateless and slots cache rule shape queries off the hot path.
 	stateless bool
 	slots     int
-	// lamPow caches λ^k for k ∈ [−5, 5] at index k+5 for the reference
-	// engine; the grid engine prices moves from the rule tables.
-	lamPow [11]float64
-	pcg    *rand.PCG // the chain's only randomness; Reset reseeds it in place
+	pcg       *rand.PCG // the chain's only randomness; Reset reseeds it in place
 
 	// biased marks rules with a time-varying/site-dependent bias schedule;
 	// lcache then memoizes the pricing ladders per effective λ. Both stay
@@ -120,12 +92,7 @@ type Chain struct {
 	biased bool
 	lcache *rule.LadderCache
 
-	reference    bool
-	degreeGuard  bool
-	prop1, prop2 bool
-
-	edges     int // reference engine only; the grid tracks its own count
-	hval      int // H(σ), maintained incrementally (grid engine)
+	hval      int // H(σ), maintained incrementally
 	steps     uint64
 	accepted  uint64
 	rotations uint64
@@ -138,104 +105,34 @@ type Chain struct {
 // payload rotation (for delta frame encoding). Pass nil to detach.
 func (c *Chain) SetMoveLog(l *frame.MoveLog) { c.mlog = l }
 
-// New creates a compression chain (Markov chain M, possibly ablated via
-// options) over a copy of the starting configuration σ0, which must be
-// non-empty and connected, with bias parameter λ > 0. The chain is
-// deterministic given (σ0, λ, seed).
-func New(sigma0 *config.Config, lambda float64, seed uint64, opts ...Option) (*Chain, error) {
+// New creates a compression chain (Markov chain M) over a copy of the
+// starting configuration σ0, which must be non-empty and connected, with
+// bias parameter λ > 0: NewWithRule(σ0, rule.Compression(λ), seed) once λ
+// is checked. The chain is deterministic given (σ0, λ, seed). An ablated
+// chain M is NewWithRule over rule.CompressionVariant.
+func New(sigma0 *config.Config, lambda float64, seed uint64) (*Chain, error) {
 	if err := rule.ValidateLambda(lambda); err != nil {
 		return nil, fmt.Errorf("chain: %w", err)
 	}
-	c := &Chain{
-		lambda:      lambda,
-		degreeGuard: true,
-		prop1:       true,
-		prop2:       true,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	c.ru = rule.CompressionVariant(lambda, c.degreeGuard, c.prop1, c.prop2)
-	if err := c.init(sigma0, seed); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return NewWithRule(sigma0, rule.Compression(lambda), seed)
 }
 
 // NewWithRule creates a chain running an arbitrary compiled rule over a
-// copy of σ0. For rule.Compression(λ) it is equivalent to New(σ0, λ, seed):
-// bit-identical trajectories. Payload rules draw the initial per-particle
-// states uniformly from the chain's own randomness, so the full trajectory
-// remains deterministic given (σ0, rule, seed).
-func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64, opts ...Option) (*Chain, error) {
-	if ru == nil {
-		return nil, fmt.Errorf("chain: nil rule")
+// copy of σ0, which must be non-empty and connected. Payload rules draw
+// the initial per-particle states uniformly from the chain's own
+// randomness, so the full trajectory remains deterministic given (σ0,
+// rule, seed). It allocates the chain's grid and randomness and hands the
+// rest to Reset.
+func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, error) {
+	if !sigma0.Connected() {
+		return nil, fmt.Errorf("chain: starting configuration must be connected")
 	}
-	c := &Chain{
-		lambda:      ru.Lambda(),
-		degreeGuard: true,
-		prop1:       true,
-		prop2:       true,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	// The reference path re-derives its decisions from the unablated
-	// Property 1/2 predicates and flags, so it can stand in only for the
-	// canonical compression rule — an ablated variant (or any other rule)
-	// would silently diverge from the grid engine.
-	if c.reference && ru.Name() != rule.NameCompression {
-		return nil, fmt.Errorf("chain: the reference engine supports only the canonical compression rule, not %q", ru.Name())
-	}
-	if !c.degreeGuard || !c.prop1 || !c.prop2 {
-		return nil, fmt.Errorf("chain: ablation options apply to New, not NewWithRule (build an ablated rule instead)")
-	}
-	c.ru = ru
-	if err := c.init(sigma0, seed); err != nil {
+	pts := sigma0.Points()
+	c := &Chain{g: grid.New(pts, 0), pcg: new(rand.PCG)}
+	if err := c.Reset(pts, ru, seed); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// init finishes construction once the rule is fixed.
-func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
-	if sigma0.N() == 0 {
-		return fmt.Errorf("chain: empty starting configuration")
-	}
-	if !sigma0.Connected() {
-		return fmt.Errorf("chain: starting configuration must be connected")
-	}
-	c.pcg = rand.NewPCG(seed, rngStream)
-	c.stateless = c.ru.Stateless()
-	c.slots = c.ru.Slots()
-	c.biased = c.ru.Biased()
-	c.lcache = nil
-	if c.biased {
-		if c.reference {
-			return fmt.Errorf("chain: the reference engine supports only fixed-λ rules")
-		}
-		c.lcache = rule.NewLadderCache(c.ru)
-	}
-	c.points = sigma0.Points()
-	if c.reference {
-		c.cfg = sigma0.Clone()
-		c.edges = sigma0.Edges()
-	} else {
-		c.g = grid.New(c.points, 0)
-		if !c.stateless {
-			c.g.EnablePayload()
-			states := c.ru.States()
-			for _, p := range c.points {
-				c.g.SetPayload(p, uint8(intN(c.pcg, states)))
-			}
-		}
-		c.hval = c.ru.Energy(c.g)
-	}
-	for k := -5; k <= 5; k++ {
-		c.lamPow[k+5] = math.Pow(c.lambda, float64(k))
-	}
-	c.holesGone = !sigma0.HasHoles()
-	return nil
 }
 
 // Reset re-initializes the chain in place to run rule ru from the starting
@@ -246,12 +143,8 @@ func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
 //
 // pts must be non-empty, duplicate-free, connected, and in canonical (Y, X)
 // order (as produced by config.Config.Points or grid.Grid.AppendPoints);
-// connectivity is the caller's responsibility and is not re-verified. The
-// reference engine does not support Reset.
+// connectivity is the caller's responsibility and is not re-verified.
 func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
-	if c.reference {
-		return fmt.Errorf("chain: Reset is not supported on the reference engine")
-	}
 	if ru == nil {
 		return fmt.Errorf("chain: nil rule")
 	}
@@ -278,22 +171,19 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 		}
 	}
 	c.hval = c.ru.Energy(c.g)
-	for k := -5; k <= 5; k++ {
-		c.lamPow[k+5] = math.Pow(c.lambda, float64(k))
-	}
 	c.steps, c.accepted, c.rotations = 0, 0, 0
 	c.holesGone = !c.g.HasHoles()
 	return nil
 }
 
-// Grid exposes the chain's live occupancy grid for read-only observation
-// (nil on the reference engine); mutating it corrupts the chain.
+// Grid exposes the chain's live occupancy grid for read-only observation;
+// mutating it corrupts the chain.
 func (c *Chain) Grid() *grid.Grid { return c.g }
 
 // MustNew is New but panics on error; convenient for examples and tests with
 // known-good inputs.
-func MustNew(sigma0 *config.Config, lambda float64, seed uint64, opts ...Option) *Chain {
-	c, err := New(sigma0, lambda, seed, opts...)
+func MustNew(sigma0 *config.Config, lambda float64, seed uint64) *Chain {
+	c, err := New(sigma0, lambda, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -301,8 +191,8 @@ func MustNew(sigma0 *config.Config, lambda float64, seed uint64, opts ...Option)
 }
 
 // MustNewWithRule is NewWithRule but panics on error.
-func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64, opts ...Option) *Chain {
-	c, err := NewWithRule(sigma0, ru, seed, opts...)
+func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
+	c, err := NewWithRule(sigma0, ru, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -329,57 +219,27 @@ func (c *Chain) Accepted() uint64 { return c.accepted }
 func (c *Chain) Rotations() uint64 { return c.rotations }
 
 // Edges returns e(σ) for the current configuration, maintained incrementally.
-func (c *Chain) Edges() int {
-	if c.reference {
-		return c.edges
-	}
-	return c.g.Edges()
-}
+func (c *Chain) Edges() int { return c.g.Edges() }
 
 // Energy returns H(σ), the rule's Hamiltonian for the current state,
 // maintained incrementally: e(σ) for compression, the aligned-edge count for
 // alignment.
-func (c *Chain) Energy() int {
-	if c.reference {
-		return c.edges
-	}
-	return c.hval
-}
+func (c *Chain) Energy() int { return c.hval }
 
 // Payload returns the payload state of particle i (0 for stateless rules).
-func (c *Chain) Payload(i int) uint8 {
-	if c.reference {
-		return 0
-	}
-	return c.g.Payload(c.points[i])
-}
-
-// hasHolesNow recomputes hole presence for the current configuration.
-func (c *Chain) hasHolesNow() bool {
-	if c.reference {
-		return c.cfg.HasHoles()
-	}
-	return c.g.HasHoles()
-}
+func (c *Chain) Payload(i int) uint8 { return c.g.Payload(c.points[i]) }
 
 // Perimeter returns p(σ) for the current configuration. Once the chain has
 // reached the hole-free space Ω* it uses the identity p = 3n − 3 − e of
 // Lemma 2.3 (holes never reform, Lemma 3.2); before that it walks the
-// boundary — a single walk, on the grid engine, answering both the hole
-// check and the perimeter.
+// boundary — a single walk answering both the hole check and the
+// perimeter.
 func (c *Chain) Perimeter() int {
 	if len(c.points) == 1 {
 		return 0
 	}
 	if c.holesGone {
 		return 3*len(c.points) - 3 - c.Edges()
-	}
-	if c.reference {
-		if !c.cfg.HasHoles() {
-			c.holesGone = true
-			return 3*len(c.points) - 3 - c.Edges()
-		}
-		return c.cfg.Perimeter()
 	}
 	cycles, edges := c.g.Boundaries()
 	if cycles <= 1 {
@@ -391,29 +251,14 @@ func (c *Chain) Perimeter() int {
 
 // HoleFree reports whether the chain has reached the hole-free space Ω*.
 func (c *Chain) HoleFree() bool {
-	if !c.holesGone && !c.hasHolesNow() {
+	if !c.holesGone && !c.g.HasHoles() {
 		c.holesGone = true
 	}
 	return c.holesGone
 }
 
 // Config returns a snapshot copy of the current configuration.
-func (c *Chain) Config() *config.Config {
-	if c.reference {
-		return c.cfg.Clone()
-	}
-	return config.FromGrid(c.g)
-}
-
-// view returns a map-backed configuration of the current state for read-only
-// use in tests and invariant checks. In reference mode it is the live
-// internal configuration; on the grid engine it is materialized per call.
-func (c *Chain) view() *config.Config {
-	if c.reference {
-		return c.cfg
-	}
-	return config.FromGrid(c.g)
-}
+func (c *Chain) Config() *config.Config { return config.FromGrid(c.g) }
 
 // Step executes one iteration of the Metropolis chain and reports whether
 // the state changed (a particle moved or a payload rotated).
@@ -422,9 +267,6 @@ func (c *Chain) Step() bool {
 	i := intN(c.pcg, len(c.points))
 	l := c.points[i]
 	slot := intN(c.pcg, c.slots)
-	if c.reference {
-		return c.stepReference(i, l, lattice.Dir(slot))
-	}
 	if slot >= lattice.NumDirs {
 		return c.stepRotate(l, slot-lattice.NumDirs)
 	}
@@ -490,37 +332,6 @@ func (c *Chain) stepRotate(l lattice.Point, j int) bool {
 	c.rotations++
 	if c.mlog != nil {
 		c.mlog.Rotated(l, t)
-	}
-	return true
-}
-
-// stepReference is the pre-refactor step body on the map-backed engine. It
-// must consume randomness exactly as the grid path does.
-func (c *Chain) stepReference(i int, l lattice.Point, d lattice.Dir) bool {
-	lp := l.Neighbor(d)
-	if c.cfg.Has(lp) {
-		return false
-	}
-	e := c.cfg.Degree(l)
-	if c.degreeGuard && e == 5 {
-		return false
-	}
-	ok := (c.prop1 && move.Property1(c.cfg, l, d)) || (c.prop2 && move.Property2(c.cfg, l, d))
-	if !ok {
-		return false
-	}
-	ep := c.cfg.DegreeExcluding(lp, l)
-	if thresh := c.lamPow[ep-e+5]; thresh < 1 {
-		if unitFloat(c.pcg) >= thresh {
-			return false
-		}
-	}
-	c.cfg.Move(l, lp)
-	c.points[i] = lp
-	c.edges += ep - e
-	c.accepted++
-	if c.mlog != nil {
-		c.mlog.Moved(l, lp, 0)
 	}
 	return true
 }

@@ -11,6 +11,7 @@ import (
 	"sops/internal/lattice"
 	"sops/internal/metrics"
 	"sops/internal/move"
+	"sops/internal/rule"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -120,7 +121,7 @@ func TestInvariantConnectivity(t *testing.T) {
 		c := MustNew(start, 3, uint64(trial))
 		for batch := 0; batch < 20; batch++ {
 			c.Run(500)
-			if !c.view().Connected() {
+			if !c.Config().Connected() {
 				t.Fatalf("trial %d: configuration disconnected after %d steps", trial, c.Steps())
 			}
 		}
@@ -137,7 +138,7 @@ func TestInvariantHolesNeverReform(t *testing.T) {
 		wasHoleFree := false
 		for batch := 0; batch < 40; batch++ {
 			c.Run(400)
-			holes := len(c.view().HoleCells()) > 0
+			holes := len(c.Config().HoleCells()) > 0
 			if wasHoleFree && holes {
 				t.Fatalf("trial %d: hole reformed after %d steps", trial, c.Steps())
 			}
@@ -161,10 +162,10 @@ func TestIncrementalCountersMatch(t *testing.T) {
 		c := MustNew(start, 2.5, uint64(trial*7+1))
 		for batch := 0; batch < 25; batch++ {
 			c.Run(300)
-			if got, want := c.Edges(), c.view().Edges(); got != want {
+			if got, want := c.Edges(), c.Config().Edges(); got != want {
 				t.Fatalf("incremental edges %d != recount %d at step %d", got, want, c.Steps())
 			}
-			if got, want := c.Perimeter(), c.view().Perimeter(); got != want {
+			if got, want := c.Perimeter(), c.Config().Perimeter(); got != want {
 				t.Fatalf("perimeter %d != boundary walk %d (holeFree=%v) at step %d",
 					got, want, c.HoleFree(), c.Steps())
 			}
@@ -176,8 +177,8 @@ func TestIncrementalCountersMatch(t *testing.T) {
 func TestParticleCountConserved(t *testing.T) {
 	c := MustNew(config.Line(30), 4, 8)
 	c.Run(30000)
-	if c.view().N() != 30 {
-		t.Fatalf("particle count changed: %d", c.view().N())
+	if c.Config().N() != 30 {
+		t.Fatalf("particle count changed: %d", c.Config().N())
 	}
 	if c.N() != 30 {
 		t.Fatalf("N() = %d", c.N())
@@ -429,10 +430,10 @@ func TestEmpiricalMatchesExactStationary(t *testing.T) {
 func TestAblationDegreeGuard(t *testing.T) {
 	sawHole := false
 	for trial := 0; trial < 30 && !sawHole; trial++ {
-		c := MustNew(config.Spiral(20), 1, uint64(trial), WithoutDegreeGuard())
+		c := MustNewWithRule(config.Spiral(20), rule.CompressionVariant(1, false, true, true), uint64(trial))
 		for batch := 0; batch < 60 && !sawHole; batch++ {
 			c.Run(200)
-			if len(c.view().HoleCells()) > 0 {
+			if len(c.Config().HoleCells()) > 0 {
 				sawHole = true
 			}
 		}

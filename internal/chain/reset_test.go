@@ -77,11 +77,3 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 }
-
-// TestResetUnsupportedOnReference pins the reference-engine restriction.
-func TestResetUnsupportedOnReference(t *testing.T) {
-	c := MustNew(config.Spiral(10), 4, 1, WithReferenceEngine())
-	if err := c.Reset(config.Spiral(10).Points(), rule.Compression(4), 1); err == nil {
-		t.Fatal("Reset on the reference engine should fail")
-	}
-}

@@ -9,18 +9,16 @@ import (
 )
 
 // TestNewWithRuleCompressionBitIdentical: running the chain through the
-// compiled rule.Compression must reproduce the flag-based constructor's
-// trajectory exactly — same accept/reject stream, same particle positions,
-// same counters. This is the refactor-invisibility contract at the chain
-// layer (the reference-engine differential test pins the flag-based path to
-// the pre-refactor oracle).
+// compiled rule.Compression must reproduce New's trajectory exactly — same
+// accept/reject stream, same particle positions, same counters. (The
+// differential tests pin both to the map-backed reference chain.)
 func TestNewWithRuleCompressionBitIdentical(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		a := MustNew(config.Line(30), 4, seed)
 		b := MustNewWithRule(config.Line(30), rule.Compression(4), seed)
 		for step := 0; step < 20000; step++ {
 			if am, bm := a.Step(), b.Step(); am != bm {
-				t.Fatalf("seed %d step %d: flag-based moved=%v, rule-based moved=%v", seed, step, am, bm)
+				t.Fatalf("seed %d step %d: New moved=%v, NewWithRule moved=%v", seed, step, am, bm)
 			}
 		}
 		if a.Accepted() != b.Accepted() || a.Edges() != b.Edges() || a.Perimeter() != b.Perimeter() {
@@ -56,7 +54,7 @@ func TestAlignmentChainInvariants(t *testing.T) {
 		var rotSeen bool
 		for batch := 0; batch < 20; batch++ {
 			c.Run(2000)
-			v := c.view()
+			v := c.Config()
 			if got, want := c.Edges(), v.Edges(); got != want {
 				t.Fatalf("λ=%g k=%d batch %d: incremental edges %d, recomputed %d", tc.lambda, tc.states, batch, got, want)
 			}
@@ -132,17 +130,6 @@ func TestRotationDetailedBalanceSmallState(t *testing.T) {
 func TestNewWithRuleValidation(t *testing.T) {
 	if _, err := NewWithRule(config.Line(5), nil, 1); err == nil {
 		t.Fatal("nil rule accepted")
-	}
-	if _, err := NewWithRule(config.Line(5), rule.MustAlignment(2, 4), 1, WithReferenceEngine()); err == nil {
-		t.Fatal("reference engine accepted a payload rule")
-	}
-	// The reference path always runs the unablated predicates, so an
-	// ablated variant must be rejected too, not silently un-ablated.
-	if _, err := NewWithRule(config.Line(5), rule.CompressionVariant(2, false, true, true), 1, WithReferenceEngine()); err == nil {
-		t.Fatal("reference engine accepted an ablated compression variant")
-	}
-	if _, err := NewWithRule(config.Line(5), rule.Compression(2), 1, WithoutProperty1()); err == nil {
-		t.Fatal("ablation option accepted by NewWithRule")
 	}
 	if _, err := NewWithRule(config.New(), rule.Compression(2), 1); err == nil {
 		t.Fatal("empty configuration accepted")

@@ -120,16 +120,6 @@ func (c *Config) Perimeter() int {
 	return total
 }
 
-// ExternalPerimeter returns the length of the unique external boundary only.
-func (c *Config) ExternalPerimeter() int {
-	for _, b := range c.Boundaries() {
-		if b.External {
-			return b.Length
-		}
-	}
-	return 0
-}
-
 // HoleCount returns the number of holes: maximal finite unoccupied regions
 // enclosed by the configuration.
 func (c *Config) HoleCount() int {

@@ -9,11 +9,13 @@ import (
 	"math"
 )
 
-// digestVersion is folded into every spec digest. Bump it whenever the
-// canonical Spec encoding, the task-seed derivation, the point-grid order,
-// or any scenario's semantics change in a way that alters results: the bump
-// retires every cached result at once instead of serving stale bytes.
-const digestVersion = "sops-experiment-digest-v1"
+// DigestVersion is folded into every spec digest: the digest hashes this
+// line, a newline, and the canonical JSON of the normalized Spec. Bump it
+// whenever the canonical Spec encoding, the task-seed derivation, the
+// point-grid order, or any scenario's semantics change in a way that alters
+// results: the bump retires every cached result at once instead of serving
+// stale bytes.
+const DigestVersion = "sops-experiment-digest-v1"
 
 // Normalize returns the canonical form of spec: scenario defaults applied,
 // empty axes filled, values validated — exactly what Run journals as the
@@ -43,25 +45,23 @@ func Digest(spec Spec) (string, error) {
 		return "", err
 	}
 	h := sha256.New()
-	_, _ = io.WriteString(h, digestVersion+"\n")
+	_, _ = io.WriteString(h, DigestVersion+"\n")
 	_, _ = h.Write(canon)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// TaskCount returns the total number of (point, rep) tasks the normalized
-// spec expands to: the product of its axis lengths and Reps, counted
-// without building the point grid. It errors on a spec that does not
-// normalize or whose count overflows an int.
-func TaskCount(spec Spec) (int, error) {
-	norm, err := Normalize(spec)
-	if err != nil {
-		return 0, err
-	}
-	// Normalization leaves every factor at least 1; an empty rule axis
-	// means compression only.
+// TaskCount returns the total number of (point, rep) tasks a spec returned
+// by Normalize expands to: the product of its axis lengths and Reps,
+// counted without building the point grid. It errors when the count
+// overflows an int, or on an empty axis, which Normalize would have filled.
+func TaskCount(norm Spec) (int, error) {
+	// An empty rule axis means compression only.
 	n := 1
 	for _, k := range []int{len(norm.Lambdas), len(norm.Sizes), len(norm.Starts), len(norm.Engines),
 		len(norm.CrashFractions), max(len(norm.Rules), 1), norm.Reps} {
+		if k < 1 {
+			return 0, fmt.Errorf("experiment: TaskCount needs a normalized spec")
+		}
 		if n > math.MaxInt/k {
 			return 0, fmt.Errorf("experiment: the sweep's task count overflows an int")
 		}

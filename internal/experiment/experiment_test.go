@@ -61,6 +61,9 @@ func TestNormalizeDefaultsAndPointOrder(t *testing.T) {
 	if n, err := TaskCount(spec); err == nil {
 		t.Fatalf("TaskCount = %d for an overflowing sweep, want an error", n)
 	}
+	if n, err := TaskCount(Spec{Scenario: "compress", Sizes: []int{10}}); err == nil {
+		t.Fatalf("TaskCount = %d for a spec with empty axes, want an error", n)
+	}
 	// λ outermost, then size, then engine, with the (defaulted) rule axis
 	// innermost: the order is part of the journal format and must not drift.
 	want := []Point{

@@ -353,7 +353,7 @@ func runAblation(sp Spec, t Task) (Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := chain.New(start, t.Point.Lambda, t.Seed, chain.WithoutDegreeGuard())
+	c, err := chain.NewWithRule(start, rule.CompressionVariant(t.Point.Lambda, false, true, true), t.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +423,8 @@ func runMixing(sp Spec, t Task) (Metrics, error) {
 }
 
 // requireChain rejects tasks whose engine axis asks a Metropolis-only
-// scenario (the ablations use chain-specific options) for another engine.
+// scenario (the ablation runs its variant rule on chain M, the hexagon
+// baseline runs no engine) for another engine.
 func requireChain(t Task) error {
 	if t.Point.Engine != EngineChain {
 		return fmt.Errorf("scenario requires engine %q, got %q", EngineChain, t.Point.Engine)

@@ -24,9 +24,6 @@ func (g *Grid) EnablePayload() {
 	}
 }
 
-// PayloadEnabled reports whether the payload array is allocated.
-func (g *Grid) PayloadEnabled() bool { return g.pay != nil }
-
 // Payload returns the payload byte of p, or 0 when p is unoccupied, outside
 // the window, or payloads are disabled.
 func (g *Grid) Payload(p lattice.Point) uint8 {

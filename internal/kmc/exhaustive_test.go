@@ -9,6 +9,7 @@ import (
 	"sops/internal/enumerate"
 	"sops/internal/lattice"
 	"sops/internal/move"
+	"sops/internal/rule"
 )
 
 // bruteSlotWeight computes the acceptance weight of the move (l, l+d) on a
@@ -99,27 +100,27 @@ func TestIncrementalWeightsAlongTrajectory(t *testing.T) {
 	}
 }
 
-// TestAblatedWeightsMatchBruteForce: the ablation options must restrict the
-// move set exactly as the reference predicates do.
+// TestAblatedWeightsMatchBruteForce: each rule.CompressionVariant ablation
+// must restrict the move set exactly as the reference predicates do.
 func TestAblatedWeightsMatchBruteForce(t *testing.T) {
 	lambda := 2.5
 	for si, sigma := range enumerate.AllHoleFree(4) {
 		for _, tc := range []struct {
 			name  string
-			opts  []Option
+			ru    *rule.Rule
 			valid func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool
 		}{
-			{"no-prop2", []Option{WithoutProperty2()}, func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool {
+			{"no-prop2", rule.CompressionVariant(lambda, true, true, false), func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool {
 				return !cfg.Has(l.Neighbor(d)) && cfg.Degree(l) != 5 && move.Property1(cfg, l, d)
 			}},
-			{"no-prop1", []Option{WithoutProperty1()}, func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool {
+			{"no-prop1", rule.CompressionVariant(lambda, true, false, true), func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool {
 				return !cfg.Has(l.Neighbor(d)) && cfg.Degree(l) != 5 && move.Property2(cfg, l, d)
 			}},
-			{"no-degree-guard", []Option{WithoutDegreeGuard()}, func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool {
+			{"no-degree-guard", rule.CompressionVariant(lambda, false, true, true), func(cfg *config.Config, l lattice.Point, d lattice.Dir) bool {
 				return !cfg.Has(l.Neighbor(d)) && (move.Property1(cfg, l, d) || move.Property2(cfg, l, d))
 			}},
 		} {
-			c := MustNew(sigma, lambda, 1, tc.opts...)
+			c := MustNewWithRule(sigma, tc.ru, 1)
 			for i, p := range c.Points() {
 				ws := c.SlotWeights(i)
 				for d := lattice.Dir(0); d < lattice.NumDirs; d++ {

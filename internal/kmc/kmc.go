@@ -35,7 +35,9 @@
 // plus O(1) reweighting. Per-slot
 // weights come from the same compiled rule tables the Metropolis engine
 // uses: the two engines cannot disagree on the move set by construction,
-// and rule.Compression(λ) reproduces the pre-rule engine bit for bit.
+// and rule.Compression(λ) reproduces the pre-rule engine bit for bit. An
+// ablated chain is a rule.CompressionVariant run through NewWithRule, and
+// every construction goes through Reset.
 package kmc
 
 import (
@@ -58,19 +60,6 @@ const rebuildEvery = 1 << 16
 // rngStream is the fixed second PCG seed word; New and Reset must use the
 // same value so a Reset chain replays a fresh chain's randomness exactly.
 const rngStream = 0x9e3779b97f4a7c15
-
-// Option customizes a Chain. The ablation variants mirror internal/chain so
-// differential tests can compare ablated engines too.
-type Option func(*Chain)
-
-// WithoutDegreeGuard disables condition (1) of step 6 (e ≠ 5); ablation only.
-func WithoutDegreeGuard() Option { return func(c *Chain) { c.degreeGuard = false } }
-
-// WithoutProperty1 disables Property 1 moves; ablation only.
-func WithoutProperty1() Option { return func(c *Chain) { c.prop1 = false } }
-
-// WithoutProperty2 disables Property 2 moves; ablation only.
-func WithoutProperty2() Option { return func(c *Chain) { c.prop2 = false } }
 
 // Chain is a running rejection-free instance of a local rule. It is not
 // safe for concurrent use; run independent chains in separate goroutines.
@@ -114,9 +103,6 @@ type Chain struct {
 	epochEnd uint64
 	lcache   *rule.LadderCache
 
-	degreeGuard  bool
-	prop1, prop2 bool
-
 	steps  uint64 // Metropolis-equivalent iterations, including holds
 	events uint64 // applied events (translations + rotations)
 	moves  uint64 // applied translations
@@ -141,91 +127,38 @@ type Chain struct {
 // and rotation (for delta frame encoding). Pass nil to detach.
 func (c *Chain) SetMoveLog(l *frame.MoveLog) { c.mlog = l }
 
-// New creates a rejection-free compression chain (possibly ablated via
-// options) over a copy of the starting configuration σ0, which must be
-// non-empty and connected, with bias parameter λ > 0. The chain is
-// deterministic given (σ0, λ, seed); its trajectories are not
-// step-for-step comparable to internal/chain (the two consume randomness
-// differently) but agree in distribution.
-func New(sigma0 *config.Config, lambda float64, seed uint64, opts ...Option) (*Chain, error) {
+// New creates a rejection-free compression chain over a copy of the
+// starting configuration σ0, which must be non-empty and connected, with
+// bias parameter λ > 0: NewWithRule(σ0, rule.Compression(λ), seed) once λ
+// is checked. The chain is deterministic given (σ0, λ, seed); its
+// trajectories are not step-for-step comparable to internal/chain (the two
+// consume randomness differently) but agree in distribution. An ablated
+// chain is NewWithRule over rule.CompressionVariant.
+func New(sigma0 *config.Config, lambda float64, seed uint64) (*Chain, error) {
 	if err := rule.ValidateLambda(lambda); err != nil {
 		return nil, fmt.Errorf("kmc: %w", err)
 	}
-	c := &Chain{
-		lambda:      lambda,
-		degreeGuard: true,
-		prop1:       true,
-		prop2:       true,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	c.ru = rule.CompressionVariant(lambda, c.degreeGuard, c.prop1, c.prop2)
-	if err := c.init(sigma0, seed); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return NewWithRule(sigma0, rule.Compression(lambda), seed)
 }
 
 // NewWithRule creates a rejection-free chain running an arbitrary compiled
-// rule. Payload rules draw the initial per-particle states uniformly from
-// the chain's own randomness (matching chain.NewWithRule's construction),
-// so the trajectory is deterministic given (σ0, rule, seed).
+// rule over a copy of σ0, which must be non-empty and connected. Payload
+// rules draw the initial per-particle states uniformly from the chain's own
+// randomness (matching chain.NewWithRule's construction), so the
+// trajectory is deterministic given (σ0, rule, seed). It allocates the
+// grid, the randomness, the particle index and the Fenwick tree and hands
+// the rest to Reset.
 func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, error) {
-	if ru == nil {
-		return nil, fmt.Errorf("kmc: nil rule")
+	if !sigma0.Connected() {
+		return nil, fmt.Errorf("kmc: starting configuration must be connected")
 	}
-	c := &Chain{
-		lambda:      ru.Lambda(),
-		ru:          ru,
-		degreeGuard: true,
-		prop1:       true,
-		prop2:       true,
-	}
-	if err := c.init(sigma0, seed); err != nil {
+	pts := sigma0.Points()
+	pcg := new(rand.PCG)
+	c := &Chain{g: grid.New(pts, 0), pcg: pcg, rng: rand.New(pcg), idx: &pindex{}, fen: &fenwick{}}
+	if err := c.Reset(pts, ru, seed); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// init finishes construction once the rule is fixed.
-func (c *Chain) init(sigma0 *config.Config, seed uint64) error {
-	if sigma0.N() == 0 {
-		return fmt.Errorf("kmc: empty starting configuration")
-	}
-	if !sigma0.Connected() {
-		return fmt.Errorf("kmc: starting configuration must be connected")
-	}
-	c.pcg = rand.NewPCG(seed, rngStream)
-	c.rng = rand.New(c.pcg)
-	c.stateless = c.ru.Stateless()
-	c.slots = c.ru.Slots()
-	c.biased = c.ru.Biased()
-	c.lcache = nil
-	c.epoch, c.epochEnd = 0, 0
-	if c.biased {
-		c.lcache = rule.NewLadderCache(c.ru)
-		c.epochEnd = c.ru.BiasEpoch()
-	}
-	c.points = sigma0.Points()
-	c.g = grid.New(c.points, 0)
-	if !c.stateless {
-		c.g.EnablePayload()
-		states := c.ru.States()
-		for _, p := range c.points {
-			c.g.SetPayload(p, uint8(c.rng.IntN(states)))
-		}
-		c.slotBuf = make([]float64, c.slots)
-		c.payBuf = make([]float64, c.slots)
-	}
-	c.wTab = c.ru.WeightTable()
-	c.hval = c.ru.Energy(c.g)
-	c.idx = newPindex(c.points)
-	c.wj = make([]float64, len(c.points))
-	c.fen = newFenwick(len(c.points))
-	c.classify()
-	c.holesGone = !sigma0.HasHoles()
-	return nil
 }
 
 // classify fills the mask cache (stateless rules) and every particle's
@@ -309,8 +242,8 @@ func resize[T any](buf []T, n int) []T {
 func (c *Chain) Grid() *grid.Grid { return c.g }
 
 // MustNew is New but panics on error.
-func MustNew(sigma0 *config.Config, lambda float64, seed uint64, opts ...Option) *Chain {
-	c, err := New(sigma0, lambda, seed, opts...)
+func MustNew(sigma0 *config.Config, lambda float64, seed uint64) *Chain {
+	c, err := New(sigma0, lambda, seed)
 	if err != nil {
 		panic(err)
 	}

@@ -265,7 +265,7 @@ func (a *Arena) engineFor(engine string, pts []lattice.Point, ru *rule.Rule, see
 		a.kmc.SetMoveLog(nil)
 		return a.kmc, nil
 	}
-	return nil, fmt.Errorf("sops: engine %q is not sequential (want %s|%s)", engine, EngineChain, EngineKMC)
+	return nil, fmt.Errorf("runner: engine %q is not sequential (want %s|%s)", engine, EngineChain, EngineKMC)
 }
 
 // amoebot builds an Algorithm A run over the starting points: payload

@@ -133,7 +133,7 @@ func NewRule(name string, lambda float64, states int, forage *ForageSpec) (*rule
 		return rule.New(name, lambda, states)
 	}
 	if name != RuleForage {
-		return nil, fmt.Errorf("sops: a Forage schedule requires Rule %q", RuleForage)
+		return nil, fmt.Errorf("runner: a Forage schedule requires Rule %q", RuleForage)
 	}
 	return rule.Forage(lambda, forage.ruleOptions())
 }

@@ -118,7 +118,7 @@ func StartShapes() []StartShape {
 
 // ErrInterrupted is returned by Compress when Options.Interrupt stopped the
 // run before the iteration budget was spent.
-var ErrInterrupted = errors.New("sops: run interrupted")
+var ErrInterrupted = errors.New("runner: run interrupted")
 
 // Point is a vertex of the triangular lattice in axial coordinates.
 type Point struct {
@@ -358,7 +358,7 @@ func (o Options) Validate() error {
 // resolved.
 func (o Options) resolved() (Options, error) {
 	if o.N < 1 {
-		return o, fmt.Errorf("sops: N must be positive, got %d", o.N)
+		return o, fmt.Errorf("runner: N must be positive, got %d", o.N)
 	}
 	if o.Start == "" {
 		o.Start = StartLine
@@ -366,7 +366,7 @@ func (o Options) resolved() (Options, error) {
 	switch o.Start {
 	case StartLine, StartSpiral, StartRandom, StartTree:
 	default:
-		return o, fmt.Errorf("sops: unknown start shape %q", o.Start)
+		return o, fmt.Errorf("runner: unknown start shape %q", o.Start)
 	}
 	if o.Engine == "" {
 		o.Engine = EngineChain
@@ -374,22 +374,22 @@ func (o Options) resolved() (Options, error) {
 	switch o.Engine {
 	case EngineChain, EngineKMC, EngineAmoebot:
 	default:
-		return o, fmt.Errorf("sops: unknown engine %q (want %s|%s|%s)", o.Engine, EngineChain, EngineKMC, EngineAmoebot)
+		return o, fmt.Errorf("runner: unknown engine %q (want %s|%s|%s)", o.Engine, EngineChain, EngineKMC, EngineAmoebot)
 	}
 	if o.Rule == "" {
 		o.Rule = RuleCompression
 	}
 	if o.RuleStates < 0 {
-		return o, fmt.Errorf("sops: RuleStates must be non-negative, got %d", o.RuleStates)
+		return o, fmt.Errorf("runner: RuleStates must be non-negative, got %d", o.RuleStates)
 	}
 	if !(o.CrashFraction >= 0 && o.CrashFraction < 1) { // refuses NaN too
-		return o, fmt.Errorf("sops: CrashFraction must be in [0,1), got %v", o.CrashFraction)
+		return o, fmt.Errorf("runner: CrashFraction must be in [0,1), got %v", o.CrashFraction)
 	}
 	if o.CrashFraction > 0 && o.Engine != EngineAmoebot {
-		return o, fmt.Errorf("sops: CrashFraction requires the %s engine", EngineAmoebot)
+		return o, fmt.Errorf("runner: CrashFraction requires the %s engine", EngineAmoebot)
 	}
 	if o.Workers > 1 && o.Engine != EngineAmoebot {
-		return o, fmt.Errorf("sops: Workers requires the %s engine", EngineAmoebot)
+		return o, fmt.Errorf("runner: Workers requires the %s engine", EngineAmoebot)
 	}
 	if o.Workers < 2 {
 		o.Workers = 0

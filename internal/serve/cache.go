@@ -63,23 +63,31 @@ func (c completion) serve(job *Job) {
 	job.TasksFailed = c.TasksFailed
 }
 
-// jobDigest computes the content address of a normalized request.
+// jobDigest computes the content address of a normalized request: a
+// version line and the canonical JSON of the normalized spec or options.
+// A sweep's digest is experiment.Digest's, taken from the spec normalize
+// already produced instead of normalizing it again.
 func jobDigest(req JobRequest) (string, error) {
+	var version string
+	var canon []byte
+	var err error
 	switch req.Kind {
 	case KindSweep:
-		return experiment.Digest(*req.Spec)
+		version = experiment.DigestVersion
+		canon, err = json.Marshal(*req.Spec)
 	case KindRun:
-		canon, err := json.Marshal(*req.Run)
-		if err != nil {
-			return "", err
-		}
-		h := sha256.New()
-		_, _ = io.WriteString(h, runDigestVersion+"\n")
-		_, _ = h.Write(canon)
-		return hex.EncodeToString(h.Sum(nil)), nil
+		version = runDigestVersion
+		canon, err = json.Marshal(*req.Run)
 	default:
 		return "", fmt.Errorf("serve: unknown job kind %q", req.Kind)
 	}
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	_, _ = io.WriteString(h, version+"\n")
+	_, _ = h.Write(canon)
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // cacheable reports whether the request's results are deterministic given

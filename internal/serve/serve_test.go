@@ -185,6 +185,9 @@ func TestSubmitStreamFetchCachedResubmit(t *testing.T) {
 	if job.Kind != KindSweep || job.Digest == "" || job.TasksTotal != 1 {
 		t.Fatalf("accepted job malformed: %+v", job)
 	}
+	if want, err := experiment.Digest(*smallSweep(5)); err != nil || job.Digest != want {
+		t.Fatalf("sweep job digest %s, experiment.Digest of the raw spec %s (%v)", job.Digest, want, err)
+	}
 
 	frames := streamFrames(t, base, job.ID)
 	var snaps, tasks int

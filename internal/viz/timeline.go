@@ -40,13 +40,8 @@ const (
 	tlMarginBot   = 26.0
 )
 
-// TimelineSVG renders the panels stacked vertically as one SVG document.
-func TimelineSVG(title string, panels []TimelinePanel) string {
-	return string(AppendTimelineSVG(nil, title, panels))
-}
-
-// AppendTimelineSVG appends the SVG document to buf and returns the
-// extended slice — the reusable-buffer path, like AppendSVG.
+// AppendTimelineSVG appends the panels, stacked vertically as one SVG
+// document, to buf and returns the extended slice.
 func AppendTimelineSVG(buf []byte, title string, panels []TimelinePanel) []byte {
 	height := 24.0 + tlPanelHeight*float64(len(panels))
 	buf = fmt.Appendf(buf, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" font-family="monospace" font-size="11">`+"\n",
