@@ -102,9 +102,16 @@ func BenchmarkScalingConjecture(b *testing.B) {
 				c := chain.MustNew(config.Line(n), 4, uint64(i)*31+uint64(n))
 				target := 2 * metrics.PMin(n)
 				cap := 800 * uint64(n) * uint64(n) * uint64(n)
-				done := c.RunUntil(cap, uint64(n*n/4+1), func() bool {
-					return c.Perimeter() <= target
-				})
+				every := uint64(n*n/4 + 1)
+				var done uint64
+				for done < cap {
+					k := min(every, cap-done)
+					c.Run(k)
+					done += k
+					if c.Perimeter() <= target {
+						break
+					}
+				}
 				samples = append(samples, float64(done))
 			}
 			s := stats.Summarize(samples)

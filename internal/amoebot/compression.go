@@ -21,15 +21,17 @@ import (
 // rotations touch no second node, so the expand/contract handshake and the
 // flag are unnecessary and the activation stays atomic.
 //
-// For rules with a time-varying/site-dependent bias the Metropolis filter
-// prices each proposal at the effective λ of (activation step, tail site):
-// the activation count is the asynchronous analogue of the chain's step
-// clock. The protocol's ladder cache is safe under the concurrent scheduler
-// because activations are serialized (atomic actions); the Ladders
-// themselves are immutable.
+// The Metropolis filter prices each proposal through the rule's ladder.
+// For rules with a time-varying/site-dependent bias it prices at the
+// effective λ of (activation step, tail site): the activation count is the
+// asynchronous analogue of the chain's step clock. The protocol's ladder
+// cache is safe under the concurrent scheduler because activations are
+// serialized (atomic actions); the Ladders themselves are immutable.
 type Metropolis struct {
 	ru *rule.Rule
-	// lcache memoizes pricing ladders for biased rules; nil for fixed λ.
+	// ld prices the proposals of a fixed-λ rule; for biased rules lcache
+	// memoizes the ladders per effective λ instead (nil for fixed λ).
+	ld     *rule.Ladder
 	lcache *rule.LadderCache
 }
 
@@ -42,7 +44,7 @@ func NewMetropolis(ru *rule.Rule) (*Metropolis, error) {
 	if ru == nil {
 		return nil, fmt.Errorf("amoebot: nil rule")
 	}
-	p := &Metropolis{ru: ru}
+	p := &Metropolis{ru: ru, ld: ru.Ladder()}
 	if ru.Biased() {
 		p.lcache = rule.NewLadderCache(ru)
 	}
@@ -66,7 +68,7 @@ func NewCompression(lambda float64) (*Compression, error) {
 	if err != nil {
 		return nil, fmt.Errorf("amoebot: %w", err)
 	}
-	return &Compression{ru: ru}, nil
+	return NewMetropolis(ru)
 }
 
 // MustNewCompression is NewCompression but panics on error.
@@ -83,6 +85,15 @@ func (c *Metropolis) Rule() *rule.Rule { return c.ru }
 
 // Lambda returns the bias parameter.
 func (c *Metropolis) Lambda() float64 { return c.ru.Lambda() }
+
+// ladderAt returns the ladder pricing a's proposal: the rule's own for a
+// fixed λ, else the one at the effective λ of (activation step, tail site).
+func (c *Metropolis) ladderAt(a *Activation) *rule.Ladder {
+	if c.lcache == nil {
+		return c.ld
+	}
+	return c.lcache.At(a.w.activations-1, a.p.tail)
+}
 
 // Activate runs one atomic activation of the protocol.
 func (c *Metropolis) Activate(a *Activation) {
@@ -116,18 +127,11 @@ func (c *Metropolis) Activate(a *Activation) {
 	m, expanded := a.MoveMask()
 	ok := false
 	if expanded && c.ru.Allowed(m) {
-		acc := 0.0
-		if c.lcache != nil {
-			ld := c.lcache.At(a.Step(), a.TailSite())
-			if c.ru.Stateless() {
-				acc = ld.Accept(m)
-			} else {
-				acc = ld.AcceptPay(m, a.moveSame(m))
-			}
-		} else if c.ru.Stateless() {
-			acc = c.ru.Accept(m)
+		var acc float64
+		if c.ru.Stateless() {
+			acc = c.ladderAt(a).Move(m)
 		} else {
-			acc = c.ru.AcceptPay(m, a.moveSame(m))
+			acc = c.ladderAt(a).MovePay(m, a.moveSame(m))
 		}
 		ok = q < acc && a.Flag()
 	}
@@ -145,11 +149,7 @@ func (c *Metropolis) rotate(a *Activation, j int) {
 	s := a.Payload()
 	t := c.ru.RotTarget(s, j)
 	delta := c.ru.RotDelta(a.sameNeighborMask(s), a.sameNeighborMask(t))
-	acc := c.ru.RotAccept(delta)
-	if c.lcache != nil {
-		acc = c.lcache.At(a.Step(), a.TailSite()).RotAccept(delta)
-	}
-	if q < acc {
+	if q < c.ladderAt(a).Rot(delta) {
 		a.setPayload(t)
 	}
 }

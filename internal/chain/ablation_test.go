@@ -36,35 +36,24 @@ func TestAblationProperty2StillCompresses(t *testing.T) {
 	}
 }
 
-// TestRunUntilStopsEarly: the predicate-driven runner must stop at the
-// first satisfied checkpoint, not run to the cap.
-func TestRunUntilStopsEarly(t *testing.T) {
-	c := MustNew(config.Line(20), 6, 3)
-	target := 2 * metrics.PMin(20)
-	done := c.RunUntil(50_000_000, 1000, func() bool {
-		return c.Perimeter() <= target
-	})
-	if done == 50_000_000 && c.Perimeter() > target {
-		t.Fatalf("never reached 2·pmin within cap")
-	}
-	if done%1000 != 0 {
-		t.Errorf("done=%d not a multiple of the check interval", done)
-	}
-	if done > 10_000_000 {
-		t.Errorf("took %d iterations for n=20; expected early stop", done)
-	}
-}
-
-// TestRunUntilRespectsCap: with an unsatisfiable predicate the runner stops
-// exactly at the cap.
-func TestRunUntilRespectsCap(t *testing.T) {
-	c := MustNew(config.Line(5), 4, 1)
-	done := c.RunUntil(2500, 999, func() bool { return false })
-	if done != 2500 {
-		t.Errorf("done=%d, want exactly the 2500 cap", done)
-	}
-	if c.Steps() != 2500 {
-		t.Errorf("steps=%d, want 2500", c.Steps())
+// TestHoleMeasuresAfterAblatedGuard: without the degree guard Lemma 3.2
+// fails — a chain that was hole-free can form a hole — so HoleFree and
+// Perimeter must keep reading the configuration instead of trusting an
+// earlier hole-free observation.
+func TestHoleMeasuresAfterAblatedGuard(t *testing.T) {
+	ru := rule.CompressionVariant(1, false, true, true)
+	for seed := uint64(0); seed < 30; seed++ {
+		c := MustNewWithRule(config.Spiral(20), ru, seed)
+		for step := 200; step <= 8000; step += 200 {
+			c.Run(200)
+			cfg := c.Config()
+			if got, want := c.HoleFree(), !cfg.HasHoles(); got != want {
+				t.Fatalf("seed %d step %d: HoleFree %v, configuration hole-free %v", seed, step, got, want)
+			}
+			if got, want := c.Perimeter(), cfg.Perimeter(); got != want {
+				t.Fatalf("seed %d step %d: Perimeter %d, boundary walk %d", seed, step, got, want)
+			}
+		}
 	}
 }
 

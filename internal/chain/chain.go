@@ -7,7 +7,8 @@
 // particle and a proposal slot uniformly at random — one of the six move
 // directions, plus one slot per alternative payload state for rules with
 // rotations — validates the proposal locally through the rule's compiled
-// guard table, and applies the Metropolis filter λ^{ΔH}.
+// guard table, and applies the Metropolis filter min(1, λ^{ΔH}), priced
+// by the rule's ladder.
 //
 // The chain runs on the bit-packed grid engine: occupancy (and, for payload
 // rules, per-particle state) lives in grid.Grid, and the per-step validity
@@ -86,17 +87,19 @@ type Chain struct {
 	slots     int
 	pcg       *rand.PCG // the chain's only randomness; Reset reseeds it in place
 
-	// biased marks rules with a time-varying/site-dependent bias schedule;
-	// lcache then memoizes the pricing ladders per effective λ. Both stay
-	// zero for fixed-λ rules, whose hot path is untouched.
-	biased bool
+	// ld prices the proposals of a fixed-λ rule. For a rule with a
+	// time-varying/site-dependent bias schedule, lcache memoizes the
+	// ladders per effective λ instead; it is nil for fixed-λ rules.
+	ld     *rule.Ladder
 	lcache *rule.LadderCache
 
 	hval      int // H(σ), maintained incrementally
 	steps     uint64
 	accepted  uint64
 	rotations uint64
-	holesGone bool // set once a hole-free configuration has been observed
+	// holesGone is set once a hole-free configuration has been observed
+	// under a rule that keeps it hole-free (rule.Rule.KeepsHoleFree).
+	holesGone bool
 
 	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
@@ -156,9 +159,9 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	c.pcg.Seed(seed, rngStream)
 	c.stateless = ru.Stateless()
 	c.slots = ru.Slots()
-	c.biased = ru.Biased()
+	c.ld = ru.Ladder()
 	c.lcache = nil
-	if c.biased {
+	if ru.Biased() {
 		c.lcache = rule.NewLadderCache(ru)
 	}
 	c.points = append(c.points[:0], pts...)
@@ -172,7 +175,7 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	}
 	c.hval = c.ru.Energy(c.g)
 	c.steps, c.accepted, c.rotations = 0, 0, 0
-	c.holesGone = !c.g.HasHoles()
+	c.holesGone = ru.KeepsHoleFree() && !c.g.HasHoles()
 	return nil
 }
 
@@ -229,36 +232,49 @@ func (c *Chain) Energy() int { return c.hval }
 // Payload returns the payload state of particle i (0 for stateless rules).
 func (c *Chain) Payload(i int) uint8 { return c.g.Payload(c.points[i]) }
 
-// Perimeter returns p(σ) for the current configuration. Once the chain has
-// reached the hole-free space Ω* it uses the identity p = 3n − 3 − e of
-// Lemma 2.3 (holes never reform, Lemma 3.2); before that it walks the
-// boundary — a single walk answering both the hole check and the
-// perimeter.
+// Perimeter returns p(σ) for the current configuration: the identity
+// p = 3n − 3 − e of Lemma 2.3 on a hole-free configuration, else the length
+// of the boundary walk — a single walk answering both the hole check and
+// the perimeter. The walks stop once the chain has reached Ω* under a rule
+// that keeps it hole-free (Lemma 3.2; rule.Rule.KeepsHoleFree).
 func (c *Chain) Perimeter() int {
 	if len(c.points) == 1 {
 		return 0
 	}
-	if c.holesGone {
-		return 3*len(c.points) - 3 - c.Edges()
+	if !c.holesGone {
+		cycles, edges := c.g.Boundaries()
+		if cycles > 1 {
+			return edges
+		}
+		c.holesGone = c.ru.KeepsHoleFree()
 	}
-	cycles, edges := c.g.Boundaries()
-	if cycles <= 1 {
-		c.holesGone = true
-		return 3*len(c.points) - 3 - c.Edges()
-	}
-	return edges
+	return 3*len(c.points) - 3 - c.Edges()
 }
 
-// HoleFree reports whether the chain has reached the hole-free space Ω*.
+// HoleFree reports whether the current configuration is hole-free. Under a
+// rule that keeps it so, the answer stays true once seen.
 func (c *Chain) HoleFree() bool {
-	if !c.holesGone && !c.g.HasHoles() {
-		c.holesGone = true
+	if c.holesGone {
+		return true
 	}
-	return c.holesGone
+	free := !c.g.HasHoles()
+	c.holesGone = free && c.ru.KeepsHoleFree()
+	return free
 }
 
 // Config returns a snapshot copy of the current configuration.
 func (c *Chain) Config() *config.Config { return config.FromGrid(c.g) }
+
+// ladderAt returns the ladder pricing a proposal by the particle at l in
+// the current iteration: the rule's own for a fixed λ, else the one at the
+// effective λ of l during the epoch of this iteration (0-indexed:
+// steps−1).
+func (c *Chain) ladderAt(l lattice.Point) *rule.Ladder {
+	if c.lcache == nil {
+		return c.ld
+	}
+	return c.lcache.At(c.steps-1, l)
+}
 
 // Step executes one iteration of the Metropolis chain and reports whether
 // the state changed (a particle moved or a payload rotated).
@@ -280,20 +296,12 @@ func (c *Chain) Step() bool {
 	var acc float64
 	var delta int
 	if c.stateless {
-		acc = c.ru.Accept(m)
+		acc = c.ladderAt(l).Move(m)
 		delta = c.ru.MoveDelta(m, 0)
-		if c.biased {
-			// The proposal is priced at the mover's current site ℓ during
-			// the epoch of this iteration (0-indexed: steps−1).
-			acc = c.lcache.At(c.steps-1, l).Accept(m)
-		}
 	} else {
 		same := c.g.PairSame(l, d, m, c.g.Payload(l))
-		acc = c.ru.AcceptPay(m, same)
+		acc = c.ladderAt(l).MovePay(m, same)
 		delta = c.ru.MoveDelta(m, same)
-		if c.biased {
-			acc = c.lcache.At(c.steps-1, l).AcceptPay(m, same)
-		}
 	}
 	// The Metropolis filter: accept with probability min(1, λ^ΔH).
 	if acc < 1 {
@@ -318,11 +326,7 @@ func (c *Chain) stepRotate(l lattice.Point, j int) bool {
 	s := c.g.Payload(l)
 	t := c.ru.RotTarget(s, j)
 	delta := c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
-	acc := c.ru.RotAccept(delta)
-	if c.biased {
-		acc = c.lcache.At(c.steps-1, l).RotAccept(delta)
-	}
-	if acc < 1 {
+	if acc := c.ladderAt(l).Rot(delta); acc < 1 {
 		if unitFloat(c.pcg) >= acc {
 			return false
 		}
@@ -345,28 +349,4 @@ func (c *Chain) Run(n uint64) uint64 {
 		}
 	}
 	return acc
-}
-
-// RunUntil executes up to max iterations, invoking check every interval
-// iterations; it stops early when check returns true. It returns the number
-// of iterations executed. The callback closes over whatever state it needs
-// (typically the chain itself); the signature is engine-neutral so the
-// Metropolis and kMC engines satisfy one interface.
-func (c *Chain) RunUntil(max, interval uint64, check func() bool) uint64 {
-	if interval == 0 {
-		interval = 1
-	}
-	var done uint64
-	for done < max {
-		batch := interval
-		if done+batch > max {
-			batch = max - done
-		}
-		c.Run(batch)
-		done += batch
-		if check() {
-			return done
-		}
-	}
-	return done
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"sops/internal/runner"
 )
 
 // testScenario registers a uniquely named synthetic scenario and returns its
@@ -445,5 +448,25 @@ func TestScenarioDeterminism(t *testing.T) {
 	a, b := run(1), run(4)
 	if string(a) != string(b) {
 		t.Fatalf("summaries differ across worker counts:\n%s\n%s", a, b)
+	}
+}
+
+// TestScenariosPollInterrupt: the scenarios that drive an engine directly
+// poll the task's interrupt as the arena's runs do, so a cancelled sweep
+// does not wait for their tasks to finish.
+func TestScenariosPollInterrupt(t *testing.T) {
+	for _, name := range []string{"scaling", "mixing", "ablation-degree-guard"} {
+		sc, err := lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := Spec{Scenario: name, Sizes: []int{10}}.normalized(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := Task{Point: spec.points()[0], Seed: 1, Arena: runner.NewArena(), Interrupt: func() bool { return true }}
+		if _, err := sc.Run(spec, task); !errors.Is(err, runner.ErrInterrupted) {
+			t.Fatalf("%s: err %v, want runner.ErrInterrupted", name, err)
+		}
 	}
 }

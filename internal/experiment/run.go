@@ -91,9 +91,9 @@ type outcome struct {
 // worker pool; with RunOptions.Dir set, every finished task is journaled and
 // a rerun (or `sops resume`) skips journaled (point, rep) pairs, replaying
 // their recorded metrics instead. Cancelling ctx stops dispatching new
-// tasks, interrupts snapshot-taking in-flight tasks at their next snapshot
-// boundary (dropping them unjournaled, to rerun on resume), lets the rest
-// journal, and returns an error wrapping ctx.Err(); the final summaries of
+// tasks, interrupts in-flight tasks within runner.PollEvery iterations
+// (dropping them unjournaled, to rerun on resume), lets the rest journal,
+// and returns an error wrapping ctx.Err(); the final summaries of
 // a resumed run are byte-identical to an uninterrupted run with the same
 // spec.
 func Run(ctx context.Context, spec Spec, opt RunOptions) (*Result, error) {

@@ -336,9 +336,18 @@ func runScaling(sp Spec, t Task) (Metrics, error) {
 		cap = 400 * uint64(n) * uint64(n) * uint64(n)
 	}
 	target := 2 * metrics.PMin(n)
-	done := c.RunUntil(cap, uint64(n*n/4+1), func() bool {
-		return c.Perimeter() <= target
-	})
+	every := uint64(n*n/4 + 1)
+	var done uint64
+	for done < cap {
+		k := min(every, cap-done)
+		if err := runner.RunPolled(c, k, t.Interrupt); err != nil {
+			return nil, err
+		}
+		done += k
+		if c.Perimeter() <= target {
+			break
+		}
+	}
 	if c.Perimeter() > target {
 		return nil, fmt.Errorf("hit cap %d without reaching 2·pmin (n=%d)", cap, n)
 	}
@@ -366,11 +375,10 @@ func runAblation(sp Spec, t Task) (Metrics, error) {
 	const batch = 200
 	m := Metrics{"hole_formed": 0}
 	for done := uint64(0); done < budget; {
-		k := uint64(batch)
-		if done+k > budget {
-			k = budget - done
+		k := min(batch, budget-done)
+		if err := runner.RunPolled(c, k, t.Interrupt); err != nil {
+			return nil, err
 		}
-		c.Run(k)
 		done += k
 		if c.Config().HasHoles() {
 			m["hole_formed"] = 1
@@ -410,10 +418,15 @@ func runMixing(sp Spec, t Task) (Metrics, error) {
 	if burn == 0 {
 		burn = 250 * uint64(n) * uint64(n)
 	}
-	c.Run(burn)
+	if err := runner.RunPolled(c, burn, t.Interrupt); err != nil {
+		return nil, err
+	}
 	series := make([]float64, 10_000)
 	for k := range series {
-		c.Run(uint64(n)) // thin by n activations per sample
+		// Thin by n activations per sample.
+		if err := runner.RunPolled(c, uint64(n), t.Interrupt); err != nil {
+			return nil, err
+		}
 		series[k] = float64(c.Perimeter())
 	}
 	return Metrics{

@@ -125,7 +125,7 @@ type Task struct {
 	// identity, never journaled, and free for scenarios to ignore.
 	OnSnapshot func(runner.Snapshot) `json:"-"`
 	// Interrupt, when non-nil, asks the scenario to abandon the task:
-	// snapshot-taking runs poll it at every snapshot boundary and return
+	// runs poll it at least every runner.PollEvery iterations and return
 	// runner.ErrInterrupted. Run injects the sweep context here; an
 	// interrupted task is dropped unjournaled and reruns on resume.
 	Interrupt func() bool `json:"-"`

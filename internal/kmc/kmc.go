@@ -32,12 +32,12 @@
 // one XOR of the bits that read ℓ or ℓ′ (dirtyFlips), re-reading a window
 // only for the mover; payload rules re-price the cells grid.OccupiedNearPair
 // enumerates. An event therefore costs O(log n) for the weighted sampling
-// plus O(1) reweighting. Per-slot
-// weights come from the same compiled rule tables the Metropolis engine
-// uses: the two engines cannot disagree on the move set by construction,
-// and rule.Compression(λ) reproduces the pre-rule engine bit for bit. An
-// ablated chain is a rule.CompressionVariant run through NewWithRule, and
-// every construction goes through Reset.
+// plus O(1) reweighting. Per-slot weights come from the same rule.Ladder the
+// Metropolis engine prices its proposals with: the two engines cannot
+// disagree on the move set by construction, and rule.Compression(λ)
+// reproduces the pre-rule engine bit for bit. An ablated chain is a
+// rule.CompressionVariant run through NewWithRule, and every construction
+// goes through Reset.
 package kmc
 
 import (
@@ -72,14 +72,8 @@ type Chain struct {
 	// stateless and slots cache rule shape queries off the hot path.
 	stateless bool
 	slots     int
-	// wTab[m] is the stateless fast-path slot-weight table copied from the
-	// rule: 0 when the move is invalid under the rule's guard, otherwise
-	// the Metropolis acceptance min(1, λ^{ΔH}). One table serves all six
-	// directions because masks are canonical in the move direction. Payload
-	// rules price slots through the rule's payload tables instead.
-	wTab [256]float64
-	pcg  *rand.PCG // kept so Reset can reseed the stream in place
-	rng  *rand.Rand
+	pcg       *rand.PCG // kept so Reset can reseed the stream in place
+	rng       *rand.Rand
 
 	fen *fenwick
 	// wj[i] is the authoritative total weight of particle i, always the
@@ -92,16 +86,17 @@ type Chain struct {
 	// of re-reading its window. Unused by payload rules.
 	pk []grid.PackedMasks
 
-	// Bias-epoch machinery (biased rules only). The effective λ is constant
-	// on [epoch, epochEnd); every maintained weight is priced at
-	// BiasAt(epoch, site), and Run never lets an event fire past epochEnd —
-	// advanceEpoch refreshes every cached weight when the boundary is
-	// crossed. lcache memoizes the pricing ladders per distinct λ. All zero
-	// for fixed-λ rules, whose wTab fast path is untouched.
-	biased   bool
+	// ld prices every slot of a fixed-λ rule. For a biased rule the
+	// effective λ is constant on [epoch, epochEnd); every maintained weight
+	// is priced at BiasAt(epoch, site) through lcache, which memoizes the
+	// ladders per distinct λ, and Run never lets an event fire past
+	// epochEnd — advanceEpoch refreshes every cached weight when the
+	// boundary is crossed. lcache is nil and the epoch fields are zero for
+	// fixed-λ rules.
+	ld       *rule.Ladder
+	lcache   *rule.LadderCache
 	epoch    uint64
 	epochEnd uint64
-	lcache   *rule.LadderCache
 
 	steps  uint64 // Metropolis-equivalent iterations, including holds
 	events uint64 // applied events (translations + rotations)
@@ -110,7 +105,9 @@ type Chain struct {
 	hval   int    // H(σ), maintained incrementally
 	// hold is the number of equivalent steps remaining until the next
 	// sampled event fires; 0 means the next hold has not been sampled yet.
-	hold               uint64
+	hold uint64
+	// holesGone is set once a hole-free configuration has been observed
+	// under a rule that keeps it hole-free (rule.Rule.KeepsHoleFree).
 	holesGone          bool
 	eventsSinceRebuild int
 	dirtyPts           []lattice.Point
@@ -197,10 +194,10 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	c.pcg.Seed(seed, rngStream)
 	c.stateless = ru.Stateless()
 	c.slots = ru.Slots()
-	c.biased = ru.Biased()
+	c.ld = ru.Ladder()
 	c.lcache = nil
 	c.epoch, c.epochEnd = 0, 0
-	if c.biased {
+	if ru.Biased() {
 		c.lcache = rule.NewLadderCache(ru)
 		c.epochEnd = ru.BiasEpoch()
 	}
@@ -215,7 +212,6 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 		c.slotBuf = resize(c.slotBuf, c.slots)
 		c.payBuf = resize(c.payBuf, c.slots)
 	}
-	c.wTab = c.ru.WeightTable()
 	c.hval = c.ru.Energy(c.g)
 	c.idx.reshape(c.points)
 	c.wj = resize(c.wj, len(c.points))
@@ -224,7 +220,7 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	c.steps, c.events, c.moves, c.rots = 0, 0, 0, 0
 	c.hold = 0
 	c.eventsSinceRebuild = 0
-	c.holesGone = !c.g.HasHoles()
+	c.holesGone = ru.KeepsHoleFree() && !c.g.HasHoles()
 	return nil
 }
 
@@ -267,36 +263,29 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 func (c *Chain) particleWeight(i int) float64 {
 	p := c.points[i]
 	if c.stateless {
-		return c.packedWeight(c.pk[i], c.ldAt(p))
+		return packedWeight(c.pk[i], c.ldAt(p))
 	}
 	return c.particleWeightPay(p)
 }
 
-// ldAt returns the pricing ladder for the particle at p in the current
-// bias epoch, or nil for fixed-λ rules (the rule-table fast path).
+// ldAt returns the ladder pricing the particle at p: the rule's own for a
+// fixed λ, else the one at the effective λ of p in the current bias epoch.
 func (c *Chain) ldAt(p lattice.Point) *rule.Ladder {
-	if !c.biased {
-		return nil
+	if c.lcache == nil {
+		return c.ld
 	}
 	return c.lcache.At(c.epoch, p)
 }
 
 // packedWeight computes a stateless particle's total weight from its packed
-// masks: one weight lookup per unoccupied direction, summed in direction
+// masks: one ladder lookup per unoccupied direction, summed in direction
 // order (the order fixes the floating-point fold, keeping weights
-// bit-reproducible). ld prices through a bias ladder; nil through the
-// fixed-λ table. A fully surrounded particle sums nothing.
-func (c *Chain) packedWeight(pm grid.PackedMasks, ld *rule.Ladder) float64 {
+// bit-reproducible). A fully surrounded particle sums nothing.
+func packedWeight(pm grid.PackedMasks, ld *rule.Ladder) float64 {
 	empty := ^pm.NeighborMask() & (1<<lattice.NumDirs - 1)
 	var sum float64
-	if ld == nil {
-		for ; empty != 0; empty &= empty - 1 {
-			sum += c.wTab[uint8(pm>>(8*bits.TrailingZeros8(empty)))]
-		}
-		return sum
-	}
 	for ; empty != 0; empty &= empty - 1 {
-		sum += ld.Weight(grid.Mask(uint8(pm >> (8 * bits.TrailingZeros8(empty)))))
+		sum += ld.Move(grid.Mask(uint8(pm >> (8 * bits.TrailingZeros8(empty)))))
 	}
 	return sum
 }
@@ -307,20 +296,14 @@ func (c *Chain) packedWeight(pm grid.PackedMasks, ld *rule.Ladder) float64 {
 // their sum. Every payload-path consumer (the maintained wj, the event
 // sampler, the observer APIs) goes through this one fold, so the "slot sum
 // equals wj[i]" invariant the sampler relies on holds bit-for-bit. ld is
-// the bias ladder for the particle's site in the current epoch; nil prices
-// through the rule's fixed-λ tables.
+// the particle's ladder (ldAt).
 func (c *Chain) priceSlots(p lattice.Point, s uint8, ws []float64, ld *rule.Ladder) float64 {
 	var sum float64
 	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 		w := 0.0
 		if !c.g.Has(p.Neighbor(d)) {
 			if m := c.g.PairMask(p, d); c.ru.Allowed(m) {
-				same := c.g.PairSame(p, d, m, s)
-				if ld != nil {
-					w = ld.WeightPay(m, same)
-				} else {
-					w = c.ru.WeightPay(m, same)
-				}
+				w = ld.MovePay(m, c.g.PairSame(p, d, m, s))
 			}
 		}
 		ws[d] = w
@@ -333,11 +316,7 @@ func (c *Chain) priceSlots(p lattice.Point, s uint8, ws []float64, ld *rule.Ladd
 			if uint8(t) == s {
 				continue
 			}
-			delta := c.ru.RotDelta(sameOld, c.g.SameNeighborMask(p, uint8(t)))
-			w := c.ru.RotWeight(delta)
-			if ld != nil {
-				w = ld.RotWeight(delta)
-			}
+			w := ld.Rot(c.ru.RotDelta(sameOld, c.g.SameNeighborMask(p, uint8(t))))
 			ws[j] = w
 			sum += w
 			j++
@@ -398,21 +377,17 @@ func (c *Chain) ParticleWeight(i int) float64 { return c.wj[i] }
 func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 	var ws [lattice.NumDirs]float64
 	p := c.points[i]
+	ld := c.ldAt(p)
 	if c.stateless {
-		ld := c.ldAt(p)
 		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 			if !c.g.Has(p.Neighbor(d)) {
-				if ld != nil {
-					ws[d] = ld.Weight(c.g.PairMask(p, d))
-				} else {
-					ws[d] = c.wTab[c.g.PairMask(p, d)]
-				}
+				ws[d] = ld.Move(c.g.PairMask(p, d))
 			}
 		}
 		return ws
 	}
 	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Payload(p), buf, c.ldAt(p))
+	c.priceSlots(p, c.g.Payload(p), buf, ld)
 	copy(ws[:], buf[:lattice.NumDirs])
 	return ws
 }
@@ -439,29 +414,33 @@ func (c *Chain) Points() []lattice.Point {
 	return append([]lattice.Point(nil), c.points...)
 }
 
-// Perimeter returns p(σ), using the Lemma 2.3 identity p = 3n − 3 − e once
-// the chain has reached the hole-free space Ω* (cf. chain.Chain.Perimeter).
+// Perimeter returns p(σ), using the Lemma 2.3 identity p = 3n − 3 − e on
+// hole-free configurations and walking the boundary until the chain has
+// reached Ω* under a rule that keeps it hole-free (cf.
+// chain.Chain.Perimeter).
 func (c *Chain) Perimeter() int {
 	if len(c.points) == 1 {
 		return 0
 	}
-	if c.holesGone {
-		return 3*len(c.points) - 3 - c.Edges()
+	if !c.holesGone {
+		cycles, edges := c.g.Boundaries()
+		if cycles > 1 {
+			return edges
+		}
+		c.holesGone = c.ru.KeepsHoleFree()
 	}
-	cycles, edges := c.g.Boundaries()
-	if cycles <= 1 {
-		c.holesGone = true
-		return 3*len(c.points) - 3 - c.Edges()
-	}
-	return edges
+	return 3*len(c.points) - 3 - c.Edges()
 }
 
-// HoleFree reports whether the chain has reached the hole-free space Ω*.
+// HoleFree reports whether the current configuration is hole-free. Under a
+// rule that keeps it so, the answer stays true once seen.
 func (c *Chain) HoleFree() bool {
-	if !c.holesGone && !c.g.HasHoles() {
-		c.holesGone = true
+	if c.holesGone {
+		return true
 	}
-	return c.holesGone
+	free := !c.g.HasHoles()
+	c.holesGone = free && c.ru.KeepsHoleFree()
+	return free
 }
 
 // Config returns a snapshot copy of the current configuration.
@@ -536,20 +515,11 @@ func (c *Chain) fireTranslation(i int) {
 	var ws [lattice.NumDirs]float64
 	var sum float64
 	pm := c.pk[i]
-	if c.biased {
-		ld := c.lcache.At(c.epoch, l)
-		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			if pm.NeighborMask()>>d&1 == 0 {
-				ws[d] = ld.Weight(pm.PairMask(d))
-				sum += ws[d]
-			}
-		}
-	} else {
-		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			if pm.NeighborMask()>>d&1 == 0 {
-				ws[d] = c.wTab[pm.PairMask(d)]
-				sum += ws[d]
-			}
+	ld := c.ldAt(l)
+	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+		if pm.NeighborMask()>>d&1 == 0 {
+			ws[d] = ld.Move(pm.PairMask(d))
+			sum += ws[d]
 		}
 	}
 	v := c.rng.Float64() * sum
@@ -593,7 +563,7 @@ func (c *Chain) fireTranslation(i int) {
 	base := x.slot(l)
 	deltas := &x.dirty[d]
 	flips := &dirtyFlips[d]
-	var ld *rule.Ladder
+	offs := grid.DirtyOffsets(d)
 	for k := range nDirty {
 		j := x.id[base+deltas[k]]
 		if j < 0 {
@@ -601,10 +571,7 @@ func (c *Chain) fireTranslation(i int) {
 		}
 		pk := c.pk[j] ^ flips[k]
 		c.pk[j] = pk
-		if c.biased {
-			ld = c.lcache.At(c.epoch, l.Add(grid.DirtyOffsets(d)[k]))
-		}
-		if w := c.packedWeight(pk, ld); w != c.wj[j] {
+		if w := packedWeight(pk, c.ldAt(l.Add(offs[k]))); w != c.wj[j] {
 			c.fen.add(int(j), w-c.wj[j])
 			c.wj[j] = w
 		}
@@ -687,7 +654,7 @@ func (c *Chain) fireSlot(i int) {
 // n at bias-epoch boundaries: no event ever fires under a stale λ, and
 // advanceEpoch refreshes every cached weight when a boundary is crossed.
 func (c *Chain) Run(n uint64) uint64 {
-	if !c.biased {
+	if c.lcache == nil {
 		return c.run(n)
 	}
 	var fired uint64
@@ -761,7 +728,7 @@ func (c *Chain) CheckWeightSums() error {
 			if pm != c.pk[i] {
 				return fmt.Errorf("kmc: particle %d at %v: cached masks %#x, window reads %#x", i, p, uint64(c.pk[i]), uint64(pm))
 			}
-			w = c.packedWeight(pm, c.ldAt(p))
+			w = packedWeight(pm, c.ldAt(p))
 		} else {
 			w = c.particleWeightPay(p)
 		}
@@ -774,28 +741,6 @@ func (c *Chain) CheckWeightSums() error {
 		return fmt.Errorf("kmc: fenwick total %v, exact slot sum %v", got, sum)
 	}
 	return nil
-}
-
-// RunUntil executes up to max equivalent iterations, invoking check every
-// interval iterations; it stops early when check returns true. It returns
-// the number of iterations executed.
-func (c *Chain) RunUntil(max, interval uint64, check func() bool) uint64 {
-	if interval == 0 {
-		interval = 1
-	}
-	var done uint64
-	for done < max {
-		batch := interval
-		if done+batch > max {
-			batch = max - done
-		}
-		c.Run(batch)
-		done += batch
-		if check() {
-			return done
-		}
-	}
-	return done
 }
 
 // pindex maps occupied lattice cells to particle indices through a dense

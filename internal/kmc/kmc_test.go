@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sops/internal/config"
+	"sops/internal/rule"
 )
 
 // TestDeterminism: equal (σ0, λ, seed) triples must reproduce the identical
@@ -86,29 +87,23 @@ func TestInvariantsAlongTrajectory(t *testing.T) {
 	}
 }
 
-// TestRunUntilStopsEarlyAndRespectsCap mirrors the chain engine's contract.
-func TestRunUntilStopsEarly(t *testing.T) {
-	c := MustNew(config.Line(30), 5, 2)
-	start := c.Perimeter()
-	done := c.RunUntil(50_000_000, 1000, func() bool {
-		return c.Perimeter() < start-10
-	})
-	if done == 50_000_000 {
-		t.Fatal("predicate never satisfied: λ=5 must compress a 30-line")
-	}
-	if c.Perimeter() >= start-10 {
-		t.Fatal("RunUntil returned before the predicate held")
-	}
-	if done%1000 != 0 {
-		t.Fatalf("stopped at %d, not an interval boundary", done)
-	}
-}
-
-func TestRunUntilRespectsCap(t *testing.T) {
-	c := MustNew(config.Line(10), 4, 1)
-	done := c.RunUntil(2500, 999, func() bool { return false })
-	if done != 2500 || c.Steps() != 2500 {
-		t.Fatalf("done=%d steps=%d, want 2500 on an unsatisfiable predicate", done, c.Steps())
+// TestHoleMeasuresAfterAblatedGuard mirrors the chain engine's test: under a
+// rule without the degree guard holes can re-form, so HoleFree and
+// Perimeter must keep reading the configuration.
+func TestHoleMeasuresAfterAblatedGuard(t *testing.T) {
+	ru := rule.CompressionVariant(1, false, true, true)
+	for seed := uint64(0); seed < 30; seed++ {
+		c := MustNewWithRule(config.Spiral(20), ru, seed)
+		for step := 200; step <= 8000; step += 200 {
+			c.Run(200)
+			cfg := c.Config()
+			if got, want := c.HoleFree(), !cfg.HasHoles(); got != want {
+				t.Fatalf("seed %d step %d: HoleFree %v, configuration hole-free %v", seed, step, got, want)
+			}
+			if got, want := c.Perimeter(), cfg.Perimeter(); got != want {
+				t.Fatalf("seed %d step %d: Perimeter %d, boundary walk %d", seed, step, got, want)
+			}
+		}
 	}
 }
 

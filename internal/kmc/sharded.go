@@ -163,7 +163,7 @@ func NewSharded(sigma0 *config.Config, lambda float64, seed uint64, shards int) 
 		return nil, fmt.Errorf("kmc: starting configuration must be connected")
 	}
 	s := &Sharded{
-		wTab:   rule.Compression(lambda).WeightTable(),
+		wTab:   rule.Compression(lambda).Ladder().MoveTable(),
 		points: sigma0.Points(),
 	}
 	s.n = len(s.points)

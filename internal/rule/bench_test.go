@@ -8,31 +8,33 @@ import (
 )
 
 // BenchmarkRuleClassify measures the per-slot cost of rule-table dispatch:
-// the guard + acceptance + weight lookups an engine makes to price one
-// proposal, cycling through all 256 pair masks for both the stateless
-// compression fast path and the payload alignment path. This is the
-// table-indirection layer sitting inside the ~25 ns Metropolis step, so it
-// is benchgate-guarded in CI against silent regression.
+// the guard and ladder lookups an engine makes to price one proposal,
+// cycling through all 256 pair masks for both the stateless compression
+// fast path and the payload alignment path. This is the table-indirection
+// layer sitting inside the ~25 ns Metropolis step, so it is
+// benchgate-guarded in CI against silent regression.
 func BenchmarkRuleClassify(b *testing.B) {
 	b.Run("compression", func(b *testing.B) {
 		r := Compression(4)
+		ld := r.Ladder()
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			m := grid.Mask(i)
 			if r.Allowed(m) {
-				sink += r.Accept(m) + r.Weight(m)
+				sink += ld.Move(m)
 			}
 		}
 		_ = sink
 	})
 	b.Run("align", func(b *testing.B) {
 		r := MustAlignment(4, 6)
+		ld := r.Ladder()
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			m := grid.Mask(i)
 			same := m & grid.Mask(i>>8)
 			if r.Allowed(m) {
-				sink += r.AcceptPay(m, same) + r.WeightPay(m, same)
+				sink += ld.MovePay(m, same)
 			}
 		}
 		_ = sink
@@ -40,8 +42,8 @@ func BenchmarkRuleClassify(b *testing.B) {
 }
 
 // BenchmarkLambdaRefresh measures the rule-layer half of a bias-epoch
-// switch: rebuilding the full 256-entry acceptance/weight ladder plus the
-// rotation power table at a new λ ("rebuild"), and the memoized path a
+// switch: rebuilding the 256-entry translation table plus the power table
+// at a new λ ("rebuild"), and the memoized path a
 // schedule that revisits a λ takes ("cached"). Biased engines pay the
 // rebuild once per distinct λ and the cached lookup once per particle per
 // epoch, so both sit on the epoch-refresh critical path guarded in CI.

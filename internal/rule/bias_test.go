@@ -59,15 +59,16 @@ func TestValidateLambdaBoundaries(t *testing.T) {
 
 // TestLadderMatchesCompile: a ladder rebuilt at λ2 from a rule compiled at
 // λ1 must price every mask, payload combination, and rotation delta exactly
-// as a rule compiled at λ2 does — the ladder is a re-pricing, never a
-// re-derivation, of the rule.
+// as the ladder of a rule compiled at λ2 does — the ladder is a re-pricing,
+// never a re-derivation, of the rule.
 func TestLadderMatchesCompile(t *testing.T) {
 	for _, rules := range [][2]*Rule{
 		{Compression(4), Compression(0.5)},
 		{MustAlignment(3, 4), MustAlignment(0.25, 4)},
 	} {
-		base, want := rules[0], rules[1]
-		ld, err := base.LadderFor(want.Lambda())
+		base, compiled := rules[0], rules[1]
+		want := compiled.Ladder()
+		ld, err := base.LadderFor(compiled.Lambda())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,25 +77,19 @@ func TestLadderMatchesCompile(t *testing.T) {
 		}
 		for m := 0; m < 256; m++ {
 			mk := grid.Mask(m)
-			if ld.Accept(mk) != want.Accept(mk) {
-				t.Fatalf("%s mask %08b: ladder Accept %g, compiled %g", base.Name(), m, ld.Accept(mk), want.Accept(mk))
-			}
-			if ld.Weight(mk) != want.Weight(mk) {
-				t.Fatalf("%s mask %08b: ladder Weight %g, compiled %g", base.Name(), m, ld.Weight(mk), want.Weight(mk))
+			if ld.Move(mk) != want.Move(mk) {
+				t.Fatalf("%s mask %08b: ladder Move %g, compiled %g", base.Name(), m, ld.Move(mk), want.Move(mk))
 			}
 			if !base.Stateless() {
 				same := grid.Mask(m>>1) & mk
-				if ld.AcceptPay(mk, same) != want.AcceptPay(mk, same) {
-					t.Fatalf("%s mask %08b: ladder AcceptPay %g, compiled %g",
-						base.Name(), m, ld.AcceptPay(mk, same), want.AcceptPay(mk, same))
-				}
-				if ld.WeightPay(mk, same) != want.WeightPay(mk, same) {
-					t.Fatalf("%s mask %08b: ladder WeightPay mismatch", base.Name(), m)
+				if ld.MovePay(mk, same) != want.MovePay(mk, same) {
+					t.Fatalf("%s mask %08b: ladder MovePay %g, compiled %g",
+						base.Name(), m, ld.MovePay(mk, same), want.MovePay(mk, same))
 				}
 			}
 		}
 		for d := -deltaBound; d <= deltaBound; d++ {
-			if ld.RotAccept(d) != want.RotAccept(d) || ld.RotWeight(d) != want.RotWeight(d) {
+			if ld.Rot(d) != want.Rot(d) {
 				t.Fatalf("%s Δ=%d: ladder rotation pricing mismatch", base.Name(), d)
 			}
 		}

@@ -1,96 +1,83 @@
 package rule
 
 import (
-	"fmt"
 	"math"
 
 	"sops/internal/grid"
 	"sops/internal/lattice"
 )
 
-// Ladder is a Rule's compiled pricing tables rebuilt at a different bias λ:
-// the λ-power ladder plus the 256-entry acceptance and slot-weight tables,
-// over the same guard and Hamiltonian deltas. Biased engines hold one
-// Ladder per effective λ and price every proposal through it; the Rule's
-// own tables stay the fixed-λ fast path. Ladders are immutable after
-// construction and safe for concurrent use.
+// Ladder prices a rule's proposals at one bias λ: a valid move or payload
+// change of ΔH is accepted (chain M, Algorithm A) and weighted (kMC) with
+// min(1, λ^ΔH). The cap never changes a Metropolis decision, since the
+// coin is drawn in [0, 1). A compiled Rule carries its ladder at its own λ
+// (Rule.Ladder); biased engines hold one more per effective λ
+// (LadderCache), over the same guard and Hamiltonian deltas. Ladders are
+// immutable after construction and safe for concurrent use.
 type Ladder struct {
 	r      *Rule
 	lambda float64
 
-	acc [256]float64
-	w   [256]float64
-
-	pow    [2*deltaBound + 1]float64
-	powCap [2*deltaBound + 1]float64
+	// move[m] prices a stateless translation with pair mask m, zero where
+	// the guard fails. One table serves all six directions because masks
+	// are canonical in the move direction.
+	move [256]float64
+	// pow[k+deltaBound] is min(1, λ^k) for k ∈ [−deltaBound, deltaBound]:
+	// the price of payload translations and rotations.
+	pow [2*deltaBound + 1]float64
 }
 
-// LadderFor rebuilds the rule's pricing tables at bias λ. It rejects λ that
+// newLadder tabulates r's prices at a λ that ValidateLambda accepts.
+func newLadder(r *Rule, lambda float64) *Ladder {
+	l := &Ladder{r: r, lambda: lambda}
+	for k := -deltaBound; k <= deltaBound; k++ {
+		l.pow[k+deltaBound] = math.Min(1, math.Pow(lambda, float64(k)))
+	}
+	for m := 0; m < 256; m++ {
+		if r.valid[m] {
+			l.move[m] = l.pow[int(r.occ[m])+deltaBound]
+		}
+	}
+	return l
+}
+
+// LadderFor rebuilds the rule's pricing at bias λ. It rejects λ that
 // ValidateLambda rejects.
 func (r *Rule) LadderFor(lambda float64) (*Ladder, error) {
 	if err := ValidateLambda(lambda); err != nil {
 		return nil, err
 	}
-	l := &Ladder{r: r, lambda: lambda}
-	for k := -deltaBound; k <= deltaBound; k++ {
-		l.pow[k+deltaBound] = math.Pow(lambda, float64(k))
-		l.powCap[k+deltaBound] = math.Min(1, l.pow[k+deltaBound])
-	}
-	for m := 0; m < 256; m++ {
-		if r.valid[m] {
-			l.acc[m] = l.pow[int(r.occ[m])+deltaBound]
-			l.w[m] = l.powCap[int(r.occ[m])+deltaBound]
-		}
-	}
-	return l, nil
+	return newLadder(r, lambda), nil
 }
 
-// MustLadderFor is LadderFor but panics on error; for bias schedules, whose
-// contract already requires every returned λ to be ladder-safe.
-func (r *Rule) MustLadderFor(lambda float64) *Ladder {
-	l, err := r.LadderFor(lambda)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Lambda returns the bias the ladder was built at.
+// Lambda returns the bias the ladder prices at.
 func (l *Ladder) Lambda() float64 { return l.lambda }
 
-// Accept is Rule.Accept at the ladder's λ.
-func (l *Ladder) Accept(m grid.Mask) float64 { return l.acc[m] }
+// Move prices a stateless translation with pair mask m: min(1, λ^ΔH), zero
+// where the guard fails.
+func (l *Ladder) Move(m grid.Mask) float64 { return l.move[m] }
 
-// Weight is Rule.Weight at the ladder's λ.
-func (l *Ladder) Weight(m grid.Mask) float64 { return l.w[m] }
-
-// AcceptPay is Rule.AcceptPay at the ladder's λ.
-func (l *Ladder) AcceptPay(m, same grid.Mask) float64 {
+// MovePay prices a payload translation with pair mask m and same-state
+// submask same: min(1, λ^ΔH), zero where the guard fails.
+func (l *Ladder) MovePay(m, same grid.Mask) float64 {
 	if !l.r.valid[m] {
 		return 0
 	}
 	return l.pow[int(l.r.occ[m])+int(l.r.pay[same])+deltaBound]
 }
 
-// WeightPay is Rule.WeightPay at the ladder's λ.
-func (l *Ladder) WeightPay(m, same grid.Mask) float64 {
-	if !l.r.valid[m] {
-		return 0
-	}
-	return l.powCap[int(l.r.occ[m])+int(l.r.pay[same])+deltaBound]
-}
+// Rot prices a payload change of ΔH = delta (Rule.RotDelta): min(1, λ^delta).
+func (l *Ladder) Rot(delta int) float64 { return l.pow[delta+deltaBound] }
 
-// RotAccept is Rule.RotAccept at the ladder's λ.
-func (l *Ladder) RotAccept(delta int) float64 { return l.pow[delta+deltaBound] }
-
-// RotWeight is Rule.RotWeight at the ladder's λ.
-func (l *Ladder) RotWeight(delta int) float64 { return l.powCap[delta+deltaBound] }
+// MoveTable returns a copy of the stateless translation table, for engines
+// that index it directly on the hot path.
+func (l *Ladder) MoveTable() [256]float64 { return l.move }
 
 // LadderCache memoizes LadderFor over the λ values a bias schedule emits.
 // Schedules take few distinct values (foraging takes two), so lookup is a
 // linear scan over the values seen so far. A cache is NOT safe for
-// concurrent use — engines keep one per goroutine (per stripe, for the
-// sharded engine); the Ladders themselves may be shared freely.
+// concurrent use — engines keep one each; the Ladders themselves may be
+// shared freely.
 type LadderCache struct {
 	r       *Rule
 	ladders []*Ladder
@@ -113,7 +100,10 @@ func (c *LadderCache) Get(lambda float64) *Ladder {
 			return l
 		}
 	}
-	l := c.r.MustLadderFor(lambda)
+	l, err := c.r.LadderFor(lambda)
+	if err != nil {
+		panic(err)
+	}
 	c.ladders = append(c.ladders, l)
 	return l
 }
@@ -126,8 +116,3 @@ func (c *LadderCache) At(step uint64, site lattice.Point) *Ladder {
 
 // Len returns the number of distinct λ values cached so far.
 func (c *LadderCache) Len() int { return len(c.ladders) }
-
-// String aids debugging.
-func (c *LadderCache) String() string {
-	return fmt.Sprintf("LadderCache(%s, %d ladders)", c.r.Name(), len(c.ladders))
-}

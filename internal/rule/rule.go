@@ -22,11 +22,12 @@
 // The Hamiltonian is declared as deltas that decompose into an occupancy
 // term and a payload term, ΔH(move) = OccDelta(m) + PayDelta(same), and a
 // per-site potential RotPot for payload changes. Compile tabulates every
-// piece: guards and deltas become 256-entry tables, the feasible λ^k values
-// become a 21-entry power ladder (capped and uncapped), so engine hot paths
-// stay table-driven and allocation-free. rule.Compression(λ) reproduces
-// chain M bit for bit; rule.Alignment(λ, k) is the oriented-particle
-// alignment chain of Kedia–Oh–Randall (2022).
+// piece: guards and deltas become 256-entry tables, and the rule's Ladder
+// prices a move of ΔH at min(1, λ^ΔH) — the Metropolis acceptance and the
+// kMC slot weight alike — from a 256-entry translation table and a 21-entry
+// power table, so engine hot paths stay table-driven and allocation-free.
+// rule.Compression(λ) reproduces chain M bit for bit; rule.Alignment(λ, k)
+// is the oriented-particle alignment chain of Kedia–Oh–Randall (2022).
 package rule
 
 import (
@@ -36,6 +37,7 @@ import (
 
 	"sops/internal/grid"
 	"sops/internal/lattice"
+	"sops/internal/move"
 )
 
 // MaxStates bounds the per-particle payload state count k. Payloads are
@@ -89,7 +91,7 @@ type Def struct {
 	// steps and the rejection-free engines can hold weights fixed within an
 	// epoch. Bias must be a pure function, safe for concurrent use, and
 	// every λ it returns must satisfy ValidateLambda — ladder construction
-	// panics otherwise. Nil keeps the fixed-λ fast path.
+	// panics otherwise. Nil fixes the bias at the compile-time λ.
 	Bias func(step uint64, site lattice.Point) float64
 	// BiasEvery is the bias epoch length in chain steps; 0 with Bias set
 	// selects DefaultBiasEvery. Ignored for fixed-λ rules.
@@ -116,16 +118,10 @@ type Rule struct {
 	pay   [256]int8 // PayDelta per same-state submask
 	rot   [64]int8  // RotPot per same-state neighbor mask
 
-	// Stateless fast-path tables, indexed by the pair mask: the full
-	// Metropolis acceptance λ^ΔH (accMove, uncapped) and the kMC slot
-	// weight min(1, λ^ΔH) (wMove), both zero where the guard fails.
-	accMove [256]float64
-	wMove   [256]float64
-
-	// λ^(k−deltaBound) for k ∈ [0, 2·deltaBound]: the power ladder payload
-	// rules price transitions from.
-	lamPow    [2*deltaBound + 1]float64
-	lamPowCap [2*deltaBound + 1]float64
+	// ladder prices every proposal at λ.
+	ladder *Ladder
+	// keepsHoleFree: every move the guard admits is one chain M admits.
+	keepsHoleFree bool
 
 	energy func(g *grid.Grid) int
 
@@ -191,14 +187,14 @@ func Compile(d Def, lambda float64) (*Rule, error) {
 		}
 		r.biasProbe = d.BiasProbe
 	}
-	for k := -deltaBound; k <= deltaBound; k++ {
-		r.lamPow[k+deltaBound] = math.Pow(lambda, float64(k))
-		r.lamPowCap[k+deltaBound] = math.Min(1, r.lamPow[k+deltaBound])
-	}
 	occMin, occMax, payMin, payMax := 0, 0, 0, 0
+	r.keepsHoleFree = true
 	for m := 0; m < 256; m++ {
 		mk := grid.Mask(m)
 		r.valid[m] = d.Guard(mk)
+		if r.valid[m] && !move.Classify(mk).Valid() {
+			r.keepsHoleFree = false
+		}
 		var dOcc, dPay int
 		if d.OccDelta != nil {
 			dOcc = d.OccDelta(mk)
@@ -213,10 +209,6 @@ func Compile(d Def, lambda float64) (*Rule, error) {
 		occMin, occMax = min(occMin, dOcc), max(occMax, dOcc)
 		payMin, payMax = min(payMin, dPay), max(payMax, dPay)
 		r.occ[m], r.pay[m] = int8(dOcc), int8(dPay)
-		if r.valid[m] {
-			r.accMove[m] = r.lamPow[dOcc+deltaBound]
-			r.wMove[m] = r.lamPowCap[dOcc+deltaBound]
-		}
 	}
 	if occMin+payMin < -deltaBound || occMax+payMax > deltaBound {
 		return nil, fmt.Errorf("rule: Def %q move ΔH range [%d, %d] exceeds ±%d",
@@ -233,6 +225,7 @@ func Compile(d Def, lambda float64) (*Rule, error) {
 			return nil, fmt.Errorf("rule: Def %q rotation ΔH range exceeds ±%d", d.Name, deltaBound)
 		}
 	}
+	r.ladder = newLadder(r, lambda)
 	return r, nil
 }
 
@@ -301,52 +294,25 @@ func (r *Rule) Slots() int {
 // Allowed reports whether a translation with pair mask m passes the guard.
 func (r *Rule) Allowed(m grid.Mask) bool { return r.valid[m] }
 
-// Accept returns the Metropolis acceptance ratio λ^ΔH of a stateless
-// translation: uncapped, so callers skip the coin flip when it is ≥ 1
-// exactly as chain M does. Zero where the guard fails.
-func (r *Rule) Accept(m grid.Mask) float64 { return r.accMove[m] }
+// Ladder returns the ladder that prices every proposal at the rule's λ.
+// Biased rules price at the effective λ instead (LadderCache).
+func (r *Rule) Ladder() *Ladder { return r.ladder }
 
-// Weight returns the kMC slot weight min(1, λ^ΔH) of a stateless
-// translation; zero where the guard fails.
-func (r *Rule) Weight(m grid.Mask) float64 { return r.wMove[m] }
-
-// WeightTable returns a copy of the stateless slot-weight table for engines
-// that index it directly on the hot path.
-func (r *Rule) WeightTable() [256]float64 { return r.wMove }
+// KeepsHoleFree reports whether every translation the guard admits is one
+// chain M admits (degree ≠ 5, and Property 1 or 2). Such moves never form a
+// hole (Lemma 3.2), so once a configuration is hole-free it stays so and
+// engines stop looking for holes. Ablated guards void the lemma.
+func (r *Rule) KeepsHoleFree() bool { return r.keepsHoleFree }
 
 // MoveDelta returns ΔH of a translation with pair mask m and same-state
 // submask same (pass 0 for stateless rules).
 func (r *Rule) MoveDelta(m, same grid.Mask) int { return int(r.occ[m]) + int(r.pay[same]) }
-
-// AcceptPay returns the uncapped Metropolis acceptance λ^ΔH of a payload
-// translation; zero where the guard fails.
-func (r *Rule) AcceptPay(m, same grid.Mask) float64 {
-	if !r.valid[m] {
-		return 0
-	}
-	return r.lamPow[int(r.occ[m])+int(r.pay[same])+deltaBound]
-}
-
-// WeightPay returns the kMC slot weight min(1, λ^ΔH) of a payload
-// translation; zero where the guard fails.
-func (r *Rule) WeightPay(m, same grid.Mask) float64 {
-	if !r.valid[m] {
-		return 0
-	}
-	return r.lamPowCap[int(r.occ[m])+int(r.pay[same])+deltaBound]
-}
 
 // RotDelta returns ΔH of a payload change at a site whose same-state
 // neighbor masks are sameOld (current state) and sameNew (proposed state).
 func (r *Rule) RotDelta(sameOld, sameNew uint8) int {
 	return int(r.rot[sameNew&63]) - int(r.rot[sameOld&63])
 }
-
-// RotAccept returns the uncapped Metropolis acceptance λ^Δ of a rotation.
-func (r *Rule) RotAccept(delta int) float64 { return r.lamPow[delta+deltaBound] }
-
-// RotWeight returns the kMC slot weight min(1, λ^Δ) of a rotation.
-func (r *Rule) RotWeight(delta int) float64 { return r.lamPowCap[delta+deltaBound] }
 
 // RotTarget maps a rotation slot index j ∈ [0, States−2] to the proposed
 // payload state: the j-th state in ascending order, skipping the current

@@ -14,11 +14,17 @@ import (
 // TestCompressionMatchesClassify: the compiled compression guard and
 // Hamiltonian tables must agree with the move.Classify table (and hence,
 // transitively, with the reference Property 1/2 implementations) on all 256
-// masks, and the acceptance values must be the exact floats the pre-rule
-// engines computed.
+// masks, and the ladder's prices must be the exact floats min(1, λ^ΔH) the
+// pre-rule kMC engine computed. Chain M draws its coin only for a price
+// below 1, where the price is exactly λ^ΔH, so the cap keeps its
+// trajectories too.
 func TestCompressionMatchesClassify(t *testing.T) {
 	for _, lambda := range []float64{0.5, 1, 2.17, 4, 6} {
 		r := Compression(lambda)
+		ld := r.Ladder()
+		if ld.Lambda() != lambda || !r.KeepsHoleFree() {
+			t.Fatalf("λ=%g: ladder λ %g, KeepsHoleFree %v", lambda, ld.Lambda(), r.KeepsHoleFree())
+		}
 		for m := 0; m < 256; m++ {
 			mk := grid.Mask(m)
 			cl := move.Classify(mk)
@@ -30,18 +36,15 @@ func TestCompressionMatchesClassify(t *testing.T) {
 				t.Fatalf("λ=%g mask %08b: MoveDelta %d, want %d", lambda, m, got, delta)
 			}
 			if !cl.Valid() {
-				if r.Accept(mk) != 0 || r.Weight(mk) != 0 {
-					t.Fatalf("λ=%g mask %08b: invalid move has nonzero acceptance", lambda, m)
+				if ld.Move(mk) != 0 {
+					t.Fatalf("λ=%g mask %08b: invalid move has nonzero price", lambda, m)
 				}
 				continue
 			}
 			// Exact float equality: the same math.Pow/math.Min calls the
 			// hard-coded engines made.
-			if got, want := r.Accept(mk), math.Pow(lambda, float64(delta)); got != want {
-				t.Fatalf("λ=%g mask %08b: Accept %g, want %g", lambda, m, got, want)
-			}
-			if got, want := r.Weight(mk), math.Min(1, math.Pow(lambda, float64(delta))); got != want {
-				t.Fatalf("λ=%g mask %08b: Weight %g, want %g", lambda, m, got, want)
+			if got, want := ld.Move(mk), math.Min(1, math.Pow(lambda, float64(delta))); got != want {
+				t.Fatalf("λ=%g mask %08b: Move %g, want %g", lambda, m, got, want)
 			}
 		}
 		if r.Slots() != 6 || !r.Stateless() || r.Rotates() {
@@ -52,7 +55,9 @@ func TestCompressionMatchesClassify(t *testing.T) {
 }
 
 // TestCompressionVariantAblations: each ablated guard must equal the
-// corresponding predicate combination on every mask.
+// corresponding predicate combination on every mask. Dropping a property
+// admits a subset of chain M's moves and keeps configurations hole-free;
+// dropping the degree guard admits moves chain M refuses and does not.
 func TestCompressionVariantAblations(t *testing.T) {
 	cases := []struct {
 		name                      string
@@ -72,6 +77,14 @@ func TestCompressionVariantAblations(t *testing.T) {
 			if got := r.Allowed(mk); got != want {
 				t.Fatalf("%s mask %08b: Allowed %v, want %v", tc.name, m, got, want)
 			}
+		}
+		if got := r.KeepsHoleFree(); got != tc.degreeGuard {
+			t.Fatalf("%s: KeepsHoleFree %v, want %v", tc.name, got, tc.degreeGuard)
+		}
+	}
+	for _, name := range Names() {
+		if r, err := New(name, 4, 0); err != nil || !r.KeepsHoleFree() {
+			t.Fatalf("built-in rule %q: err %v, want KeepsHoleFree", name, err)
 		}
 	}
 }

@@ -119,7 +119,7 @@ func (a *Arena) newSimulation(opts Options, pts []lattice.Point, ru *rule.Rule) 
 }
 
 // run advances sim by the task's budget in SnapshotEvery intervals, taking
-// a snapshot after each and polling Interrupt before each.
+// a snapshot after each and polling Interrupt through RunPolled.
 func (a *Arena) run(sim simulation, opts Options) error {
 	total := opts.Iterations
 	every := opts.SnapshotEvery
@@ -127,15 +127,35 @@ func (a *Arena) run(sim simulation, opts Options) error {
 		every = total
 	}
 	for done := uint64(0); done < total; {
-		if opts.Interrupt != nil && opts.Interrupt() {
-			return ErrInterrupted
-		}
 		k := min(every, total-done)
-		sim.Run(k)
+		if err := RunPolled(sim, k, opts.Interrupt); err != nil {
+			return err
+		}
 		done += k
 		if every < total {
 			a.res.Snapshots = append(a.res.Snapshots, a.snap.take(sim, done))
 		}
+	}
+	return nil
+}
+
+// PollEvery is the most iterations RunPolled advances between two polls of
+// an interrupt: a cancelled run stops within one such piece.
+const PollEvery = 1 << 20
+
+// RunPolled advances sim by k iterations in pieces of at most PollEvery,
+// polling interrupt (when non-nil) before each piece, and returns
+// ErrInterrupted as soon as a poll returns true. The chain, kMC and
+// Poisson-scheduled Algorithm A follow the same trajectory through any
+// split of a run; concurrent Algorithm A is nondeterministic anyway.
+func RunPolled(sim interface{ Run(n uint64) uint64 }, k uint64, interrupt func() bool) error {
+	for k > 0 {
+		if interrupt != nil && interrupt() {
+			return ErrInterrupted
+		}
+		piece := min(k, PollEvery)
+		sim.Run(piece)
+		k -= piece
 	}
 	return nil
 }
@@ -202,7 +222,7 @@ func (a *Arena) ruleWith(name string, lambda float64, states int, forage *Forage
 // start shape and returns it, reusing the cached start points and resetting
 // the engine in place like Compress does. The engine is valid until the
 // arena's next Compress or Sequential call; callers drive it directly
-// (scaling and mixing scenarios, which need RunUntil and mid-run reads).
+// (scaling and mixing scenarios, which need mid-run reads).
 func (a *Arena) Sequential(engine string, shape StartShape, n int, ru *rule.Rule, seed uint64) (Sequential, error) {
 	o, err := Options{Engine: engine, Start: shape, N: n, Seed: seed}.resolved()
 	if err != nil {

@@ -59,7 +59,6 @@ func Rules() []string { return rule.Names() }
 // iterations, so budgets and stopping rules are engine-independent.
 type Sequential interface {
 	Run(n uint64) uint64
-	RunUntil(max, interval uint64, check func() bool) uint64
 	Steps() uint64
 	Accepted() uint64
 	Rotations() uint64
@@ -266,10 +265,9 @@ type Options struct {
 	// `sops serve`. The Delta's slices and grid are valid only during the
 	// callback. Called after SnapshotFunc.
 	DeltaFunc func(Snapshot, Delta) `json:"-"`
-	// Interrupt, when non-nil, is polled at every snapshot boundary (and
-	// once before an unsnapshotted run): returning true stops the run and
-	// Compress returns ErrInterrupted. With SnapshotEvery zero the poll
-	// granularity is the whole run.
+	// Interrupt, when non-nil, is polled at the start of every snapshot
+	// interval and at least every PollEvery iterations within one (RunPolled):
+	// returning true stops the run and Compress returns ErrInterrupted.
 	Interrupt func() bool `json:"-"`
 }
 

@@ -129,6 +129,22 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
+// TestInterruptPolledMidRun: an unsnapshotted run polls its interrupt every
+// runner.PollEvery iterations, so one that fires on the second poll stops
+// the run after the first piece on every engine.
+func TestInterruptPolledMidRun(t *testing.T) {
+	for _, engine := range runner.Engines() {
+		calls := 0
+		_, err := runner.Compress(runner.Options{
+			N: 10, Lambda: 4, Iterations: 3 * runner.PollEvery, Seed: 1, Engine: engine,
+			Interrupt: func() bool { calls++; return calls == 2 },
+		})
+		if !errors.Is(err, runner.ErrInterrupted) || calls != 2 {
+			t.Fatalf("%s: err %v after %d polls, want ErrInterrupted on poll 2", engine, err, calls)
+		}
+	}
+}
+
 // TestSnapshotHookDoesNotChangeTrajectory: hooks observe; results with and
 // without them are identical.
 func TestSnapshotHookDoesNotChangeTrajectory(t *testing.T) {

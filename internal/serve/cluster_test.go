@@ -392,8 +392,9 @@ func TestAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxActive: 1, ClientQuota: 1})
 	base := ts.URL
 
-	// SnapshotEvery lets the cancel below interrupt the hog's running
-	// tasks: the interrupt poll runs at snapshot boundaries.
+	// The cancel below interrupts the hog's running tasks: the interrupt
+	// poll runs at snapshot boundaries and every runner.PollEvery
+	// iterations.
 	slow := &experiment.Spec{
 		Scenario: "compress", Lambdas: []float64{4}, Sizes: []int{60},
 		Engines: []string{"chain"}, Iterations: 40_000_000, SnapshotEvery: 100_000,
