@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"sops/internal/runner"
 )
 
 // -update rewrites the golden files from the current emission code:
@@ -153,4 +155,55 @@ func clip(b []byte) []byte {
 		return b
 	}
 	return append(append([]byte{}, b[:max]...), "…"...)
+}
+
+// forageSpec is a forage sweep whose schedule has two food sites, so the
+// pins below cover the schedule's sites bytes and the union of two food
+// disks that the occupancy metrics read.
+func forageSpec() Spec {
+	return Spec{
+		Scenario:      "forage",
+		Sizes:         []int{12},
+		Engines:       []string{EngineChain, EngineKMC},
+		Iterations:    4000,
+		SnapshotEvery: 1000,
+		Reps:          1,
+		Seed:          11,
+		Forage: &runner.ForageSpec{
+			Radius:    2,
+			FoodSteps: 2000,
+			Sites:     []runner.Point{{X: 0, Y: 0}, {X: 3, Y: -1}},
+		},
+	}
+}
+
+// forageDigest pins the content address of forageSpec.
+const forageDigest = "b8177f6831e14448656e909bdaad7b7f41a435c944b65161d23706e3f9cb6c4a"
+
+// TestGoldenForageSchedule pins a two-site forage sweep three ways: the
+// canonical JSON of its normalized spec, that spec's digest, and the
+// sweep's results.jsonl bytes.
+func TestGoldenForageSchedule(t *testing.T) {
+	spec := forageSpec()
+	canon, err := MarshalCanonical(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "golden", "forage-two-sites", SpecFile), canon)
+	d, err := Digest(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != forageDigest {
+		t.Errorf("forage spec digest drifted:\n got %s\nwant %s", d, forageDigest)
+	}
+	dir := t.TempDir()
+	if _, err := Run(context.Background(), spec, RunOptions{Dir: dir, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, ResultsJSONL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "golden", "forage-two-sites", ResultsJSONL), got)
 }

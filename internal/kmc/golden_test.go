@@ -42,11 +42,12 @@ func everyStep(total uint64, k int) []uint64 {
 	return out
 }
 
-// trajectoryCases spans the stateless engine's regimes: the benchmark's
-// compressed equilibrium (n=1000 spiral, λ=4, 5M steps), expansion from a
-// line (the grid and the particle index grow), a hole-bearing random start,
-// the λ=1 neutral regime, a biased forage run across its λ switch, and an
-// ablated rule whose table admits moves the full rule forbids.
+// trajectoryCases spans the engine's regimes: the benchmark's compressed
+// equilibrium (n=1000 spiral, λ=4, 5M steps), expansion from a line (the
+// grid and the particle index grow), a hole-bearing random start, the λ=1
+// neutral regime, a biased forage run across its λ switch, an ablated rule
+// whose table admits moves the full rule forbids, and two alignment runs
+// whose translations and rotations re-price payload-dependent weights.
 func trajectoryCases(t *testing.T) []trajectoryCase {
 	t.Helper()
 	forage, err := rule.Forage(4, rule.ForageOptions{
@@ -66,19 +67,28 @@ func trajectoryCases(t *testing.T) []trajectoryCase {
 		{"spiral300-l1", config.Spiral(300).Points(), rule.Compression(1), 4, everyStep(1_000_000, 4)},
 		{"forage-spiral200", config.Spiral(200).Points(), forage, 5, everyStep(600_000, 6)},
 		{"ablated-line60", config.Line(60).Points(), rule.CompressionVariant(4, false, true, true), 6, everyStep(1_000_000, 4)},
+		{"align-spiral150-k3", config.Spiral(150).Points(), rule.MustAlignment(4, 3), 7, everyStep(600_000, 4)},
+		{"align-line80-k6", config.Line(80).Points(), rule.MustAlignment(2, 6), 8, everyStep(600_000, 4)},
 	}
 }
 
 // fingerprint renders the chain's full incremental state as one line:
 // counters, H, e(σ), the bits of the Fenwick total, and a sha256 over every
 // particle position, every maintained weight's bits and every Fenwick node's
-// bits.
+// bits. Payload rules add the rotation count and every particle's payload.
 func fingerprint(c *Chain) string {
 	h := sha256.New()
 	var buf []byte
 	for _, p := range c.points {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(p.X)))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(p.Y)))
+	}
+	var rots string
+	if !c.ru.Stateless() {
+		rots = fmt.Sprintf(" rots=%d", c.Rotations())
+		for _, p := range c.points {
+			buf = append(buf, c.g.Payload(p))
+		}
 	}
 	for _, w := range c.wj {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
@@ -87,8 +97,8 @@ func fingerprint(c *Chain) string {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
 	h.Write(buf)
-	return fmt.Sprintf("events=%d steps=%d moves=%d H=%d e=%d W=%016x state=%x",
-		c.Events(), c.Steps(), c.Accepted(), c.Energy(), c.Edges(),
+	return fmt.Sprintf("events=%d steps=%d moves=%d%s H=%d e=%d W=%016x state=%x",
+		c.Events(), c.Steps(), c.Accepted(), rots, c.Energy(), c.Edges(),
 		math.Float64bits(c.TotalWeight()), h.Sum(nil)[:16])
 }
 
@@ -103,7 +113,7 @@ func runCheckpoints(c *Chain, tc trajectoryCase) []string {
 	return lines
 }
 
-// TestKMCTrajectoryGolden pins the stateless kMC engine's trajectories bit
+// TestKMCTrajectoryGolden pins the kMC engine's trajectories bit
 // for bit at fixed checkpoints: event, step and move counts, energy, edges,
 // the total weight and a digest of the positions, maintained weights and
 // Fenwick nodes. A fresh chain runs every case; one reused chain then

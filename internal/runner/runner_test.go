@@ -1,6 +1,7 @@
 package runner_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -199,6 +200,27 @@ func TestOptionsNormalized(t *testing.T) {
 		if _, err := bad.Normalized(); err == nil {
 			t.Errorf("%s: Normalized accepted %+v", name, bad)
 		}
+	}
+}
+
+// TestOptionsNormalizedForageJSON pins the wire bytes of a normalized run
+// whose forage schedule has two food sites: every schedule default filled
+// in, the sites kept in order. These are the bytes serve hashes into a run
+// job's cache key.
+func TestOptionsNormalizedForageJSON(t *testing.T) {
+	norm, err := (runner.Options{N: 12, Lambda: 5, Seed: 3, Rule: runner.RuleForage,
+		Forage: &runner.ForageSpec{Radius: 2, Sites: []runner.Point{{X: 0, Y: 0}, {X: 3, Y: -1}}}}).Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"n":12,"lambda":5,"iterations":28800,"seed":3,"start":"line","engine":"chain","rule":"forage",` +
+		`"forage":{"lambda_low":1,"radius":2,"food_steps":60000,"epoch":1024,"sites":[{"x":0,"y":0},{"x":3,"y":-1}]}}`
+	if string(raw) != want {
+		t.Errorf("normalized options:\n got %s\nwant %s", raw, want)
 	}
 }
 
