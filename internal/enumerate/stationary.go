@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"sops/internal/config"
+	"sops/internal/metrics"
 )
 
 // Stationary is the exact stationary distribution π of Markov chain M over
@@ -82,17 +83,5 @@ func (s *Stationary) TailProbPerimeterAtLeast(k int) float64 {
 // Z_e ≥ λ^{e_max(n)}. This helper returns ln λ^{e_max(n)} for comparison
 // against LogZ, which is also in edge weights.
 func LogZLowerBoundTrivial(n int, lambda float64) float64 {
-	emax := 3*n - ceilSqrt(12*n-3)
-	return float64(emax) * math.Log(lambda)
-}
-
-func ceilSqrt(v int) int {
-	r := int(math.Sqrt(float64(v)))
-	for r > 0 && (r-1)*(r-1) >= v {
-		r--
-	}
-	for r*r < v {
-		r++
-	}
-	return r
+	return float64(metrics.MaxEdges(n)) * math.Log(lambda)
 }

@@ -1,11 +1,11 @@
 package experiment
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,30 +69,33 @@ func openJournal(dir string, spec Spec) (*journal, error) {
 		return nil, err
 	}
 
-	j := &journal{}
 	path := filepath.Join(dir, JournalFile)
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-		for sc.Scan() {
-			var e journalEntry
-			// A torn final line from a hard kill is not an error: the task
-			// simply reruns (same seed, same metrics) and re-journals.
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-				continue
-			}
-			j.entries = append(j.entries, e)
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("experiment: reading %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	j.f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("experiment: reading %s: %w", path, err)
+	}
+	// A torn final line from a hard kill is not an error: the task simply
+	// reruns (same seed, same metrics) and re-journals. Cut it off first,
+	// or the re-journaled line would land on it and be lost again.
+	keep := bytes.LastIndexByte(raw, '\n') + 1
+	if keep < len(raw) {
+		if err := f.Truncate(int64(keep)); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	j := &journal{f: f}
+	for _, line := range bytes.Split(raw[:keep], []byte{'\n'}) {
+		var e journalEntry
+		if len(line) == 0 || json.Unmarshal(line, &e) != nil {
+			continue
+		}
+		j.entries = append(j.entries, e)
 	}
 	return j, nil
 }

@@ -190,6 +190,37 @@ func TestResumeToleratesTornJournalLine(t *testing.T) {
 	}
 }
 
+// TestResumeJournalsAfterTornLine: the task rerun after a torn final line
+// is journaled on a line of its own, so the next resume replays every task
+// and runs none.
+func TestResumeJournalsAfterTornLine(t *testing.T) {
+	name := testScenario(t, func(sp Spec, task Task) (Metrics, error) {
+		return Metrics{"v": float64(task.Rep)}, nil
+	})
+	spec := Spec{Scenario: name, Reps: 2, Seed: 4}
+	dir := t.TempDir()
+	summariesJSON(t, spec, RunOptions{Dir: dir})
+
+	path := filepath.Join(dir, JournalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(raw[:bytes.IndexByte(raw, '\n')+1], `{"point":0,"rep":1,"se`...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 0} {
+		res, err := Run(context.Background(), spec, RunOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TasksRun != want || res.TasksReplayed != 2-want {
+			t.Errorf("resume %d: run=%d replayed=%d, want %d/%d", i+1, res.TasksRun, res.TasksReplayed, want, 2-want)
+		}
+	}
+}
+
 // TestResumeRejectsForeignJournal: a journal whose seeds do not match the
 // spec (hand-edited, or copied between directories) is rejected instead of
 // silently polluting the summaries.

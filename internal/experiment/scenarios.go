@@ -302,20 +302,15 @@ func runForage(sp Spec, t Task) (Metrics, error) {
 
 // foodDisk enumerates the lattice sites within the schedule's radius (hex
 // distance) of any food site — the region whose occupancy runForage
-// tracks. The hex ball of radius r is a subset of the axial square
-// [-r, r]², so scanning the square and filtering by distance is exact.
+// tracks.
 func foodDisk(f runner.ForageSpec) []lattice.Point {
 	seen := make(map[lattice.Point]bool)
 	var disk []lattice.Point
 	for _, s := range f.Sites {
-		c := lattice.Point{X: s.X, Y: s.Y}
-		for dx := -f.Radius; dx <= f.Radius; dx++ {
-			for dy := -f.Radius; dy <= f.Radius; dy++ {
-				p := lattice.Point{X: c.X + dx, Y: c.Y + dy}
-				if p.Dist(c) <= f.Radius && !seen[p] {
-					seen[p] = true
-					disk = append(disk, p)
-				}
+		for _, p := range lattice.Disk(s, f.Radius) {
+			if !seen[p] {
+				seen[p] = true
+				disk = append(disk, p)
 			}
 		}
 	}

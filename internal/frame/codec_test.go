@@ -287,16 +287,16 @@ func TestSplitAndCount(t *testing.T) {
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("Split = %d recs, %v", len(recs), err)
 	}
-	if n := Count(logBuf); n != 5 {
-		t.Fatalf("Count = %d, want 5", n)
+	if n, size := Count(logBuf); n != 5 || size != len(logBuf) {
+		t.Fatalf("Count = %d records in %d bytes, want 5 in %d", n, size, len(logBuf))
 	}
 	// Truncate mid-record: Split errors, Count ignores the tail.
 	trunc := logBuf[:len(logBuf)-3]
 	if _, err := Split(trunc); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Split(truncated) err = %v", err)
 	}
-	if n := Count(trunc); n != 4 {
-		t.Fatalf("Count(truncated) = %d, want 4", n)
+	if n, size := Count(trunc); n != 4 || size != len(logBuf)-len(recs[4]) {
+		t.Fatalf("Count(truncated) = %d records in %d bytes, want 4 in %d", n, size, len(logBuf)-len(recs[4]))
 	}
 }
 

@@ -267,18 +267,18 @@ func Split(raw []byte) ([][]byte, error) {
 	return recs, nil
 }
 
-// Count returns how many complete records raw holds, ignoring any trailing
-// partial record — the record count a resuming mirror writer continues
-// from.
-func Count(raw []byte) int {
+// Count returns how many complete records raw holds and the length of the
+// prefix that holds them, header included, ignoring any trailing partial
+// record: the record count a resuming mirror writer continues from, and the
+// length it cuts a torn tail back to.
+func Count(raw []byte) (recs, size int) {
 	var sc Scanner
 	sc.Write(raw)
-	n := 0
 	for {
 		if _, ok := sc.Next(); !ok {
-			return n
+			return recs, len(raw) - sc.Buffered()
 		}
-		n++
+		recs++
 	}
 }
 

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"math/rand/v2"
-	"sort"
 	"testing"
 
 	"sops/internal/lattice"
@@ -61,48 +60,6 @@ func TestDirtyOffsetsDefinition(t *testing.T) {
 	}
 }
 
-// TestOccupiedNearPairMatchesReference: the grid enumerator agrees with a
-// brute-force scan on random configurations, both in the interior fast path
-// and the near-border slow path.
-func TestOccupiedNearPairMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	for trial := 0; trial < 200; trial++ {
-		var pts []lattice.Point
-		p := lattice.Point{}
-		for i := 0; i < 40; i++ {
-			pts = append(pts, p)
-			p = p.Neighbor(lattice.Dir(rng.IntN(lattice.NumDirs)))
-		}
-		// Small slack keeps some query points near the window border so the
-		// slow path is exercised too.
-		g := New(pts, minSlack)
-		l := pts[rng.IntN(len(pts))]
-		d := lattice.Dir(rng.IntN(lattice.NumDirs))
-
-		got := g.OccupiedNearPair(l, d, nil)
-		var want []lattice.Point
-		for _, off := range DirtyOffsets(d) {
-			if q := l.Add(off); g.Has(q) {
-				want = append(want, q)
-			}
-		}
-		sortPts(got)
-		sortPts(want)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d cells, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: cell %d: got %v, want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func sortPts(ps []lattice.Point) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
-
 // TestWindowMatchesPairMask: the one-pass 5×5 window extraction must agree
 // with the per-direction PairMask extraction and the degree count on random
 // configurations, including cells sitting right on the margin after grows.
@@ -142,9 +99,10 @@ func bitsOn(v uint32) int {
 }
 
 // TestDirtyWindowsMatchesComposition: the fused super-window path must
-// return exactly OccupiedNearPair's cells, each paired with its Window, on
-// both the interior fast path and the near-border fallback. Packed() must
-// also agree with the loop-assembled masks for every returned window.
+// return exactly the occupied cells at DirtyOffsets, each paired with its
+// Window, on both the interior fast path and the near-border fallback.
+// Packed() must also agree with the loop-assembled masks for every
+// returned window.
 func TestDirtyWindowsMatchesComposition(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 23))
 	for trial := 0; trial < 300; trial++ {
@@ -159,7 +117,12 @@ func TestDirtyWindowsMatchesComposition(t *testing.T) {
 		d := lattice.Dir(rng.IntN(lattice.NumDirs))
 
 		got := g.DirtyWindows(l, d, nil)
-		wantCells := g.OccupiedNearPair(l, d, nil)
+		var wantCells []lattice.Point
+		for _, off := range DirtyOffsets(d) {
+			if q := l.Add(off); g.Has(q) {
+				wantCells = append(wantCells, q)
+			}
+		}
 		if len(got) != len(wantCells) {
 			t.Fatalf("trial %d: %d cells, want %d", trial, len(got), len(wantCells))
 		}

@@ -105,7 +105,7 @@ func MaskOffsets(d lattice.Dir) [8]lattice.Point {
 // direction) and degree read only cells within distance 2 of it, so after
 // occupancy flips at ℓ and ℓ′ these offsets cover every cell whose cached
 // move classification could have changed. DirtyOffsets is the reference
-// definition; the per-grid bit deltas are rebuilt on reshape.
+// definition.
 var dirtyOffsets = buildDirtyOffsets()
 
 func buildDirtyOffsets() (offs [lattice.NumDirs][]lattice.Point) {
@@ -127,7 +127,8 @@ func buildDirtyOffsets() (offs [lattice.NumDirs][]lattice.Point) {
 // classification (PairMask in any direction, or degree) can depend on the
 // occupancy of ℓ or ℓ′ = ℓ+d: the union of the radius-2 disks around the two
 // endpoints, minus ℓ itself. It is the reference definition of the dirty
-// neighborhood that OccupiedNearPair enumerates.
+// neighborhood an engine caching per-particle move weights re-classifies
+// after a move.
 func DirtyOffsets(d lattice.Dir) []lattice.Point {
 	return dirtyOffsets[d]
 }
@@ -147,13 +148,10 @@ type Grid struct {
 	slack int
 
 	// nbrDelta[d] is the bit-index delta to the neighbor in direction d;
-	// maskDelta[d][k] the delta to mask cell k of a move in direction d;
-	// dirtyDelta[d] the deltas to the dirty-neighborhood cells of a move in
-	// direction d (see DirtyOffsets). All depend only on the stride, so they
-	// are rebuilt on grow.
-	nbrDelta   [lattice.NumDirs]int
-	maskDelta  [lattice.NumDirs][8]int
-	dirtyDelta [lattice.NumDirs][]int
+	// maskDelta[d][k] the delta to mask cell k of a move in direction d.
+	// Both depend only on the stride, so they are rebuilt on grow.
+	nbrDelta  [lattice.NumDirs]int
+	maskDelta [lattice.NumDirs][8]int
 
 	arcScratch []uint64 // visited-arc bitset reused by boundary walks
 }
@@ -230,12 +228,6 @@ func (g *Grid) reshape(min, max lattice.Point) {
 		g.nbrDelta[d] = v.Y*sb + v.X
 		for k, off := range MaskOffsets(d) {
 			g.maskDelta[d][k] = off.Y*sb + off.X
-		}
-		// Fresh slices, not reuse: Clone shares the backing arrays, so an
-		// in-place rebuild would corrupt the clone's (or original's) deltas.
-		g.dirtyDelta[d] = make([]int, len(dirtyOffsets[d]))
-		for k, off := range dirtyOffsets[d] {
-			g.dirtyDelta[d][k] = off.Y*sb + off.X
 		}
 	}
 }
@@ -662,11 +654,11 @@ var NbrAllWindow = func() Window {
 
 // DirtyWindows appends to buf every occupied cell of the dirty neighborhood
 // of the move pair (ℓ, ℓ′ = ℓ+d) together with that cell's Window — the
-// complete input for re-classifying the cell's moves. It is the fused fast
-// path of OccupiedNearPair + Window: when ℓ sits deep enough inside the
-// allocated window the whole answer is read once as an 11×11 super-window
-// (the dirty offsets span [−3, 3]² and each cell's Window reaches 2 further),
-// and each dirty cell's Window is then assembled from registers. Cells with
+// complete input for re-classifying the cell's moves, in DirtyOffsets order.
+// When ℓ sits deep enough inside the allocated window the whole answer is
+// read once as an 11×11 super-window (the dirty offsets span [−3, 3]² and
+// each cell's Window reaches 2 further), and each dirty cell's Window is
+// then assembled from registers. Cells with
 // all six neighbors occupied — most of a compressed cluster's dirty set —
 // are detected bitwise on whole super-window rows and returned as
 // NbrAllWindow without assembly.
@@ -713,35 +705,6 @@ func (g *Grid) DirtyWindows(l lattice.Point, d lattice.Dir, buf []CellWindow) []
 			win |= Window(rows[dy+wy+3]>>(dx+3)&31) << (5 * wy)
 		}
 		buf = append(buf, CellWindow{P: l.Add(off), Win: win})
-	}
-	return buf
-}
-
-// OccupiedNearPair appends to buf every occupied cell of the dirty
-// neighborhood of the move pair (ℓ, ℓ′ = ℓ+d): the occupied cells at lattice
-// distance ≤ 2 from either endpoint, excluding ℓ itself (see DirtyOffsets).
-// After a Move(ℓ, ℓ′) these are exactly the cells whose PairMask or Degree
-// results can have changed, so an engine caching per-particle move weights
-// re-classifies only them. Callers typically pass buf[:0] of a reusable
-// slice to avoid allocation.
-func (g *Grid) OccupiedNearPair(l lattice.Point, d lattice.Dir, buf []lattice.Point) []lattice.Point {
-	cx, cy := l.X-g.minX, l.Y-g.minY
-	if cx < 3 || cy < 3 || cx >= g.w-3 || cy >= g.h-3 {
-		// Near the border (or outside the window) the precomputed deltas
-		// could reach out of the allocated words: per-cell bounds checks.
-		for _, off := range dirtyOffsets[d] {
-			if q := l.Add(off); g.Has(q) {
-				buf = append(buf, q)
-			}
-		}
-		return buf
-	}
-	idx := cy*(g.stride<<6) + cx
-	offs := dirtyOffsets[d]
-	for k, delta := range g.dirtyDelta[d] {
-		if g.bit(idx+delta) != 0 {
-			buf = append(buf, l.Add(offs[k]))
-		}
 	}
 	return buf
 }

@@ -23,21 +23,22 @@
 // measurements, 200·n² stopping rules, and statistics transfer unchanged;
 // only the trajectory's random-number consumption differs.
 //
-// After each applied translation (ℓ → ℓ′) only the particles whose
-// neighborhood masks can see ℓ or ℓ′ — the dirty neighborhood, the 23 cells
-// of grid.DirtyOffsets — are re-classified; a payload rotation dirties only
-// the rotating cell's own radius-2 neighborhood (grid.OccupiedNearCell).
-// For stateless rules the chain caches each particle's packed masks
-// (grid.PackedMasks) and re-classifies a dirty neighbor from its cache with
-// one XOR of the bits that read ℓ or ℓ′ (dirtyFlips), re-reading a window
-// only for the mover; payload rules re-price the cells grid.OccupiedNearPair
-// enumerates. An event therefore costs O(log n) for the weighted sampling
-// plus O(1) reweighting. Per-slot weights come from the same rule.Ladder the
-// Metropolis engine prices its proposals with: the two engines cannot
-// disagree on the move set by construction, and rule.Compression(λ)
-// reproduces the pre-rule engine bit for bit. An ablated chain is a
-// rule.CompressionVariant run through NewWithRule, and every construction
-// goes through Reset.
+// The chain caches every particle's packed masks (grid.PackedMasks), for
+// every rule. After each applied translation (ℓ → ℓ′) only the particles
+// whose neighborhood masks can see ℓ or ℓ′ — the dirty neighborhood, the 23
+// cells of grid.DirtyOffsets — are re-classified, each from its cache with
+// one XOR of the bits that read ℓ or ℓ′ (dirtyFlips); only the mover
+// re-reads a window. The one walk prices a stateless rule's dirty neighbor
+// with packedWeight and hands a payload rule's to priceSlots, which adds
+// the payload-dependent same-state masks from the grid. A payload rotation
+// leaves occupancy alone and dirties only the rotating cell's radius-2
+// neighborhood (grid.OccupiedNearCell). An event therefore costs O(log n)
+// for the weighted sampling plus O(1) reweighting. Per-slot weights come
+// from the same rule.Ladder the Metropolis engine prices its proposals
+// with: the two engines cannot disagree on the move set by construction,
+// and rule.Compression(λ) reproduces the pre-rule engine bit for bit. An
+// ablated chain is a rule.CompressionVariant run through NewWithRule, and
+// every construction goes through Reset.
 package kmc
 
 import (
@@ -80,10 +81,10 @@ type Chain struct {
 	// exact recomputation over its slots; the Fenwick tree mirrors it up
 	// to floating-point drift.
 	wj []float64
-	// pk[i] caches particle i's move classification for stateless rules:
+	// pk[i] caches particle i's occupancy masks:
 	// pk[i] == g.Window(points[i]).Packed() after every event. A move
 	// updates a dirty neighbor's entry with one XOR (dirtyFlips) instead
-	// of re-reading its window. Unused by payload rules.
+	// of re-reading its window.
 	pk []grid.PackedMasks
 
 	// ld prices every slot of a fixed-λ rule. For a biased rule the
@@ -110,12 +111,13 @@ type Chain struct {
 	// under a rule that keeps it hole-free (rule.Rule.KeepsHoleFree).
 	holesGone          bool
 	eventsSinceRebuild int
-	dirtyPts           []lattice.Point
-	// slotBuf holds the fired particle's slot weights during event
-	// sampling; payBuf is particleWeightPay's scratch, kept separate so
-	// the dirty-reprice loop cannot clobber the sampler's view.
+	// dirtyPts and dirtyIdx collect the particles a rotation or a payload
+	// rule's translation re-prices.
+	dirtyPts []lattice.Point
+	dirtyIdx [nDirty]int32
+	// slotBuf holds a payload particle's slot weights while drawSlot
+	// samples them, and priceSlots' scratch afterwards.
 	slotBuf []float64
-	payBuf  []float64
 
 	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
@@ -158,16 +160,12 @@ func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, err
 	return c, nil
 }
 
-// classify fills the mask cache (stateless rules) and every particle's
-// weight from the current grid, then rebuilds the Fenwick tree exactly.
+// classify fills the mask cache and every particle's weight from the
+// current grid, then rebuilds the Fenwick tree exactly.
 func (c *Chain) classify() {
-	if c.stateless {
-		c.pk = resize(c.pk, len(c.points))
-		for i, p := range c.points {
-			c.pk[i] = c.g.Window(p).Packed()
-		}
-	}
-	for i := range c.points {
+	c.pk = resize(c.pk, len(c.points))
+	for i, p := range c.points {
+		c.pk[i] = c.g.Window(p).Packed()
 		c.wj[i] = c.particleWeight(i)
 	}
 	c.fen.rebuild(c.wj)
@@ -210,7 +208,6 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 			c.g.SetPayload(p, uint8(c.rng.IntN(states)))
 		}
 		c.slotBuf = resize(c.slotBuf, c.slots)
-		c.payBuf = resize(c.payBuf, c.slots)
 	}
 	c.hval = c.ru.Energy(c.g)
 	c.idx.reshape(c.points)
@@ -256,16 +253,16 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 }
 
 // particleWeight returns the total acceptance weight of particle i: the sum
-// over its slots of the slot weight. Stateless rules price the cached masks
-// pk[i] (packedWeight); payload rules re-read the grid through priceSlots.
-// The summation order is fixed (directions ascending, then rotation targets
+// over its slots of the slot weight, priced from its cached masks pk[i] by
+// packedWeight (stateless rules) or priceSlots (payload rules). The
+// summation order is fixed (directions ascending, then rotation targets
 // ascending), so equal configurations always produce bit-identical weights.
 func (c *Chain) particleWeight(i int) float64 {
 	p := c.points[i]
 	if c.stateless {
 		return packedWeight(c.pk[i], c.ldAt(p))
 	}
-	return c.particleWeightPay(p)
+	return c.priceSlots(p, c.pk[i], c.slotBuf, c.ldAt(p))
 }
 
 // ldAt returns the ladder pricing the particle at p: the rule's own for a
@@ -290,19 +287,22 @@ func packedWeight(pm grid.PackedMasks, ld *rule.Ladder) float64 {
 	return sum
 }
 
-// priceSlots fills ws (length Slots) with the payload particle's per-slot
-// weights in the canonical order — translation directions ascending, then
-// rotation targets ascending skipping the current state s — and returns
-// their sum. Every payload-path consumer (the maintained wj, the event
+// priceSlots fills ws (length Slots) with the payload particle at p's
+// per-slot weights in the canonical order — translation directions
+// ascending, then rotation targets ascending skipping its current state —
+// and returns their sum. Occupancy and pair masks come from pm, the
+// particle's packed masks; the same-state masks come from the grid's
+// payloads. Every payload-path consumer (the maintained wj, the event
 // sampler, the observer APIs) goes through this one fold, so the "slot sum
 // equals wj[i]" invariant the sampler relies on holds bit-for-bit. ld is
 // the particle's ladder (ldAt).
-func (c *Chain) priceSlots(p lattice.Point, s uint8, ws []float64, ld *rule.Ladder) float64 {
+func (c *Chain) priceSlots(p lattice.Point, pm grid.PackedMasks, ws []float64, ld *rule.Ladder) float64 {
+	s := c.g.Payload(p)
 	var sum float64
 	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 		w := 0.0
-		if !c.g.Has(p.Neighbor(d)) {
-			if m := c.g.PairMask(p, d); c.ru.Allowed(m) {
+		if pm.NeighborMask()>>d&1 == 0 {
+			if m := pm.PairMask(d); c.ru.Allowed(m) {
 				w = ld.MovePay(m, c.g.PairSame(p, d, m, s))
 			}
 		}
@@ -323,12 +323,6 @@ func (c *Chain) priceSlots(p lattice.Point, s uint8, ws []float64, ld *rule.Ladd
 		}
 	}
 	return sum
-}
-
-// particleWeightPay prices a payload particle's slots through priceSlots
-// into a scratch buffer distinct from the event sampler's.
-func (c *Chain) particleWeightPay(p lattice.Point) float64 {
-	return c.priceSlots(p, c.g.Payload(p), c.payBuf, c.ldAt(p))
 }
 
 // Rule returns the rule the chain runs.
@@ -372,8 +366,8 @@ func (c *Chain) TotalWeight() float64 { return c.fen.total() }
 func (c *Chain) ParticleWeight(i int) float64 { return c.wj[i] }
 
 // SlotWeights recomputes the six per-direction translation weights of
-// particle i. Together with RotationWeights their sum equals
-// ParticleWeight(i).
+// particle i from a fresh read of the grid, not the mask cache. Together
+// with RotationWeights their sum equals ParticleWeight(i).
 func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 	var ws [lattice.NumDirs]float64
 	p := c.points[i]
@@ -387,21 +381,21 @@ func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 		return ws
 	}
 	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Payload(p), buf, ld)
+	c.priceSlots(p, c.g.Window(p).Packed(), buf, ld)
 	copy(ws[:], buf[:lattice.NumDirs])
 	return ws
 }
 
-// RotationWeights recomputes the rotation slot weights of particle i, in
-// rotation-slot order (target states ascending, skipping the current
-// state). It returns nil for rules without rotations.
+// RotationWeights recomputes the rotation slot weights of particle i from a
+// fresh read of the grid, in rotation-slot order (target states ascending,
+// skipping the current state). It returns nil for rules without rotations.
 func (c *Chain) RotationWeights(i int) []float64 {
 	if !c.ru.Rotates() {
 		return nil
 	}
 	p := c.points[i]
 	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Payload(p), buf, c.ldAt(p))
+	c.priceSlots(p, c.g.Window(p).Packed(), buf, c.ldAt(p))
 	return buf[lattice.NumDirs:]
 }
 
@@ -491,10 +485,10 @@ func (c *Chain) fireEvent() bool {
 		}
 	}
 
-	if c.stateless {
-		c.fireTranslation(i)
+	if slot := c.drawSlot(i); slot < lattice.NumDirs {
+		c.fireTranslation(i, lattice.Dir(slot))
 	} else {
-		c.fireSlot(i)
+		c.fireRotation(i, slot)
 	}
 
 	if c.eventsSinceRebuild++; c.eventsSinceRebuild >= rebuildEvery {
@@ -504,96 +498,34 @@ func (c *Chain) fireEvent() bool {
 	return true
 }
 
-// fireTranslation is the stateless fast path: direction ∝ slot weight from
-// the particle's cached masks, then apply and re-classify the dirty
-// neighborhood from the cache.
-func (c *Chain) fireTranslation(i int) {
+// drawSlot prices particle i's slots from its cached masks (a stateless
+// rule's six on the stack, a payload rule's in slotBuf) and draws one ∝ its
+// weight: a translation direction below lattice.NumDirs, else a rotation
+// slot. The slot weights sum to wj[i] by construction, in the same fold.
+func (c *Chain) drawSlot(i int) int {
 	l := c.points[i]
-
-	// Direction ∝ slot weight, from the cached masks (their slot sum is the
-	// authoritative wj[i] by construction).
-	var ws [lattice.NumDirs]float64
-	var sum float64
-	pm := c.pk[i]
 	ld := c.ldAt(l)
-	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-		if pm.NeighborMask()>>d&1 == 0 {
-			ws[d] = ld.Move(pm.PairMask(d))
-			sum += ws[d]
-		}
-	}
-	v := c.rng.Float64() * sum
-	d := lattice.Dir(lattice.NumDirs - 1)
-	for dd := lattice.Dir(0); dd < lattice.NumDirs; dd++ {
-		if v -= ws[dd]; v < 0 {
-			d = dd
-			break
-		}
-	}
-	if ws[d] == 0 {
-		// v fell off the end through drift; take the last nonzero slot.
-		for dd := lattice.Dir(lattice.NumDirs - 1); dd >= 0; dd-- {
-			if ws[dd] > 0 {
-				d = dd
-				break
-			}
-		}
-	}
-
-	m := pm.PairMask(d)
-	c.hval += c.ru.MoveDelta(m, 0)
-	lp := l.Neighbor(d)
-	c.g.MoveMasked(l, lp, m)
-	c.points[i] = lp
-	c.pk[i] = c.g.Window(lp).Packed()
-	c.idx.clear(l)
-	c.idx.place(lp, int32(i), c.points)
-	c.events++
-	c.moves++
-	if c.mlog != nil {
-		c.mlog.Moved(l, lp, 0)
-	}
-
-	// Re-classify the dirty neighborhood — every occupied cell whose masks
-	// can see ℓ or ℓ′, the mover included — in grid.DirtyOffsets order. The
-	// move flipped the occupancy of ℓ and ℓ′, so a neighbor's masks change
-	// by exactly the bits that read those two cells; the mover's were
-	// re-read above and its dirtyFlips entry is zero.
-	x := c.idx
-	base := x.slot(l)
-	deltas := &x.dirty[d]
-	flips := &dirtyFlips[d]
-	offs := grid.DirtyOffsets(d)
-	for k := range nDirty {
-		j := x.id[base+deltas[k]]
-		if j < 0 {
-			continue
-		}
-		pk := c.pk[j] ^ flips[k]
-		c.pk[j] = pk
-		if w := packedWeight(pk, c.ldAt(l.Add(offs[k]))); w != c.wj[j] {
-			c.fen.add(int(j), w-c.wj[j])
-			c.wj[j] = w
-		}
-	}
-}
-
-// fireSlot is the payload-rule event path: the slot (translation direction
-// or rotation target) is drawn ∝ its weight, applied, and the appropriate
-// dirty neighborhood re-priced through the payload tables.
-func (c *Chain) fireSlot(i int) {
-	l := c.points[i]
-	s := c.g.Payload(l)
-
-	// Recompute every slot weight through the canonical fold: their sum is
-	// the authoritative wj[i] by construction.
 	ws := c.slotBuf
-	sum := c.priceSlots(l, s, ws, c.ldAt(l))
-
+	var buf [lattice.NumDirs]float64
+	var sum float64
+	if c.stateless {
+		ws = buf[:]
+		pm := c.pk[i]
+		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
+			w := 0.0
+			if pm.NeighborMask()>>d&1 == 0 {
+				w = ld.Move(pm.PairMask(d))
+			}
+			ws[d] = w
+			sum += w
+		}
+	} else {
+		sum = c.priceSlots(l, c.pk[i], ws, ld)
+	}
 	v := c.rng.Float64() * sum
 	slot := len(ws) - 1
-	for k := 0; k < len(ws); k++ {
-		if v -= ws[k]; v < 0 {
+	for k, w := range ws {
+		if v -= w; v < 0 {
 			slot = k
 			break
 		}
@@ -607,44 +539,95 @@ func (c *Chain) fireSlot(i int) {
 			}
 		}
 	}
+	return slot
+}
 
-	if slot < lattice.NumDirs {
-		d := lattice.Dir(slot)
-		m := c.g.PairMask(l, d)
-		c.hval += c.ru.MoveDelta(m, c.g.PairSame(l, d, m, s))
-		lp := l.Neighbor(d)
-		c.g.Move(l, lp)
-		c.points[i] = lp
-		c.idx.clear(l)
-		c.idx.set(lp, int32(i), c.points)
-		c.events++
-		c.moves++
-		if c.mlog != nil {
-			c.mlog.Moved(l, lp, c.g.Payload(lp))
-		}
-		c.dirtyPts = c.g.OccupiedNearPair(l, d, c.dirtyPts[:0])
-	} else {
-		// Rotation: the j-th alternative state in ascending order.
-		t := c.ru.RotTarget(s, slot-lattice.NumDirs)
-		c.hval += c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
-		c.g.SetPayload(l, t)
-		c.events++
-		c.rots++
-		if c.mlog != nil {
-			c.mlog.Rotated(l, t)
-		}
-		// A payload change dirties only the rotating cell's radius-2
-		// neighborhood, itself included.
-		c.dirtyPts = c.g.OccupiedNearCell(l, c.dirtyPts[:0])
+// fireTranslation moves particle i in direction d, for every rule, and
+// re-classifies the dirty neighborhood from the mask cache.
+func (c *Chain) fireTranslation(i int, d lattice.Dir) {
+	l := c.points[i]
+	m := c.pk[i].PairMask(d)
+	var same grid.Mask
+	if !c.stateless {
+		same = c.g.PairSame(l, d, m, c.g.Payload(l))
+	}
+	c.hval += c.ru.MoveDelta(m, same)
+	lp := l.Neighbor(d)
+	c.g.MoveMasked(l, lp, m)
+	c.points[i] = lp
+	c.pk[i] = c.g.Window(lp).Packed()
+	c.idx.clear(l)
+	c.idx.place(lp, int32(i), c.points)
+	c.events++
+	c.moves++
+	if c.mlog != nil {
+		c.mlog.Moved(l, lp, c.g.Payload(lp))
 	}
 
-	for _, p := range c.dirtyPts {
-		j := c.idx.at(p)
-		w := c.particleWeightPay(p)
-		if w != c.wj[j] {
+	// Re-classify the dirty neighborhood — every occupied cell whose masks
+	// can see ℓ or ℓ′, the mover included — in grid.DirtyOffsets order. The
+	// move flipped the occupancy of ℓ and ℓ′, so a neighbor's masks change
+	// by exactly the bits that read those two cells; the mover's were
+	// re-read above and its dirtyFlips entry is zero. A stateless rule's
+	// neighbor is priced in the walk by packedWeight, inlined: this loop is
+	// the engine's hot path. A payload rule's neighbors are collected and
+	// re-priced right after it, in walk order, through priceSlots; a call
+	// inside the loop would cost the stateless walk its registers.
+	x := c.idx
+	base := x.slot(l)
+	deltas := &x.dirty[d]
+	flips := &dirtyFlips[d]
+	offs := grid.DirtyOffsets(d)
+	stateless := c.stateless
+	nd := 0
+	for k := range nDirty {
+		j := x.id[base+deltas[k]]
+		if j < 0 {
+			continue
+		}
+		pk := c.pk[j] ^ flips[k]
+		c.pk[j] = pk
+		if !stateless {
+			c.dirtyIdx[nd] = j
+			nd++
+			continue
+		}
+		if w := packedWeight(pk, c.ldAt(l.Add(offs[k]))); w != c.wj[j] {
 			c.fen.add(int(j), w-c.wj[j])
 			c.wj[j] = w
 		}
+	}
+	for _, j := range c.dirtyIdx[:nd] {
+		c.reprice(int(j))
+	}
+}
+
+// reprice recomputes particle j's weight from its cached masks and moves
+// the Fenwick tree by the change.
+func (c *Chain) reprice(j int) {
+	if w := c.particleWeight(j); w != c.wj[j] {
+		c.fen.add(j, w-c.wj[j])
+		c.wj[j] = w
+	}
+}
+
+// fireRotation applies rotation slot slot of particle i: its payload moves
+// to the slot's target state. Occupancy and the mask cache are unchanged;
+// the rotating cell's radius-2 neighborhood, itself included, is re-priced.
+func (c *Chain) fireRotation(i, slot int) {
+	l := c.points[i]
+	s := c.g.Payload(l)
+	t := c.ru.RotTarget(s, slot-lattice.NumDirs)
+	c.hval += c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
+	c.g.SetPayload(l, t)
+	c.events++
+	c.rots++
+	if c.mlog != nil {
+		c.mlog.Rotated(l, t)
+	}
+	c.dirtyPts = c.g.OccupiedNearCell(l, c.dirtyPts[:0])
+	for _, p := range c.dirtyPts {
+		c.reprice(int(c.idx.at(p)))
 	}
 }
 
@@ -712,26 +695,20 @@ func (c *Chain) run(n uint64) uint64 {
 	return fired
 }
 
-// CheckWeightSums verifies every stateless particle's cached masks against
-// a fresh window read, every maintained per-particle weight against a
-// from-scratch recomputation (at the current bias epoch, for biased rules)
-// and the Fenwick total against their exact sum. Maintained weights come
-// from the same canonical folds the recomputation uses, so they must match
+// CheckWeightSums verifies every particle's cached masks against a fresh
+// window read, every maintained per-particle weight against a recomputation
+// from those masks (at the current bias epoch, for biased rules) and the
+// Fenwick total against their exact sum. Maintained weights come from the
+// same canonical folds the recomputation uses, so they must match
 // bit-for-bit; the tree total is allowed bounded floating-point drift. It
 // is a test/debug hook with O(n) cost.
 func (c *Chain) CheckWeightSums() error {
 	var sum float64
 	for i, p := range c.points {
-		var w float64
-		if c.stateless {
-			pm := c.g.Window(p).Packed()
-			if pm != c.pk[i] {
-				return fmt.Errorf("kmc: particle %d at %v: cached masks %#x, window reads %#x", i, p, uint64(c.pk[i]), uint64(pm))
-			}
-			w = packedWeight(pm, c.ldAt(p))
-		} else {
-			w = c.particleWeightPay(p)
+		if pm := c.g.Window(p).Packed(); pm != c.pk[i] {
+			return fmt.Errorf("kmc: particle %d at %v: cached masks %#x, window reads %#x", i, p, uint64(c.pk[i]), uint64(pm))
 		}
+		w := c.particleWeight(i)
 		if w != c.wj[i] {
 			return fmt.Errorf("kmc: particle %d at %v: maintained weight %v, recomputed %v", i, p, c.wj[i], w)
 		}
@@ -747,8 +724,8 @@ func (c *Chain) CheckWeightSums() error {
 // int32 window mirroring the occupancy grid's layout, so the per-event dirty
 // loop resolves cells to particles without hashing: one load gives both
 // occupancy (-1 is empty) and the particle. It grows by reallocation when a
-// particle moves outside the current window (set), or, for the sequential
-// engine's dirty walk, within pindexMargin of its edge (place).
+// particle moves within pindexMargin of its edge (place, the sequential
+// engine's dirty walk), or outside the window (set, the sharded engine).
 type pindex struct {
 	minX, minY, w, h int
 	id               []int32
@@ -864,7 +841,8 @@ func (x *pindex) clear(p lattice.Point) {
 }
 
 // set records particle i at p, reshaping around all current points when p
-// falls outside the window.
+// falls outside the window. Only the sharded engine uses set, contains and
+// newPindex.
 func (x *pindex) set(p lattice.Point, i int32, all []lattice.Point) {
 	if !x.contains(p) {
 		x.reshape(all)

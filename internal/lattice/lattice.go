@@ -17,9 +17,11 @@ package lattice
 
 import "fmt"
 
-// Point is a vertex of the triangular lattice in axial coordinates.
+// Point is a vertex of the triangular lattice in axial coordinates. The
+// JSON tags are its wire form in run results and forage schedules.
 type Point struct {
-	X, Y int
+	X int `json:"x"`
+	Y int `json:"y"`
 }
 
 // Dir is one of the six lattice directions, 0 through 5, in counterclockwise

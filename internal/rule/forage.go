@@ -19,29 +19,33 @@ const (
 	DefaultForageFoodSteps = 60_000
 )
 
-// ForageOptions configures the foraging schedule. The zero value selects
-// every default: one food site at the origin, radius
-// DefaultForageRadius, exhaustion after DefaultForageFoodSteps steps,
-// λ_low = DefaultForageLambdaLow, epoch DefaultBiasEvery.
+// ForageOptions configures the foraging schedule: which sites hold food,
+// how far its scent reaches, when it runs out, and how the bias behaves
+// away from it. It is also the schedule's wire form (runner.ForageSpec),
+// hence the JSON tags. The zero value selects every default: one food site
+// at the origin, radius DefaultForageRadius, exhaustion after
+// DefaultForageFoodSteps steps, λ_low = DefaultForageLambdaLow, epoch
+// DefaultBiasEvery.
 type ForageOptions struct {
 	// LambdaLow is the bias away from food and after exhaustion (0 selects
 	// DefaultForageLambdaLow). The compressed-phase bias near food is the
 	// rule's λ.
-	LambdaLow float64
+	LambdaLow float64 `json:"lambda_low,omitempty"`
 	// Radius is the food-disk radius in hex distance (0 selects
 	// DefaultForageRadius).
-	Radius int
+	Radius int `json:"radius,omitempty"`
 	// FoodSteps is the step count at which the food is exhausted (0 selects
 	// DefaultForageFoodSteps).
-	FoodSteps uint64
-	// Epoch is the bias epoch length (0 selects DefaultBiasEvery).
-	Epoch uint64
-	// Sites are the food locations (nil selects the origin).
-	Sites []lattice.Point
+	FoodSteps uint64 `json:"food_steps,omitempty"`
+	// Epoch is the bias epoch length: the schedule is re-read every Epoch
+	// steps (0 selects DefaultBiasEvery).
+	Epoch uint64 `json:"epoch,omitempty"`
+	// Sites are the food locations (empty selects the origin).
+	Sites []lattice.Point `json:"sites,omitempty"`
 }
 
-// withDefaults resolves zero fields to the package defaults.
-func (o ForageOptions) withDefaults() ForageOptions {
+// WithDefaults resolves zero fields to the package defaults.
+func (o ForageOptions) WithDefaults() ForageOptions {
 	if o.LambdaLow == 0 {
 		o.LambdaLow = DefaultForageLambdaLow
 	}
@@ -60,6 +64,24 @@ func (o ForageOptions) withDefaults() ForageOptions {
 	return o
 }
 
+// Normalized returns the canonical form of a possibly-nil schedule:
+// defaults resolved, and a schedule equal to the default one collapsed back
+// to nil. The collapse keeps the serialized options of a run that never set
+// a schedule byte-identical to those of one that spells out the defaults.
+func (o *ForageOptions) Normalized() *ForageOptions {
+	if o == nil {
+		return nil
+	}
+	r := o.WithDefaults()
+	if r.LambdaLow == DefaultForageLambdaLow && r.Radius == DefaultForageRadius &&
+		r.FoodSteps == DefaultForageFoodSteps && r.Epoch == DefaultBiasEvery &&
+		len(r.Sites) == 1 && r.Sites[0] == (lattice.Point{}) {
+		return nil
+	}
+	r.Sites = append([]lattice.Point(nil), r.Sites...)
+	return &r
+}
+
 // Forage returns the foraging rule in the spirit of Oh–Richa ("Foraging in
 // Particle Systems via Self-Induced Phase Changes"): the compression guard
 // and Hamiltonian H(σ) = e(σ), but with the bias modulated over time and
@@ -72,7 +94,7 @@ func (o ForageOptions) withDefaults() ForageOptions {
 // consumption), which keeps the schedule a pure function of (step, site)
 // and the chain exactly reproducible.
 func Forage(lambda float64, opts ForageOptions) (*Rule, error) {
-	o := opts.withDefaults()
+	o := opts.WithDefaults()
 	if err := ValidateLambda(o.LambdaLow); err != nil {
 		return nil, fmt.Errorf("rule: forage λ_low invalid: %w", err)
 	}

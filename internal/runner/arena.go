@@ -37,16 +37,15 @@ type Arena struct {
 	chain *chain.Chain
 	kmc   *kmc.Chain
 
-	res    Result
-	ptsBuf []lattice.Point
-	snap   snapshotter
+	res  Result
+	snap snapshotter
 }
 
 type arenaRuleKey struct {
 	name   string
 	lambda float64
 	states int
-	// schedule is the bias-schedule identity (ForageSpec.cacheKey): two
+	// schedule is the bias-schedule identity (scheduleKey): two
 	// forage rules at equal (name, λ, states) but different food layouts
 	// compile to different rules and must not share a cache slot.
 	schedule string
@@ -179,10 +178,7 @@ func (a *Arena) fill(sim simulation) {
 	}
 	g := sim.Grid()
 	res.Triangles = g.Triangles()
-	a.ptsBuf = g.AppendPoints(a.ptsBuf[:0])
-	for _, p := range a.ptsBuf {
-		res.Points = append(res.Points, Point{X: p.X, Y: p.Y})
-	}
+	res.Points = g.AppendPoints(res.Points)
 }
 
 // ruleFor returns the cached compiled rule for the task's rule axis,
@@ -206,7 +202,7 @@ func (a *Arena) ForageRule(lambda float64, spec *ForageSpec) (*rule.Rule, error)
 }
 
 func (a *Arena) ruleWith(name string, lambda float64, states int, forage *ForageSpec) (*rule.Rule, error) {
-	k := arenaRuleKey{name: name, lambda: lambda, states: states, schedule: forage.cacheKey()}
+	k := arenaRuleKey{name: name, lambda: lambda, states: states, schedule: scheduleKey(forage)}
 	if ru, ok := a.rules[k]; ok {
 		return ru, nil
 	}
@@ -308,8 +304,7 @@ func (a *Arena) amoebot(opts Options, pts []lattice.Point, ru *rule.Rule) (simul
 	if opts.CrashFraction > 0 {
 		rng := rand.New(rand.NewPCG(opts.Seed, 0xdead))
 		for _, id := range w.CrashFraction(rng, opts.CrashFraction) {
-			t := w.Particle(id).Tail()
-			a.res.Crashed = append(a.res.Crashed, Point{X: t.X, Y: t.Y})
+			a.res.Crashed = append(a.res.Crashed, w.Particle(id).Tail())
 		}
 	}
 	r := &amoebotRun{w: w, ru: ru, proto: proto, seed: opts.Seed, workers: opts.Workers}

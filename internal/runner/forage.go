@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sops/internal/lattice"
 	"sops/internal/rule"
 )
 
@@ -14,102 +13,17 @@ import (
 // Options.Forage (nil selects every default).
 const RuleForage = rule.NameForage
 
-// ForageSpec is the wire form of the foraging schedule: which sites hold
-// food, how far its scent reaches, when it runs out, and how the bias
-// behaves away from it. Zero fields select the rule package defaults. The
-// zero value (and nil) is the canonical default schedule; Normalized
-// collapses a spec that resolves to the defaults back to nil so option
-// digests of pre-existing runs are unaffected.
-type ForageSpec struct {
-	// LambdaLow is the bias λ_low away from food and after exhaustion
-	// (0 selects rule.DefaultForageLambdaLow = 1). The compressed-phase
-	// bias near food is Options.Lambda.
-	LambdaLow float64 `json:"lambda_low,omitempty"`
-	// Radius is the food-disk radius in hex distance (0 selects
-	// rule.DefaultForageRadius).
-	Radius int `json:"radius,omitempty"`
-	// FoodSteps is the iteration count at which the food is exhausted
-	// (0 selects rule.DefaultForageFoodSteps).
-	FoodSteps uint64 `json:"food_steps,omitempty"`
-	// Epoch is the bias epoch length: the schedule is re-read every Epoch
-	// iterations (0 selects rule.DefaultBiasEvery).
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Sites are the food locations (empty selects the origin).
-	Sites []Point `json:"sites,omitempty"`
-}
+// ForageSpec is the foraging schedule, rule.ForageOptions: zero fields
+// select the rule package defaults, and Normalized collapses a schedule
+// that resolves to the defaults back to nil, so option digests of runs
+// that never set one are unaffected.
+type ForageSpec = rule.ForageOptions
 
-// WithDefaults resolves zero fields to the rule package defaults,
-// mirroring the rule package's own resolution of ForageOptions.
-func (f ForageSpec) WithDefaults() ForageSpec {
-	if f.LambdaLow == 0 {
-		f.LambdaLow = rule.DefaultForageLambdaLow
-	}
-	if f.Radius == 0 {
-		f.Radius = rule.DefaultForageRadius
-	}
-	if f.FoodSteps == 0 {
-		f.FoodSteps = rule.DefaultForageFoodSteps
-	}
-	if f.Epoch == 0 {
-		f.Epoch = rule.DefaultBiasEvery
-	}
-	if len(f.Sites) == 0 {
-		f.Sites = []Point{{}}
-	}
-	return f
-}
-
-// isDefault reports whether the resolved spec equals the all-defaults
-// schedule — the schedule a nil spec selects.
-func (f ForageSpec) isDefault() bool {
-	return f.LambdaLow == rule.DefaultForageLambdaLow &&
-		f.Radius == rule.DefaultForageRadius &&
-		f.FoodSteps == rule.DefaultForageFoodSteps &&
-		f.Epoch == rule.DefaultBiasEvery &&
-		len(f.Sites) == 1 && f.Sites[0] == Point{}
-}
-
-// Normalized returns the canonical form of a possibly-nil spec: defaults
-// resolved, and a spec equal to the default schedule collapsed back to
-// nil. The collapse keeps the serialized Options of every pre-existing run
-// byte-identical — a run that never set Forage must digest (and journal)
-// exactly as it did before the field existed.
-func (f *ForageSpec) Normalized() *ForageSpec {
-	if f == nil {
-		return nil
-	}
-	r := f.WithDefaults()
-	if r.isDefault() {
-		return nil
-	}
-	r.Sites = append([]Point(nil), r.Sites...)
-	return &r
-}
-
-// ruleOptions converts the spec to the rule package's schedule options.
-// A nil spec converts to the zero (all-defaults) options.
-func (f *ForageSpec) ruleOptions() rule.ForageOptions {
-	if f == nil {
-		return rule.ForageOptions{}
-	}
-	var sites []lattice.Point
-	for _, p := range f.Sites {
-		sites = append(sites, lattice.Point{X: p.X, Y: p.Y})
-	}
-	return rule.ForageOptions{
-		LambdaLow: f.LambdaLow,
-		Radius:    f.Radius,
-		FoodSteps: f.FoodSteps,
-		Epoch:     f.Epoch,
-		Sites:     sites,
-	}
-}
-
-// cacheKey renders the schedule identity as a string, the part of the
+// scheduleKey renders the schedule identity as a string, the part of the
 // arena's rule cache key that distinguishes two forage rules compiled at
 // the same (name, λ, states). The empty string is the fixed-λ (no
 // schedule) identity.
-func (f *ForageSpec) cacheKey() string {
+func scheduleKey(f *ForageSpec) string {
 	if f == nil {
 		return ""
 	}
@@ -135,5 +49,5 @@ func NewRule(name string, lambda float64, states int, forage *ForageSpec) (*rule
 	if name != RuleForage {
 		return nil, fmt.Errorf("runner: a Forage schedule requires Rule %q", RuleForage)
 	}
-	return rule.Forage(lambda, forage.ruleOptions())
+	return rule.Forage(lambda, *forage)
 }

@@ -120,10 +120,7 @@ func StartShapes() []StartShape {
 var ErrInterrupted = errors.New("runner: run interrupted")
 
 // Point is a vertex of the triangular lattice in axial coordinates.
-type Point struct {
-	X int `json:"x"`
-	Y int `json:"y"`
-}
+type Point = lattice.Point
 
 // Snapshot records the system state at one instant of a run. It is also the
 // wire format of the `sops serve` streaming endpoint, hence the JSON tags.
@@ -193,15 +190,18 @@ func (r *Result) SVG() string {
 // returns the extended slice — the reusable-buffer path behind SVG for
 // callers rendering many results.
 func (r *Result) AppendSVG(buf []byte) []byte {
-	cfg := config.New()
-	for _, p := range r.Points {
-		cfg.Add(lattice.Point{X: p.X, Y: p.Y})
-	}
-	marks := make(map[lattice.Point]bool, len(r.Crashed))
-	for _, p := range r.Crashed {
-		marks[lattice.Point{X: p.X, Y: p.Y}] = true
-	}
+	cfg, marks := r.final()
 	return viz.AppendSVG(buf, cfg, marks)
+}
+
+// final returns the final configuration and the set of crashed particles
+// that renderings mark.
+func (r *Result) final() (*config.Config, map[Point]bool) {
+	marks := make(map[Point]bool, len(r.Crashed))
+	for _, p := range r.Crashed {
+		marks[p] = true
+	}
+	return config.New(r.Points...), marks
 }
 
 // Options configures a run. The zero value is not runnable: N and Lambda
@@ -307,15 +307,7 @@ func Compress(opts Options) (*Result, error) {
 		return nil, err
 	}
 	out := *res
-	cfg := config.New()
-	for _, p := range out.Points {
-		cfg.Add(lattice.Point{X: p.X, Y: p.Y})
-	}
-	marks := make(map[lattice.Point]bool, len(out.Crashed))
-	for _, p := range out.Crashed {
-		marks[lattice.Point{X: p.X, Y: p.Y}] = true
-	}
-	out.Rendering = viz.RenderMarked(cfg, marks)
+	out.Rendering = viz.RenderMarked(out.final())
 	return &out, nil
 }
 

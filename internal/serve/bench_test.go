@@ -70,11 +70,7 @@ func BenchmarkFrameDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := make([]lattice.Point, len(res.Points))
-	for i, p := range res.Points {
-		pts[i] = lattice.Point{X: p.X, Y: p.Y}
-	}
-	g := grid.New(pts, 0)
+	g := grid.New(res.Points, 0)
 	// An interval's coalesced move list: two boundary particles step to a
 	// free neighbor — the typical net change between snapshot boundaries.
 	sorted := g.AppendPoints(nil)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -367,21 +368,25 @@ func isDoneRecord(rec []byte) bool {
 
 // openMirror opens (creating if needed) a job's frame mirror for append
 // and returns how many complete records it already holds — the Seq base a
-// resuming owner continues from. A fresh mirror gets the frame-log header
-// before any record.
+// resuming owner continues from. A torn last record (its writer died
+// mid-append) is cut off first, or it would swallow the head of the next
+// record appended. A mirror left empty gets the frame-log header.
 func (m *Manager) openMirror(id string) (*os.File, int, error) {
-	path := m.mirrorPath(id)
-	recs := 0
-	raw, err := os.ReadFile(path)
-	if err == nil {
-		recs = frame.Count(raw)
+	f, err := os.OpenFile(m.mirrorPath(id), os.O_CREATE|os.O_APPEND|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, 0, err
 	}
-	f, ferr := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if ferr != nil {
-		return nil, 0, ferr
+	raw, err := io.ReadAll(f)
+	recs, size := frame.Count(raw)
+	if err == nil && size < len(raw) {
+		err = f.Truncate(int64(size))
 	}
-	if len(raw) == 0 {
-		_, _ = f.Write(frame.Header())
+	if err == nil && size == 0 {
+		_, err = f.Write(frame.Header())
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
 	}
 	return f, recs, nil
 }
@@ -390,24 +395,15 @@ func (m *Manager) openMirror(id string) (*os.File, int, error) {
 // execution — the cancel-before-start paths, where no mirror is attached
 // but cross-node followers still need their stream to end.
 func (m *Manager) mirrorDone(id string, f Frame) {
-	path := m.mirrorPath(id)
-	raw, rerr := os.ReadFile(path)
-	if rerr == nil {
-		f.Seq = frame.Count(raw)
-	}
-	line, err := json.Marshal(f)
+	g, recs, err := m.openMirror(id)
 	if err != nil {
 		return
 	}
-	g, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
+	defer g.Close()
+	f.Seq = recs
+	if line, err := json.Marshal(f); err == nil {
+		_, _ = g.Write(frame.Raw(line))
 	}
-	if len(raw) == 0 {
-		_, _ = g.Write(frame.Header())
-	}
-	_, _ = g.Write(frame.Raw(line))
-	_ = g.Close()
 }
 
 // replayMirror publishes a job's stored mirror records into st, returning

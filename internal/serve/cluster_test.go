@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sops/internal/experiment"
+	"sops/internal/frame"
 	"sops/internal/runner"
 )
 
@@ -535,4 +536,64 @@ func TestClusterGracefulHandoff(t *testing.T) {
 	if counterVal(b, "leases_claimed") < 1 {
 		t.Fatal("resuming node counted no lease claim")
 	}
+}
+
+// TestMirrorCutsTornTailOnOpen: an owner that resumes a job whose frame
+// mirror ends in a torn record (the previous owner died mid-append)
+// appends after the last complete record, so the log still splits and
+// the done frame replays. mirrorDone opens the same way.
+func TestMirrorCutsTornTailOnOpen(t *testing.T) {
+	m := openNode(t, clusterOpts(t.TempDir(), "a"))
+	rec := func(f Frame) []byte {
+		line, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame.Raw(line)
+	}
+	torn := func(id string) {
+		log := frame.Header()
+		for seq := range 3 {
+			log = append(log, rec(Frame{Type: FrameSnapshot, Seq: seq})...)
+		}
+		if err := os.MkdirAll(filepath.Dir(m.mirrorPath(id)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(m.mirrorPath(id), log[:len(log)-5], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(id string) {
+		t.Helper()
+		raw, err := os.ReadFile(m.mirrorPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := frame.Split(raw); err != nil || len(recs) != 3 {
+			t.Fatalf("%s: split %d records, %v; want 3", id, len(recs), err)
+		}
+		if n, sawDone := m.replayMirror(newStream(), id); n != 3 || !sawDone {
+			t.Fatalf("%s: replayed %d records, done %v; want 3 and a done frame", id, n, sawDone)
+		}
+	}
+
+	torn("resumed")
+	f, recs, err := m.openMirror("resumed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs != 2 {
+		t.Fatalf("openMirror counted %d records, want 2", recs)
+	}
+	if _, err := f.Write(rec(Frame{Type: FrameDone, Seq: 2, State: StateDone})); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("resumed")
+
+	torn("canceled")
+	m.mirrorDone("canceled", Frame{Type: FrameDone, State: StateCanceled})
+	check("canceled")
 }

@@ -97,7 +97,7 @@ func TestFramesFormatNegotiation(t *testing.T) {
 	if !frame.HasHeader(body) {
 		t.Fatal("binary frame log lacks the SOPF header")
 	}
-	if n := frame.Count(body); n == 0 {
+	if n, _ := frame.Count(body); n == 0 {
 		t.Fatal("binary frame log holds no records")
 	}
 

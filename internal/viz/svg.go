@@ -31,8 +31,8 @@ func AppendSVG(buf []byte, c *config.Config, marked map[lattice.Point]bool) []by
 	maxX, maxY := -1e18, -1e18
 	for _, p := range pts {
 		x, y := p.Euclidean()
-		minX, maxX = minf(minX, x), maxf(maxX, x)
-		minY, maxY = minf(minY, y), maxf(maxY, y)
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
 	}
 	width := (maxX-minX)*scale + 2*margin
 	height := (maxY-minY)*scale + 2*margin
@@ -69,18 +69,4 @@ func AppendSVG(buf []byte, c *config.Config, marked map[lattice.Point]bool) []by
 		}
 	}
 	return append(buf, "</svg>\n"...)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

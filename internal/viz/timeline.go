@@ -120,8 +120,8 @@ func bounds(series []TimelineSeries) (minX, maxX, minY, maxY float64, points int
 			n = len(s.Y)
 		}
 		for i := 0; i < n; i++ {
-			minX, maxX = minf(minX, s.X[i]), maxf(maxX, s.X[i])
-			minY, maxY = minf(minY, s.Y[i]), maxf(maxY, s.Y[i])
+			minX, maxX = min(minX, s.X[i]), max(maxX, s.X[i])
+			minY, maxY = min(minY, s.Y[i]), max(maxY, s.Y[i])
 			points++
 		}
 	}
