@@ -417,16 +417,6 @@ func benchmarkActivation(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkConcurrentActivations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w, err := amoebot.NewWorld(config.Line(60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		amoebot.RunConcurrent(w, amoebot.MustNewCompression(4), uint64(i), 4, 100_000)
-	}
-}
-
 func BenchmarkPerimeterWalk(b *testing.B) {
 	c := config.Spiral(500)
 	b.ResetTimer()

@@ -23,7 +23,6 @@ func cmdRun(args []string) error {
 		ruleName  = fs.String("rule", sops.RuleCompression, "local rule: compression|align|forage")
 		states    = fs.Int("states", 0, "payload state count for payload rules (0 = rule default; align defaults to 6 orientations)")
 		forage    = forageFlags(fs)
-		workers   = fs.Int("workers", 0, "drive an amoebot run with this many concurrent goroutines")
 		crash     = fs.Float64("crash", 0, "fraction of particles to crash-fail (amoebot engine only)")
 		snapshots = fs.Int("snapshots", 5, "number of equally spaced snapshots to print")
 		render    = fs.Bool("render", true, "print the final configuration")
@@ -42,7 +41,6 @@ func cmdRun(args []string) error {
 		RuleStates:    *states,
 		Forage:        forage(),
 		CrashFraction: *crash,
-		Workers:       *workers,
 	}.Normalized()
 	if err != nil {
 		return err

@@ -362,30 +362,6 @@ func TestAllCrashedSchedulerStops(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunMatchesInvariants: the mutex-serialized concurrent runner
-// must preserve all invariants and make progress.
-func TestConcurrentRunMatchesInvariants(t *testing.T) {
-	n := 30
-	w, _ := NewWorld(config.Line(n))
-	RunConcurrent(w, MustNewCompression(4), 17, 4, 200_000)
-	if err := w.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := w.Config()
-	if cfg.N() != n {
-		t.Fatalf("particle count changed: %d", cfg.N())
-	}
-	if !cfg.Connected() {
-		t.Fatal("disconnected after concurrent run")
-	}
-	if w.Activations() != 200_000 {
-		t.Errorf("activations = %d, want %d", w.Activations(), 200_000)
-	}
-	if w.Moves() == 0 {
-		t.Error("no moves at all in a long concurrent run")
-	}
-}
-
 // TestUniformSchedulerDeterminism: same seed, same trajectory.
 func TestUniformSchedulerDeterminism(t *testing.T) {
 	run := func() string {

@@ -25,8 +25,8 @@ import (
 // For rules with a time-varying/site-dependent bias it prices at the
 // effective λ of (activation step, tail site): the activation count is the
 // asynchronous analogue of the chain's step clock. The protocol's ladder
-// cache is safe under the concurrent scheduler because activations are
-// serialized (atomic actions); the Ladders themselves are immutable.
+// cache sees one activation at a time, as the schedulers run them; the
+// Ladders themselves are immutable.
 type Metropolis struct {
 	ru *rule.Rule
 	// ld prices the proposals of a fixed-λ rule; for biased rules lcache

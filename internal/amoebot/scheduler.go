@@ -3,7 +3,6 @@ package amoebot
 import (
 	"math"
 	"math/rand/v2"
-	"sync"
 )
 
 // PoissonScheduler activates particles according to independent Poisson
@@ -213,46 +212,4 @@ func (s *UniformScheduler) RunActivations(k uint64) {
 			return
 		}
 	}
-}
-
-// RunConcurrent drives the world with `workers` goroutines that together
-// perform k activations, k/workers each with the remainder spread one per
-// worker. Each activates uniformly random particles from a private RNG and
-// redraws a pick of a crashed particle, so the whole budget runs unless no
-// live particle remains. Activations are serialized by a mutex, realizing
-// the model's assumption that concurrent executions are equivalent to a
-// sequential ordering of atomic actions (§2.1). The interleaving — and
-// therefore the trajectory — is nondeterministic; invariants and stationary
-// statistics are not.
-func RunConcurrent(w *World, proto Protocol, seed uint64, workers int, k uint64) {
-	if workers < 1 {
-		workers = 1
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		share := k / uint64(workers)
-		if uint64(wk) < k%uint64(workers) {
-			share++
-		}
-		wg.Add(1)
-		go func(stream, share uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, stream))
-			for share > 0 {
-				id := ParticleID(rng.IntN(w.N()))
-				mu.Lock()
-				if w.live == 0 {
-					mu.Unlock()
-					return
-				}
-				if !w.particles[id].crashed {
-					w.activate(id, proto, rng)
-					share--
-				}
-				mu.Unlock()
-			}
-		}(uint64(wk)+1, share)
-	}
-	wg.Wait()
 }

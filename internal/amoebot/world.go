@@ -128,8 +128,8 @@ func (x *cellIndex) place(p *Particle) {
 
 // World is the shared lattice substrate. All mutation goes through expand
 // and contract so the occupancy invariants hold at all times. World is not
-// safe for concurrent use; the concurrent scheduler serializes activations
-// with a mutex, which matches the model's atomic-action semantics.
+// safe for concurrent use; a scheduler runs one activation at a time,
+// which matches the model's atomic-action semantics.
 type World struct {
 	particles []Particle
 	idx       cellIndex

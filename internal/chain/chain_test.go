@@ -227,7 +227,7 @@ func TestExpansionAtLowLambda(t *testing.T) {
 // every target is connected and hole-free when the source is (Lemma 3.2).
 func TestTransitionDistRowStochastic(t *testing.T) {
 	for _, src := range enumerate.AllHoleFree(5) {
-		dist := TransitionDist(src, 4)
+		dist := enumerate.TransitionDist(src, 4)
 		var sum float64
 		for _, p := range dist {
 			if p < -1e-15 {
@@ -238,7 +238,7 @@ func TestTransitionDistRowStochastic(t *testing.T) {
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("row sums to %v", sum)
 		}
-		for _, next := range Reachable(src) {
+		for _, next := range enumerate.Reachable(src) {
 			if !next.Connected() {
 				t.Fatalf("reachable config disconnected")
 			}
@@ -268,7 +268,7 @@ func TestStationaryDistributionExact(t *testing.T) {
 		rows := make([]map[int]float64, len(s.States))
 		for i, c := range s.States {
 			rows[i] = map[int]float64{}
-			for key, p := range TransitionDist(c, tc.lambda) {
+			for key, p := range enumerate.TransitionDist(c, tc.lambda) {
 				j, ok := index[key]
 				if !ok {
 					t.Fatalf("n=%d: transition leaves Ω*", tc.n)
@@ -308,7 +308,7 @@ func TestStationaryDistributionExact(t *testing.T) {
 		}
 		// Detailed balance spot check on the exact rows.
 		for i, c := range s.States {
-			for key, p := range TransitionDist(c, tc.lambda) {
+			for key, p := range enumerate.TransitionDist(c, tc.lambda) {
 				j := index[key]
 				if i == j {
 					continue
@@ -348,7 +348,7 @@ func TestErgodicityOnSmallStateSpaces(t *testing.T) {
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, next := range Reachable(cur) {
+			for _, next := range enumerate.Reachable(cur) {
 				k := next.Key()
 				if !seen[k] {
 					seen[k] = true
@@ -379,7 +379,7 @@ func TestErgodicityOnSmallStateSpaces(t *testing.T) {
 	for len(queue) > 0 && !reachedHoleFree {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range Reachable(cur) {
+		for _, next := range enumerate.Reachable(cur) {
 			if !next.HasHoles() {
 				reachedHoleFree = true
 				break

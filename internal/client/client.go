@@ -1,8 +1,8 @@
 // Package client is the typed Go client for the sops serve /v1 API — the
 // same contract documented in API.md and consumed by curl and the embedded
-// observatory UI. The CLI (`sops submit/jobs/watch/replay`) and the serve
-// end-to-end tests go through this package, so the client exercises exactly
-// what external consumers would.
+// observatory UI. The CLI's `sops replay` and the serve end-to-end tests go
+// through this package, so the client exercises exactly what external
+// consumers would.
 //
 // Every method takes a context and returns typed errors: any non-2xx /v1
 // response decodes into *Error carrying the server's machine-readable code

@@ -3,8 +3,8 @@
 // to translation only, as defined in §2.2 of the paper). It powers the §5
 // analysis artifacts: the 11 three-particle configurations of Fig 11, the
 // perimeter census behind the Peierls arguments, the partition-function
-// bounds of Lemmas 5.1–5.6, and exact stationary distributions of the chain
-// for small n.
+// bounds of Lemmas 5.1–5.6, and, for small n, the exact stationary
+// distribution and one-step transition kernel of the chain.
 package enumerate
 
 import (

@@ -1,4 +1,4 @@
-package chain
+package enumerate
 
 import (
 	"sops/internal/config"

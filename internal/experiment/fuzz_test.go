@@ -3,6 +3,9 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -98,6 +101,51 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(canon, enc1) {
 			t.Fatalf("MarshalCanonical differs from canonical encoding:\n%s\nvs\n%s", canon, enc1)
+		}
+	})
+}
+
+// FuzzJournal feeds arbitrary bytes to the journal reader as a stored
+// journal.jsonl. openJournal must never panic, must load, in order,
+// exactly those lines before the last newline that decode as a
+// journalEntry, and must cut the file at its last newline, so a torn final
+// line is dropped and the next append starts a line of its own.
+func FuzzJournal(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(`{"point":0,"rep":0,"seed":1,"metrics":{"perimeter":12,"alpha":1.5}}` + "\n"))
+	f.Add([]byte(`{"point":0,"rep":1,"seed":2,"error":"boom"}` + "\n" + `{"point":1,"rep":0,"se`))
+	f.Add([]byte("\n\n{}\nnull\n[1]\n\"x\"\n{\"point\":-3,\"extra\":true}\n"))
+	f.Add([]byte(`{"point":0,"rep":0,"seed":1,"metrics":{"p":1e999}}` + "\n" + `{"point":2,"rep":0,"seed":3}` + "\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, JournalFile)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := openJournal(dir, Spec{Scenario: "compress"})
+		if err != nil {
+			t.Fatalf("openJournal: %v", err)
+		}
+		if err := j.close(); err != nil {
+			t.Fatal(err)
+		}
+		keep := data[:bytes.LastIndexByte(data, '\n')+1]
+		var want []journalEntry
+		for _, line := range bytes.Split(keep, []byte{'\n'}) {
+			var e journalEntry
+			if json.Unmarshal(line, &e) == nil {
+				want = append(want, e)
+			}
+		}
+		if !reflect.DeepEqual(j.entries, want) {
+			t.Fatalf("loaded entries %+v, want %+v", j.entries, want)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, keep) {
+			t.Fatalf("journal left as %q, want the input cut at its last newline, %q", got, keep)
 		}
 	})
 }

@@ -1,9 +1,10 @@
 // Package experiment is the declarative, resumable experiment engine of the
 // repository. An Experiment Spec names a scenario from the registry and
 // sweeps it over axes (λ, particle count, start shape, engine, crash
-// fraction) with per-point replication; Run executes the resulting task grid
-// on a worker pool, journaling every completed (point, rep) task to a JSONL
-// file so an interrupted sweep resumes where it left off, and emits
+// fraction, rule; λ outermost and the rule innermost in the point order)
+// with per-point replication; Run executes the resulting task grid on a
+// worker pool, journaling every completed (point, rep) task to a JSONL file
+// so an interrupted sweep resumes where it left off, and emits
 // machine-readable results (JSONL + CSV + a BENCH_*.json summary).
 //
 // Determinism contract: every task derives its seed from (Spec.Seed, point

@@ -127,8 +127,8 @@ type Encoder struct {
 // EncodeSnapshot encodes one snapshot as a standalone framed record.
 // moves are the interval's accepted moves (drained, in order); tracked
 // reports whether they are a complete account of the interval — when
-// false (concurrent executions that don't log moves) the record is forced
-// to a keyframe. g is the live grid the snapshot describes.
+// false (a caller that did not log every move) the record is forced to a
+// keyframe. g is the live grid the snapshot describes.
 func (e *Encoder) EncodeSnapshot(s Snap, moves []Move, tracked bool, g *grid.Grid) []byte {
 	every := e.KeyframeEvery
 	if every <= 0 {

@@ -145,8 +145,8 @@ const PollEvery = 1 << 20
 // RunPolled advances sim by k iterations in pieces of at most PollEvery,
 // polling interrupt (when non-nil) before each piece, and returns
 // ErrInterrupted as soon as a poll returns true. The chain, kMC and
-// Poisson-scheduled Algorithm A follow the same trajectory through any
-// split of a run; concurrent Algorithm A is nondeterministic anyway.
+// Algorithm A follow the same trajectory through any split of a run
+// (TestSplitInvariance).
 func RunPolled(sim interface{ Run(n uint64) uint64 }, k uint64, interrupt func() bool) error {
 	for k > 0 {
 		if interrupt != nil && interrupt() {
@@ -286,7 +286,7 @@ func (a *Arena) engineFor(engine string, pts []lattice.Point, ru *rule.Rule, see
 
 // amoebot builds an Algorithm A run over the starting points: payload
 // states and crash failures drawn from the run seed, then the Poisson
-// scheduler (or, with Workers > 1, concurrent activation).
+// scheduler.
 func (a *Arena) amoebot(opts Options, pts []lattice.Point, ru *rule.Rule) (simulation, error) {
 	proto, err := amoebot.NewMetropolis(ru)
 	if err != nil {
@@ -307,11 +307,7 @@ func (a *Arena) amoebot(opts Options, pts []lattice.Point, ru *rule.Rule) (simul
 			a.res.Crashed = append(a.res.Crashed, w.Particle(id).Tail())
 		}
 	}
-	r := &amoebotRun{w: w, ru: ru, proto: proto, seed: opts.Seed, workers: opts.Workers}
-	if opts.Workers <= 1 {
-		r.sched = amoebot.NewPoissonScheduler(w, proto, opts.Seed)
-	}
-	return r, nil
+	return &amoebotRun{w: w, ru: ru, sched: amoebot.NewPoissonScheduler(w, proto, opts.Seed)}, nil
 }
 
 // amoebotRun is Algorithm A as a simulation. Its measures come from the
@@ -320,23 +316,11 @@ func (a *Arena) amoebot(opts Options, pts []lattice.Point, ru *rule.Rule) (simul
 type amoebotRun struct {
 	w     *amoebot.World
 	ru    *rule.Rule
-	proto amoebot.Protocol
 	sched *amoebot.PoissonScheduler
-
-	seed    uint64
-	workers int
-	chunk   uint64
 }
 
 func (r *amoebotRun) Run(k uint64) uint64 {
-	if r.sched != nil {
-		r.sched.RunActivations(k)
-		return k
-	}
-	r.chunk++
-	// Each chunk derives fresh per-worker streams; reusing the raw seed
-	// would replay identical randomness every chunk.
-	amoebot.RunConcurrent(r.w, r.proto, r.seed+r.chunk*0x9e3779b97f4a7c15, r.workers, k)
+	r.sched.RunActivations(k)
 	return k
 }
 
@@ -354,26 +338,22 @@ func (r *amoebotRun) Grid() *grid.Grid            { return r.w.Tails() }
 // renders the optional SVG into a buffer reused across frames and, for
 // DeltaFunc, drains the move log the engine appends to.
 type snapshotter struct {
-	n       int
-	ru      *rule.Rule
-	svg     bool
-	fn      func(Snapshot)
-	dfn     func(Snapshot, Delta)
-	tracked bool
-	log     frame.MoveLog
-	buf     []byte
+	n   int
+	ru  *rule.Rule
+	svg bool
+	fn  func(Snapshot)
+	dfn func(Snapshot, Delta)
+	log frame.MoveLog
+	buf []byte
 }
 
 // reset readies the snapshotter for one run of sim, emptying the move log,
-// and with DeltaFunc set wires sim's moves into it. Concurrent activations
-// cannot log moves coherently; the delta tap then marks intervals
-// untracked and every frame becomes a keyframe.
+// and with DeltaFunc set wires sim's moves into it.
 func (sn *snapshotter) reset(opts Options, ru *rule.Rule, sim simulation) {
 	sn.n, sn.ru = opts.N, ru
 	sn.svg, sn.fn, sn.dfn = opts.SnapshotSVG, opts.SnapshotFunc, opts.DeltaFunc
-	sn.tracked = opts.Workers <= 1
 	sn.log.Drain()
-	if sn.dfn != nil && sn.tracked {
+	if sn.dfn != nil {
 		sim.SetMoveLog(&sn.log)
 	}
 }
@@ -402,7 +382,6 @@ func (sn *snapshotter) take(sim simulation, done uint64) Snapshot {
 	if sn.dfn != nil {
 		sn.dfn(s, Delta{
 			Moves:    sn.log.Drain(),
-			Tracked:  sn.tracked,
 			Payloads: !sn.ru.Stateless(),
 			Grid:     sim.Grid(),
 		})

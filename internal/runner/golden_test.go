@@ -56,8 +56,8 @@ func compressGoldenCases() []goldenCase {
 
 // TestCompressGolden pins Compress end to end: the sha256 of every case's
 // JSON Result (rendering, points, crashed particles, rounds and snapshots
-// included) and, per snapshot, the delta tap's iteration, move count,
-// tracked flag and payload flag. Any change to an engine's trajectory, to
+// included) and, per snapshot, the delta tap's iteration, move count and
+// payload flag. Any change to an engine's trajectory, to
 // the result fill or to the snapshot hooks moves a line; a refactor of the
 // run path must not.
 func TestCompressGolden(t *testing.T) {
@@ -66,7 +66,7 @@ func TestCompressGolden(t *testing.T) {
 		var deltas []string
 		opts := c.opts
 		opts.DeltaFunc = func(s Snapshot, d Delta) {
-			deltas = append(deltas, fmt.Sprintf("%d:%d:%t:%t", s.Iteration, len(d.Moves), d.Tracked, d.Payloads))
+			deltas = append(deltas, fmt.Sprintf("%d:%d:%t", s.Iteration, len(d.Moves), d.Payloads))
 		}
 		res, err := Compress(opts)
 		if err != nil {

@@ -241,12 +241,6 @@ type Options struct {
 	// a distributed run (§3.3 fault tolerance). Only valid with
 	// EngineAmoebot.
 	CrashFraction float64 `json:"crash_fraction,omitempty"`
-	// Workers > 1 drives a distributed run with that many goroutines
-	// activating particles concurrently (activations stay atomic, as the
-	// model requires). Concurrent trajectories are not reproducible across
-	// runs; invariants and long-run statistics are unaffected. Only valid
-	// with EngineAmoebot.
-	Workers int `json:"workers,omitempty"`
 	// SnapshotEvery records a snapshot every given number of iterations;
 	// zero disables snapshots.
 	SnapshotEvery uint64 `json:"snapshot_every,omitempty"`
@@ -378,12 +372,6 @@ func (o Options) resolved() (Options, error) {
 	if o.CrashFraction > 0 && o.Engine != EngineAmoebot {
 		return o, fmt.Errorf("runner: CrashFraction requires the %s engine", EngineAmoebot)
 	}
-	if o.Workers > 1 && o.Engine != EngineAmoebot {
-		return o, fmt.Errorf("runner: Workers requires the %s engine", EngineAmoebot)
-	}
-	if o.Workers < 2 {
-		o.Workers = 0
-	}
 	if o.Iterations == 0 {
 		o.Iterations = 200 * uint64(o.N) * uint64(o.N)
 	}
@@ -396,10 +384,6 @@ type Delta struct {
 	// Moves are the accepted moves of the snapshot interval, in
 	// application order. Valid only during the callback.
 	Moves []frame.Move
-	// Tracked reports whether Moves is a complete account of the interval.
-	// False under concurrent amoebot execution, where moves are not
-	// logged; consumers must then treat every snapshot as a keyframe.
-	Tracked bool
 	// Payloads reports whether the run's rule carries per-particle
 	// payload state.
 	Payloads bool

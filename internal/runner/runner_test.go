@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,24 +44,44 @@ func TestSnapshotFuncStreamsInOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsWholeBudget: a concurrent amoebot run performs exactly
-// its iteration budget, with or without crashed particles, when neither
-// the budget nor each snapshot interval is a multiple of the worker count.
-func TestConcurrentRunsWholeBudget(t *testing.T) {
-	for _, workers := range []int{2, 3} {
-		for _, crash := range []float64{0, 0.5} {
-			res, err := runner.Compress(runner.Options{
-				N: 20, Lambda: 4, Iterations: 1000, Seed: 5, Engine: runner.EngineAmoebot,
-				Workers: workers, CrashFraction: crash, SnapshotEvery: 301,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d crash=%v: %v", workers, crash, err)
-			}
-			if res.Iterations != 1000 {
-				t.Errorf("workers=%d crash=%v: %d iterations, want 1000", workers, crash, res.Iterations)
-			}
-			if len(res.Snapshots) != 4 {
-				t.Errorf("workers=%d crash=%v: %d snapshots, want 4", workers, crash, len(res.Snapshots))
+// TestSplitInvariance: a run follows one trajectory however it is split.
+// The arena splits a run at every snapshot (and RunPolled every PollEvery
+// iterations), so for every engine × rule, and Algorithm A with crash
+// faults too, Compress with any SnapshotEvery returns the unsplit run's
+// Result, snapshots aside. The budget is a multiple of none of 7, 997 and
+// 4096, so the last interval is a partial one and must still run whole.
+func TestSplitInvariance(t *testing.T) {
+	const budget = 20000
+	for _, engine := range runner.Engines() {
+		crashes := []float64{0}
+		if engine == runner.EngineAmoebot {
+			crashes = append(crashes, 0.1)
+		}
+		for _, crash := range crashes {
+			for _, ru := range runner.Rules() {
+				name := fmt.Sprintf("%s/%s/crash=%v", engine, ru, crash)
+				opts := runner.Options{
+					N: 16, Lambda: 4, Iterations: budget, Seed: 11, Start: runner.StartRandom,
+					Engine: engine, Rule: ru, CrashFraction: crash,
+				}
+				whole, err := runner.Compress(opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, every := range []uint64{1, 7, 997, 4096} {
+					opts.SnapshotEvery = every
+					split, err := runner.Compress(opts)
+					if err != nil {
+						t.Fatalf("%s every=%d: %v", name, every, err)
+					}
+					if want := (budget + every - 1) / every; uint64(len(split.Snapshots)) != want {
+						t.Errorf("%s every=%d: %d snapshots, want %d", name, every, len(split.Snapshots), want)
+					}
+					split.Snapshots = nil
+					if !reflect.DeepEqual(split, whole) {
+						t.Errorf("%s every=%d: split run differs from the unsplit one:\n got %+v\nwant %+v", name, every, split, whole)
+					}
+				}
 			}
 		}
 	}
@@ -193,7 +214,6 @@ func TestOptionsNormalized(t *testing.T) {
 		"bad rule":          {N: 5, Lambda: 4, Rule: "telepathy"},
 		"negative states":   {N: 5, Lambda: 4, RuleStates: -1},
 		"crash sequential":  {N: 5, Lambda: 4, CrashFraction: 0.2},
-		"workers chain":     {N: 5, Lambda: 4, Workers: 4},
 		"crash out of unit": {N: 5, Lambda: 4, Engine: runner.EngineAmoebot, CrashFraction: 1},
 		"crash NaN":         {N: 5, Lambda: 4, Engine: runner.EngineAmoebot, CrashFraction: math.NaN()},
 	} {

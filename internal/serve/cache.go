@@ -90,29 +90,14 @@ func jobDigest(req JobRequest) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// cacheable reports whether the request's results are deterministic given
-// its digest. Concurrent amoebot trajectories (Workers > 1) are not
-// reproducible, so such runs are executed every time and never complete
-// into the cache.
-func cacheable(req JobRequest) bool {
-	return req.Kind != KindRun || req.Run.Workers <= 1
-}
-
-// workspace returns the store directory of a job's workload. Cacheable
-// workloads share one workspace per digest (that sharing is the cache);
-// nondeterministic ones (cacheable() == false) each own a job-suffixed
-// workspace so one job's stored result can never be overwritten by an
-// identically-specified later job.
+// workspace returns the store directory of a job's workload. Every job of
+// one digest shares it: that sharing is the cache.
 func (m *Manager) workspace(job *Job) string {
 	sub := "exp"
 	if job.Kind == KindRun {
 		sub = "run"
 	}
-	key := job.Digest[:16]
-	if !cacheable(job.Request) {
-		key += "-" + job.ID
-	}
-	return filepath.Join(m.dir, sub, key)
+	return filepath.Join(m.dir, sub, job.Digest[:16])
 }
 
 // resultFile returns the served result artifact of a job kind.

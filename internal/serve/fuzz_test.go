@@ -95,7 +95,7 @@ func FuzzLeaseFile(f *testing.F) {
 // same bytes and task count.
 func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"run":{"n":8,"lambda":4,"iterations":2000,"seed":9}}`))
-	f.Add([]byte(`{"run":{"n":30,"lambda":4,"seed":5,"snapshot_every":50000,"engine":"amoebot","workers":3},"svg":true}`))
+	f.Add([]byte(`{"run":{"n":30,"lambda":4,"seed":5,"snapshot_every":50000,"engine":"amoebot"},"svg":true}`))
 	f.Add([]byte(`{"spec":{"scenario":"compress","lambdas":[2,4],"sizes":[20],"engines":["chain","kmc"],"iterations":80000,"reps":2,"seed":1}}`))
 	f.Add([]byte(`{"spec":{"scenario":"forage","sizes":[20],"forage":{"radius":6,"food_steps":20000}}}`))
 	f.Add([]byte(`{"run":{"n":4294967296,"lambda":4}}`))

@@ -36,8 +36,8 @@ const (
 	// KindSweep executes an experiment.Spec through the resumable sweep
 	// engine: journaled, restart-safe, cacheable.
 	KindSweep = "sweep"
-	// KindRun executes a single runner.Options simulation; cacheable when
-	// deterministic (Workers ≤ 1).
+	// KindRun executes a single runner.Options simulation: deterministic
+	// given its normalized options, cacheable.
 	KindRun = "run"
 )
 

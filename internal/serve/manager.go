@@ -361,10 +361,8 @@ func (m *Manager) SubmitAs(req JobRequest, client string) (Job, error) {
 	}
 	h := &handle{stream: newStream()}
 	h.pub = h.stream
-	if cacheable(req) {
-		if c, ok := readCompletion(m.workspace(&job), digest); ok {
-			return m.submitCached(h, job, c)
-		}
+	if c, ok := readCompletion(m.workspace(&job), digest); ok {
+		return m.submitCached(h, job, c)
 	}
 
 	m.mu.Lock()
@@ -675,11 +673,6 @@ func (m *Manager) Delete(id string) (Job, bool, error) {
 		_ = os.Remove(m.cancelMarkPath(id))
 		_ = os.Remove(m.mirrorPath(id))
 	}
-	if !cacheable(job.Request) {
-		// A nondeterministic run's workspace carries its job ID, so no
-		// other job can ever use it: it goes with the record too.
-		_ = os.RemoveAll(m.workspace(&job))
-	}
 	return job, true, nil
 }
 
@@ -912,9 +905,9 @@ func (m *Manager) execute(h *handle) {
 	var err error
 	switch h.view().Kind {
 	case KindSweep:
-		err = m.runSweep(ctx, h)
+		err = m.runWorkload(ctx, h, m.runSweep)
 	case KindRun:
-		err = m.runRun(ctx, h)
+		err = m.runWorkload(ctx, h, m.runRun)
 	default:
 		err = fmt.Errorf("serve: unknown job kind %q", h.view().Kind)
 	}
@@ -1025,11 +1018,12 @@ func (m *Manager) execute(h *handle) {
 	}
 }
 
-// runSweep executes (or cache-serves) a sweep job.
-func (m *Manager) runSweep(ctx context.Context, h *handle) error {
+// runWorkload serves a job from its digest's workspace when that is
+// complete and otherwise simulates it there through simulate, holding the
+// digest's lock (and in a cluster its flight) so one workload runs once.
+func (m *Manager) runWorkload(ctx context.Context, h *handle, simulate func(context.Context, *handle, string) error) error {
 	job := h.view()
 	dir := m.workspace(&job)
-	pub := h.pubStream()
 	unlock := m.lockDigest(job.Digest)
 	defer unlock()
 	if err := ctx.Err(); err != nil {
@@ -1052,7 +1046,13 @@ func (m *Manager) runSweep(ctx context.Context, h *handle) error {
 		}
 		defer m.releaseDigestFlight(h, job.Digest)
 	}
+	return simulate(ctx, h, dir)
+}
 
+// runSweep simulates a sweep job in its workspace dir.
+func (m *Manager) runSweep(ctx context.Context, h *handle, dir string) error {
+	job := h.view()
+	pub := h.pubStream()
 	res, err := experiment.Run(ctx, *job.Request.Spec, experiment.RunOptions{
 		Dir:     dir,
 		Workers: m.taskWorkers,
@@ -1092,32 +1092,10 @@ func (m *Manager) runSweep(ctx context.Context, h *handle) error {
 	})
 }
 
-// runRun executes (or cache-serves) a single-run job.
-func (m *Manager) runRun(ctx context.Context, h *handle) error {
+// runRun simulates a single-run job in its workspace dir.
+func (m *Manager) runRun(ctx context.Context, h *handle, dir string) error {
 	job := h.view()
-	dir := m.workspace(&job)
 	pub := h.pubStream()
-	unlock := m.lockDigest(job.Digest)
-	defer unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if cacheable(job.Request) && m.tryCached(h, dir) {
-		return nil
-	}
-	if m.cluster() && cacheable(job.Request) {
-		acquired, err := m.acquireDigestFlight(ctx, h, job.Digest, dir)
-		if err != nil {
-			return err
-		}
-		if !acquired {
-			if m.tryCached(h, dir) {
-				return nil
-			}
-			return fmt.Errorf("serve: digest %.16s completed elsewhere but its workspace is unreadable", job.Digest)
-		}
-		defer m.releaseDigestFlight(h, job.Digest)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -1144,7 +1122,7 @@ func (m *Manager) runRun(ctx context.Context, h *handle) error {
 			HoleFree:  s.HoleFree,
 			SVG:       s.SVG != "",
 			Payloads:  d.Payloads,
-		}, d.Moves, d.Tracked, d.Grid)
+		}, d.Moves, true, d.Grid)
 		frameRecs = append(frameRecs, rec)
 		frameBytes += len(rec)
 		pub.publishRecord(rec)
@@ -1176,9 +1154,6 @@ func (m *Manager) runRun(ctx context.Context, h *handle) error {
 		if err := writeFileAtomic(filepath.Join(dir, framesFile), buf); err != nil {
 			return err
 		}
-	}
-	if !cacheable(job.Request) {
-		return nil
 	}
 	return writeCompletion(dir, completion{Digest: job.Digest, ResultFile: "result.json", Owner: m.nodeID})
 }

@@ -604,6 +604,7 @@ func TestEndpointValidation(t *testing.T) {
 		{"bad run engine", `{"run":{"n":5,"lambda":4,"engine":"warp"}}`, "unknown engine"},
 		{"bad run n", `{"run":{"n":0,"lambda":4}}`, "N must be positive"},
 		{"removed run field", `{"run":{"n":10,"lambda":4,"distributed":true}}`, `unknown field \"distributed\"`},
+		{"removed workers field", `{"run":{"n":10,"lambda":4,"engine":"amoebot","workers":2}}`, `unknown field \"workers\"`},
 		{"negative rule states", `{"run":{"n":10,"lambda":4,"rule_states":-1}}`, "RuleStates must be non-negative"},
 		{"unknown field", `{"sepc":{}}`, "unknown field"},
 		{"kind mismatch", `{"kind":"run","spec":{"scenario":"compress"}}`, "does not take"},
@@ -793,46 +794,6 @@ func TestConcurrentFollowersOfOneJob(t *testing.T) {
 	}
 }
 
-// TestNonCacheableRunsDoNotShareWorkspace: nondeterministic run jobs
-// (amoebot, Workers > 1) own per-job workspaces — an identical later job
-// must not overwrite an earlier job's stored result — and never enter the
-// cache.
-func TestNonCacheableRunsDoNotShareWorkspace(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	base := ts.URL
-	req := JobRequest{Run: &runner.Options{
-		N: 8, Lambda: 4, Iterations: 2000, Seed: 2,
-		Engine: runner.EngineAmoebot, Workers: 2,
-	}}
-	a := submit(t, base, req)
-	b := submit(t, base, req)
-	if a.Digest != b.Digest {
-		t.Fatalf("identical options must digest equally: %s vs %s", a.Digest, b.Digest)
-	}
-	da := waitState(t, base, a.ID, StateDone)
-	db := waitState(t, base, b.ID, StateDone)
-	if da.CacheHit || db.CacheHit {
-		t.Fatalf("nondeterministic runs must never cache-hit: %+v %+v", da, db)
-	}
-	ja, jb := da, db
-	wa, wb := s.Manager().workspace(&ja), s.Manager().workspace(&jb)
-	if wa == wb {
-		t.Fatalf("both jobs share workspace %s", wa)
-	}
-	for _, id := range []string{a.ID, b.ID} {
-		var res runner.Result
-		if err := json.Unmarshal(fetchResult(t, base, id), &res); err != nil {
-			t.Fatalf("job %s result: %v", id, err)
-		}
-		if res.N != 8 {
-			t.Fatalf("job %s stored a foreign result: %+v", id, res)
-		}
-	}
-	if m := metricsMap(t, base); m["cache_hits"] != 0 {
-		t.Fatalf("cache_hits = %d for uncacheable jobs", m["cache_hits"])
-	}
-}
-
 // TestRunRuleStatesOnStatelessRuleHitsCache: a states override on a
 // stateless rule normalizes away, so the run digests as it does without
 // the override and resubmitting it is a cache hit.
@@ -854,34 +815,27 @@ func TestRunRuleStatesOnStatelessRuleHitsCache(t *testing.T) {
 	}
 }
 
-// TestDeleteRemovesNondeterministicWorkspace: deleting a finished
-// nondeterministic run removes its job-suffixed workspace, which no other
-// job can ever use; a cacheable run's workspace is the cache and outlives
-// its delete.
-func TestDeleteRemovesNondeterministicWorkspace(t *testing.T) {
+// TestDeleteKeepsCachedWorkspace: a run's workspace is the cache, shared
+// by every job of its digest, so it outlives the delete of a finished job
+// and a resubmission is still a cache hit.
+func TestDeleteKeepsCachedWorkspace(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	base := ts.URL
 	m := s.Manager()
-	for _, tc := range []struct {
-		name string
-		run  runner.Options
-		kept bool
-	}{
-		{"workers 2", runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 2, Engine: runner.EngineAmoebot, Workers: 2}, false},
-		{"cacheable", runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 2, Engine: runner.EngineAmoebot}, true},
-	} {
-		run := tc.run
-		job := waitState(t, base, submit(t, base, JobRequest{Run: &run}).ID, StateDone)
-		dir := m.workspace(&job)
-		if _, err := os.Stat(dir); err != nil {
-			t.Fatalf("%s: finished run has no workspace: %v", tc.name, err)
-		}
-		if _, deleted, err := m.Delete(job.ID); err != nil || !deleted {
-			t.Fatalf("%s: delete: deleted=%v err=%v", tc.name, deleted, err)
-		}
-		if _, err := os.Stat(dir); (err == nil) != tc.kept {
-			t.Errorf("%s: workspace %s after delete: stat error %v, want kept=%v", tc.name, dir, err, tc.kept)
-		}
+	run := runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 2, Engine: runner.EngineAmoebot}
+	job := waitState(t, base, submit(t, base, JobRequest{Run: &run}).ID, StateDone)
+	dir := m.workspace(&job)
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("finished run has no workspace: %v", err)
+	}
+	if _, deleted, err := m.Delete(job.ID); err != nil || !deleted {
+		t.Fatalf("delete: deleted=%v err=%v", deleted, err)
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Errorf("workspace %s after delete: %v, want it kept", dir, err)
+	}
+	if again := submit(t, base, JobRequest{Run: &run}); !again.CacheHit {
+		t.Errorf("resubmission after delete: %+v, want a cache hit", again)
 	}
 }
 
@@ -954,15 +908,16 @@ func TestRestartStreamsRecoveredJob(t *testing.T) {
 
 // TestRecoveredJobWithUnknownFieldFails: a job record left pending by a
 // previous process whose stored request carries a field this binary does
-// not know (an option since removed, such as "shards") must not be re-run
-// with the field dropped. Open fails it with the decode error and persists
-// that; a terminal record with the same field still loads as it was. In
-// cluster mode the claim path, which reads through readRecord, settles it
-// the same way instead of claiming it.
+// not know (an option since removed, such as "shards" or "workers") must
+// not be re-run with the field dropped. Open fails it with the decode
+// error and persists that; a terminal record with the same field still
+// loads as it was. In cluster mode the claim path, which reads through
+// readRecord, settles it the same way instead of claiming it.
 func TestRecoveredJobWithUnknownFieldFails(t *testing.T) {
-	record := func(t *testing.T, dir, id, state string) {
+	removed := []string{"shards", "workers"}
+	record := func(t *testing.T, dir, id, state, field string) {
 		t.Helper()
-		req := JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 4}}
+		req := JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 4, Engine: runner.EngineAmoebot}}
 		if _, err := req.normalize(); err != nil {
 			t.Fatal(err)
 		}
@@ -975,7 +930,7 @@ func TestRecoveredJobWithUnknownFieldFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw = bytes.Replace(raw, []byte(`"run":{`), []byte(`"run":{"shards":2,`), 1)
+		raw = bytes.Replace(raw, []byte(`"run":{`), []byte(`"run":{"`+field+`":2,`), 1)
 		if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -983,12 +938,12 @@ func TestRecoveredJobWithUnknownFieldFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const field = `unknown field "shards"`
-	refused := func(t *testing.T, m *Manager, id string) {
+	refused := func(t *testing.T, m *Manager, id, field string) {
 		t.Helper()
+		want := `unknown field "` + field + `"`
 		j, ok := m.Job(id)
-		if !ok || j.State != StateFailed || !strings.Contains(j.Error, field) {
-			t.Fatalf("recovered job %s: state %q error %q, want failed naming %s", id, j.State, j.Error, field)
+		if !ok || j.State != StateFailed || !strings.Contains(j.Error, want) {
+			t.Fatalf("recovered job %s: state %q error %q, want failed naming %s", id, j.State, j.Error, want)
 		}
 		if n := counterVal(m, "tasks_run"); n != 0 {
 			t.Fatalf("tasks_run = %d after recovery, want 0", n)
@@ -997,34 +952,44 @@ func TestRecoveredJobWithUnknownFieldFails(t *testing.T) {
 
 	t.Run("single-node", func(t *testing.T) {
 		dir := t.TempDir()
-		record(t, dir, "j00000000", StatePending)
-		record(t, dir, "j00000001", StateDone)
+		for i, field := range removed {
+			record(t, dir, fmt.Sprintf("j%08d", 2*i), StatePending, field)
+			record(t, dir, fmt.Sprintf("j%08d", 2*i+1), StateDone, field)
+		}
 		m, err := Open(Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		refused(t, m, "j00000000")
-		stored, err := m.readRecord("j00000000")
-		if err != nil || stored.State != StateFailed || !strings.Contains(stored.Error, field) {
-			t.Fatalf("stored record: state %q error %q (%v), want failed naming %s", stored.State, stored.Error, err, field)
+		for i, field := range removed {
+			pending, done := fmt.Sprintf("j%08d", 2*i), fmt.Sprintf("j%08d", 2*i+1)
+			refused(t, m, pending, field)
+			stored, err := m.readRecord(pending)
+			if err != nil || stored.State != StateFailed || !strings.Contains(stored.Error, field) {
+				t.Fatalf("stored record: state %q error %q (%v), want failed naming %s", stored.State, stored.Error, err, field)
+			}
+			if j, ok := m.Job(done); !ok || j.State != StateDone {
+				t.Fatalf("terminal record with an unknown field %q: %+v, want it loaded as done", field, j)
+			}
 		}
-		if j, ok := m.Job("j00000001"); !ok || j.State != StateDone {
-			t.Fatalf("terminal record with an unknown field: %+v, want it loaded as done", j)
-		}
-		if n := counterVal(m, "jobs_failed"); n != 1 {
-			t.Fatalf("jobs_failed = %d after recovery, want 1", n)
+		if n := counterVal(m, "jobs_failed"); n != int64(len(removed)) {
+			t.Fatalf("jobs_failed = %d after recovery, want %d", n, len(removed))
 		}
 	})
 
 	t.Run("cluster", func(t *testing.T) {
 		dir := t.TempDir()
 		m := openNode(t, clusterOpts(dir, "node-a"))
-		record(t, dir, "j00000000-node-b", StatePending)
+		for i, field := range removed {
+			record(t, dir, fmt.Sprintf("j%08d-node-b", i), StatePending, field)
+		}
 		m.scanOnce()
-		refused(t, m, "j00000000-node-b")
-		if _, err := os.Stat(m.jobLeasePath("j00000000-node-b")); !os.IsNotExist(err) {
-			t.Fatalf("refused job was leased (stat: %v)", err)
+		for i, field := range removed {
+			id := fmt.Sprintf("j%08d-node-b", i)
+			refused(t, m, id, field)
+			if _, err := os.Stat(m.jobLeasePath(id)); !os.IsNotExist(err) {
+				t.Fatalf("refused job %s was leased (stat: %v)", id, err)
+			}
 		}
 	})
 }

@@ -163,26 +163,3 @@ func TestPMinPMaxExported(t *testing.T) {
 		t.Errorf("PMin/PMax(100) = %d/%d, want 32/198", PMin(100), PMax(100))
 	}
 }
-
-func TestCompressConcurrentWorkers(t *testing.T) {
-	res, err := Compress(Options{
-		N: 30, Lambda: 5, Iterations: 600000, Seed: 8,
-		Engine: EngineAmoebot, Workers: 4, SnapshotEvery: 200000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 30 {
-		t.Fatalf("particle count changed: %d", len(res.Points))
-	}
-	if res.Alpha > 2.2 {
-		t.Errorf("α = %v: concurrent run failed to compress", res.Alpha)
-	}
-	if res.Moves == 0 {
-		t.Error("no moves in concurrent run")
-	}
-	// Workers on the sequential chain must be rejected.
-	if _, err := Compress(Options{N: 10, Lambda: 4, Workers: 4}); err == nil {
-		t.Error("Workers without the amoebot engine should error")
-	}
-}
