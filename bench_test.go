@@ -396,6 +396,15 @@ func BenchmarkChainStep(b *testing.B) {
 	}
 }
 
+// BenchmarkChainRun is BenchmarkChainStep's chain driven through one Run
+// call, the way runners drive it: chain M's call-free loop.
+func BenchmarkChainRun(b *testing.B) {
+	c := chain.MustNew(config.Line(100), 4, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.Run(uint64(b.N))
+}
+
 func BenchmarkAmoebotActivation(b *testing.B) { benchmarkActivation(b, 100) }
 
 // BenchmarkAmoebotActivationLine40 is one activation at the amoebot-line

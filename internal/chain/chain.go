@@ -12,30 +12,37 @@
 //
 // The chain runs on the bit-packed grid engine: occupancy (and, for payload
 // rules, per-particle state) lives in grid.Grid, and the per-step validity
-// check is one grid read (grid.MoveMask: the target's occupancy and, when it
-// is free, the 8-bit neighborhood mask) plus lookups in the rule's
-// 256-entry tables, with no heap allocation. An accepted move hands that
-// mask back to grid.MoveMasked, which updates e(σ) from it instead of
-// re-counting degrees. The canonical rule.Compression(λ) reproduces the
-// pre-rule hard-coded chain bit for bit: a (σ0, λ, seed) triple produces the
-// same trajectory. The ablated chains of the Lemma 3.2 / Fig 3 experiments
-// are rules too (rule.CompressionVariant), built through NewWithRule. The
-// original map-backed step survives in this package's tests as the
+// check reads the target's occupancy and, when it is free, the 8-bit
+// neighborhood mask, then looks the mask up in the rule's 256-entry tables,
+// with no heap allocation. An accepted move hands that mask back to
+// grid.MoveMasked, which updates e(σ) from it instead of re-counting
+// degrees. A stateless, fixed-λ, six-slot rule (compression and its
+// ablations) runs in one call-free loop: Run keeps the generator, the
+// particles, the price table and the grid's View in locals and makes no
+// call until a move is accepted. Payload rules (alignment) and biased ones
+// (forage) step through grid.MoveMask and the ladder instead. The shape of
+// the rule picks the loop; no option does. The canonical
+// rule.Compression(λ) reproduces the pre-rule hard-coded chain bit for bit:
+// a (σ0, λ, seed) triple produces the same trajectory. The ablated chains
+// of the Lemma 3.2 / Fig 3 experiments are rules too
+// (rule.CompressionVariant), built through NewWithRule. The original
+// map-backed step survives in this package's tests as the
 // differential-testing oracle for compression and its ablations.
 //
-// Randomness: every draw comes from one *rand.PCG seeded (seed, rngStream),
-// called directly rather than through rand.Rand's interface-typed source.
-// intN and unitFloat reproduce math/rand/v2's 64-bit IntN and Float64
-// exactly, so the stream is consumed — and every trajectory and golden
-// produced — as with rand.New(rand.NewPCG(seed, rngStream)); a step draws
-// IntN(n), IntN(slots), then Float64 only when the Metropolis ratio is
-// below 1. TestDrawHelpersMatchMathRand pins the equivalence.
+// Randomness: every draw comes from one pcg, a two-word value that
+// reproduces math/rand/v2's PCG-DXSM generator seeded (seed, rngStream).
+// intN, unitFloat and the loop's inlined draws reproduce math/rand/v2's
+// 64-bit IntN and Float64 exactly, so the stream is consumed — and every
+// trajectory and golden produced — as with rand.New(rand.NewPCG(seed,
+// rngStream)); a step draws IntN(n), IntN(slots), then Float64 only when
+// the Metropolis ratio is below 1. TestDrawHelpersMatchMathRand pins the
+// generator and the helpers to math/rand/v2, and the reference chain draws
+// through math/rand/v2 itself.
 package chain
 
 import (
 	"fmt"
 	"math/bits"
-	"math/rand/v2"
 
 	"sops/internal/config"
 	"sops/internal/frame"
@@ -48,33 +55,6 @@ import (
 // same value so a Reset chain replays a fresh chain's randomness exactly.
 const rngStream = 0x9e3779b97f4a7c15
 
-// intN returns a uniform draw from [0, n), n > 0, consuming p exactly as
-// rand.New(p).IntN(n) does on 64-bit platforms.
-func intN(p *rand.PCG, n int) int { return int(uint64n(p, uint64(n))) }
-
-// uint64n is math/rand/v2's 64-bit Uint64N: a mask for powers of two, else
-// Lemire's multiply-shift with the −n % n rejection, whose division runs
-// only when the first product's low word falls below n.
-func uint64n(p *rand.PCG, n uint64) uint64 {
-	if n&(n-1) == 0 {
-		return p.Uint64() & (n - 1)
-	}
-	hi, lo := bits.Mul64(p.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(p.Uint64(), n)
-		}
-	}
-	return hi
-}
-
-// unitFloat returns a uniform draw from [0, 1), consuming p exactly as
-// rand.New(p).Float64() does.
-func unitFloat(p *rand.PCG) float64 {
-	return float64(p.Uint64()<<11>>11) / (1 << 53)
-}
-
 // Chain is a running Metropolis instance of a local rule. It is not safe
 // for concurrent use; run independent chains in separate goroutines instead.
 type Chain struct {
@@ -85,7 +65,12 @@ type Chain struct {
 	// stateless and slots cache rule shape queries off the hot path.
 	stateless bool
 	slots     int
-	pcg       *rand.PCG // the chain's only randomness; Reset reseeds it in place
+	// plain marks a stateless, fixed-λ, six-slot rule (compression and
+	// every rule.CompressionVariant): Run steps it in one call-free loop
+	// over price. Every other rule steps through step.
+	plain bool
+	price [256]float64 // the ladder's move table, for plain rules
+	rng   pcg          // the chain's only randomness; Reset reseeds it in place
 
 	// ld prices the proposals of a fixed-λ rule. For a rule with a
 	// time-varying/site-dependent bias schedule, lcache memoizes the
@@ -131,7 +116,7 @@ func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, err
 		return nil, fmt.Errorf("chain: starting configuration must be connected")
 	}
 	pts := sigma0.Points()
-	c := &Chain{g: grid.New(pts, 0), pcg: new(rand.PCG)}
+	c := &Chain{g: grid.New(pts, 0)}
 	if err := c.Reset(pts, ru, seed); err != nil {
 		return nil, err
 	}
@@ -156,7 +141,7 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	}
 	c.ru = ru
 	c.lambda = ru.Lambda()
-	c.pcg.Seed(seed, rngStream)
+	c.rng = pcg{seed, rngStream}
 	c.stateless = ru.Stateless()
 	c.slots = ru.Slots()
 	c.ld = ru.Ladder()
@@ -164,13 +149,17 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	if ru.Biased() {
 		c.lcache = rule.NewLadderCache(ru)
 	}
+	c.plain = c.stateless && !ru.Biased() && c.slots == lattice.NumDirs
+	if c.plain {
+		c.price = c.ld.MoveTable()
+	}
 	c.points = append(c.points[:0], pts...)
 	c.g.Reset(c.points)
 	if !c.stateless {
 		c.g.EnablePayload()
 		states := c.ru.States()
 		for _, p := range c.points {
-			c.g.SetPayload(p, uint8(intN(c.pcg, states)))
+			c.g.SetPayload(p, uint8(intN(&c.rng, states)))
 		}
 	}
 	c.hval = c.ru.Energy(c.g)
@@ -279,10 +268,19 @@ func (c *Chain) ladderAt(l lattice.Point) *rule.Ladder {
 // Step executes one iteration of the Metropolis chain and reports whether
 // the state changed (a particle moved or a payload rotated).
 func (c *Chain) Step() bool {
+	if c.plain {
+		return c.runPlain(1) != 0
+	}
+	return c.step()
+}
+
+// step is one iteration of a rule runPlain does not run: a payload rule
+// (alignment) or a biased one (forage).
+func (c *Chain) step() bool {
 	c.steps++
-	i := intN(c.pcg, len(c.points))
+	i := intN(&c.rng, len(c.points))
 	l := c.points[i]
-	slot := intN(c.pcg, c.slots)
+	slot := intN(&c.rng, c.slots)
 	if slot >= lattice.NumDirs {
 		return c.stepRotate(l, slot-lattice.NumDirs)
 	}
@@ -293,19 +291,16 @@ func (c *Chain) Step() bool {
 	if occupied || !c.ru.Allowed(m) {
 		return false
 	}
-	var acc float64
-	var delta int
-	if c.stateless {
-		acc = c.ladderAt(l).Move(m)
-		delta = c.ru.MoveDelta(m, 0)
-	} else {
-		same := c.g.PairSame(l, d, m, c.g.Payload(l))
-		acc = c.ladderAt(l).MovePay(m, same)
-		delta = c.ru.MoveDelta(m, same)
+	// A stateless rule has no payload term: its same-state submask is 0.
+	var same grid.Mask
+	if !c.stateless {
+		same = c.g.PairSame(l, d, m, c.g.Payload(l))
 	}
+	acc := c.ladderAt(l).MovePay(m, same)
+	delta := c.ru.MoveDelta(m, same)
 	// The Metropolis filter: accept with probability min(1, λ^ΔH).
 	if acc < 1 {
-		if unitFloat(c.pcg) >= acc {
+		if unitFloat(&c.rng) >= acc {
 			return false
 		}
 	}
@@ -327,7 +322,7 @@ func (c *Chain) stepRotate(l lattice.Point, j int) bool {
 	t := c.ru.RotTarget(s, j)
 	delta := c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
 	if acc := c.ladderAt(l).Rot(delta); acc < 1 {
-		if unitFloat(c.pcg) >= acc {
+		if unitFloat(&c.rng) >= acc {
 			return false
 		}
 	}
@@ -342,11 +337,96 @@ func (c *Chain) stepRotate(l lattice.Point, j int) bool {
 
 // Run executes n iterations and returns the number of accepted moves.
 func (c *Chain) Run(n uint64) uint64 {
+	if c.plain {
+		return c.runPlain(n)
+	}
 	var acc uint64
 	for k := uint64(0); k < n; k++ {
-		if c.Step() {
+		if c.step() {
 			acc++
 		}
 	}
 	return acc
+}
+
+// runPlain is Run for a plain rule, one iteration per pass of a loop that
+// makes no call until a move is accepted. It keeps the generator state, the
+// particle slice, the price table and the grid's View in locals and inlines
+// what step reaches through calls: both IntN draws (Lemire's multiply-shift
+// with the rare −n % n rejection, or a mask for a power of two), the target
+// bit, the 8-bit pair mask and the coin. A price of 0 is exactly a failed
+// guard, since ValidateLambda keeps every λ^ΔH positive, so the coin is
+// drawn only when 0 < price < 1: the draws of step, in step's order. The
+// View is taken again after each accepted move, which may grow the window.
+// TestRunMatchesReference pins draws, decisions and trajectories to the
+// map-backed reference chain.
+func (c *Chain) runPlain(n uint64) uint64 {
+	// (2⁶⁴ − 6) mod 6: the Lemire rejection bound of the slot draw.
+	const slotThresh = (1<<64 - lattice.NumDirs) % lattice.NumDirs
+	hi, lo := c.rng.hi, c.rng.lo
+	pts := c.points
+	np := uint64(len(pts))
+	price := &c.price
+	words, origin, rowBits, off := c.g.View()
+	start := c.accepted
+	for k := n; k > 0; k-- {
+		hi, lo = pcgNext(hi, lo)
+		var i uint64
+		if np&(np-1) == 0 {
+			i = dxsm(hi, lo) & (np - 1)
+		} else {
+			var low uint64
+			i, low = bits.Mul64(dxsm(hi, lo), np)
+			if low < np {
+				thresh := -np % np
+				for low < thresh {
+					hi, lo = pcgNext(hi, lo)
+					i, low = bits.Mul64(dxsm(hi, lo), np)
+				}
+			}
+		}
+		hi, lo = pcgNext(hi, lo)
+		d, low := bits.Mul64(dxsm(hi, lo), lattice.NumDirs)
+		for low < slotThresh {
+			hi, lo = pcgNext(hi, lo)
+			d, low = bits.Mul64(dxsm(hi, lo), lattice.NumDirs)
+		}
+		l := pts[i]
+		at := l.Y*rowBits + l.X - origin
+		if t := at + off.Nbr[d]; words[t>>6]>>(uint(t)&63)&1 != 0 {
+			continue
+		}
+		ds := &off.Mask[d]
+		m := words[(at+ds[0])>>6]>>(uint(at+ds[0])&63)&1 |
+			words[(at+ds[1])>>6]>>(uint(at+ds[1])&63)&1<<1 |
+			words[(at+ds[2])>>6]>>(uint(at+ds[2])&63)&1<<2 |
+			words[(at+ds[3])>>6]>>(uint(at+ds[3])&63)&1<<3 |
+			words[(at+ds[4])>>6]>>(uint(at+ds[4])&63)&1<<4 |
+			words[(at+ds[5])>>6]>>(uint(at+ds[5])&63)&1<<5 |
+			words[(at+ds[6])>>6]>>(uint(at+ds[6])&63)&1<<6 |
+			words[(at+ds[7])>>6]>>(uint(at+ds[7])&63)&1<<7
+		// The Metropolis filter: accept with probability min(1, λ^ΔH).
+		if p := price[m]; p < 1 {
+			if p == 0 {
+				continue
+			}
+			hi, lo = pcgNext(hi, lo)
+			if toUnit(dxsm(hi, lo)) >= p {
+				continue
+			}
+		}
+		mk := grid.Mask(m)
+		lp := l.Neighbor(lattice.Dir(d))
+		c.g.MoveMasked(l, lp, mk)
+		pts[i] = lp
+		c.hval += c.ru.MoveDelta(mk, 0)
+		c.accepted++
+		if c.mlog != nil {
+			c.mlog.Moved(l, lp, 0)
+		}
+		words, origin, rowBits, off = c.g.View()
+	}
+	c.rng = pcg{hi, lo}
+	c.steps += n
+	return c.accepted - start
 }

@@ -33,15 +33,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestDrawHelpersMatchMathRand pins the chain's direct PCG draws to
-// math/rand/v2. For many seeds it draws the interleaving a Step uses — a
-// particle index, a slot, a Metropolis coin — once through intN (uint64n
-// for n beyond int) and unitFloat and once through
+// TestDrawHelpersMatchMathRand pins the chain's generator to math/rand/v2.
+// For many seeds it requires the pcg value's raw output words to equal
+// rand.NewPCG's, then draws the interleaving a step uses — a particle
+// index, a slot, a Metropolis coin — once through intN (uint64n for n
+// beyond int) and unitFloat on a pcg and once through
 // rand.New(rand.NewPCG(seed, rngStream)), and requires equal outputs and
-// equally advanced streams. The grid-vs-reference trajectory tests cannot
-// catch a helper bug, since both engines share the helpers; if a Go release
-// changes these algorithms, this test fails by name instead of every golden
-// shifting.
+// equally advanced streams. refChain draws through math/rand/v2 itself, so
+// the trajectory tests catch a generator bug too; this test names it. If a
+// Go release changes these algorithms, it fails by name instead of every
+// golden shifting.
 func TestDrawHelpersMatchMathRand(t *testing.T) {
 	if bits.UintSize != 64 {
 		// math/rand/v2 draws n < 2^32 through a 32-bit path there; the
@@ -67,7 +68,13 @@ func TestDrawHelpersMatchMathRand(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(0); seed < 200; seed++ {
-				p := rand.NewPCG(seed, rngStream)
+				raw, ref := pcg{seed, rngStream}, rand.NewPCG(seed, rngStream)
+				for k := 0; k < 300; k++ {
+					if got, want := raw.Uint64(), ref.Uint64(); got != want {
+						t.Fatalf("seed %d word %d: pcg %#x, rand.NewPCG %#x", seed, k, got, want)
+					}
+				}
+				p := &pcg{seed, rngStream}
 				r := rand.New(rand.NewPCG(seed, rngStream))
 				for k := 0; k < 100; k++ {
 					var got, want uint64

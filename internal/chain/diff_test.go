@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -127,6 +128,71 @@ func TestGridStateMatchesView(t *testing.T) {
 		}
 		if !v.Connected() {
 			t.Fatalf("batch %d: configuration disconnected", batch)
+		}
+	}
+}
+
+// TestRunMatchesReference pins Run's call-free loop to the map-backed
+// reference chain, which draws through math/rand/v2 and shares no code with
+// the loop. For compression and every rule.CompressionVariant, from line,
+// spiral and random starts, Run in chunks of 1, 7, 997 and 2²⁰ iterations
+// must end where refChain gets by stepping over the same budget: the same
+// particle at every index, the same Steps, Accepted, Energy and Edges, and
+// the same next word from the generator. The pair start random-walks far
+// enough to grow the grid window mid-run under most variants, and its n = 2
+// takes the particle draw's power-of-two mask path.
+func TestRunMatchesReference(t *testing.T) {
+	const budget = 8000
+	starts := []struct {
+		name   string
+		sigma0 *config.Config
+		lambda float64
+	}{
+		{"line", config.Line(30), 4},
+		{"spiral", config.Spiral(25), 0.5},
+		{"random", config.RandomConnected(rand.New(rand.NewPCG(3, 42)), 35), 2},
+		{"pair", config.Line(2), 1},
+	}
+	for _, st := range starts {
+		for v := 0; v < 8; v++ {
+			degreeGuard, prop1, prop2 := v&4 != 0, v&2 != 0, v&1 != 0
+			ru := rule.CompressionVariant(st.lambda, degreeGuard, prop1, prop2)
+			if v == 7 {
+				ru = rule.Compression(st.lambda)
+			}
+			name := fmt.Sprintf("%s/guard=%v,p1=%v,p2=%v", st.name, degreeGuard, prop1, prop2)
+			t.Run(name, func(t *testing.T) {
+				seed := uint64(v + 11)
+				ref := newRefChain(st.sigma0, st.lambda, seed, degreeGuard, prop1, prop2)
+				for k := 0; k < budget; k++ {
+					ref.Step()
+				}
+				refNext := ref.rng.Uint64()
+				for _, chunk := range []uint64{1, 7, 997, 1 << 20} {
+					c := MustNewWithRule(st.sigma0, ru, seed)
+					var moved uint64
+					for left := uint64(budget); left > 0; {
+						k := min(chunk, left)
+						moved += c.Run(k)
+						left -= k
+					}
+					if c.Steps() != budget || c.Accepted() != ref.accepted || moved != ref.accepted {
+						t.Fatalf("chunk %d: steps %d, accepted %d, Run returned %d; reference %d steps, %d accepted",
+							chunk, c.Steps(), c.Accepted(), moved, budget, ref.accepted)
+					}
+					if c.Energy() != ref.edges || c.Edges() != ref.edges {
+						t.Fatalf("chunk %d: energy %d, edges %d; reference edges %d", chunk, c.Energy(), c.Edges(), ref.edges)
+					}
+					for i := range ref.points {
+						if c.points[i] != ref.points[i] {
+							t.Fatalf("chunk %d: particle %d at %v, reference %v", chunk, i, c.points[i], ref.points[i])
+						}
+					}
+					if next := c.rng.Uint64(); next != refNext {
+						t.Fatalf("chunk %d: next draw %#x, reference %#x", chunk, next, refNext)
+					}
+				}
+			})
 		}
 	}
 }

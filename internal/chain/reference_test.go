@@ -11,15 +11,17 @@ import (
 
 // refChain is chain M as first written: on the map-backed config.Config,
 // with the BFS/ring-walk Property 1/2 checks of internal/move instead of
-// the grid and the compiled rule tables. It draws through intN and
-// unitFloat in the order Chain.Step does (particle, slot, then the
-// Metropolis coin only when λ^ΔH < 1), so from equal (σ0, λ, seed) the two
-// engines take identical trajectories. degreeGuard, prop1 and prop2 mirror
+// the grid and the compiled rule tables. It draws through math/rand/v2's
+// IntN and Float64 in the order Chain.Step does (particle, slot, then the
+// Metropolis coin only when λ^ΔH < 1), sharing no randomness code with the
+// chain, so from equal (σ0, λ, seed) the two engines take identical
+// trajectories on 64-bit hosts (TestDrawHelpersMatchMathRand says why not
+// on 32-bit ones). degreeGuard, prop1 and prop2 mirror
 // rule.CompressionVariant's arguments.
 type refChain struct {
 	cfg    *config.Config
 	points []lattice.Point
-	pcg    *rand.PCG
+	rng    *rand.Rand
 	// lamPow caches λ^k for k ∈ [−5, 5] at index k+5.
 	lamPow                    [11]float64
 	degreeGuard, prop1, prop2 bool
@@ -31,7 +33,7 @@ func newRefChain(sigma0 *config.Config, lambda float64, seed uint64, degreeGuard
 	r := &refChain{
 		cfg:         sigma0.Clone(),
 		points:      sigma0.Points(),
-		pcg:         rand.NewPCG(seed, rngStream),
+		rng:         rand.New(rand.NewPCG(seed, rngStream)),
 		degreeGuard: degreeGuard,
 		prop1:       prop1,
 		prop2:       prop2,
@@ -48,9 +50,9 @@ func newRefChain(sigma0 *config.Config, lambda float64, seed uint64, degreeGuard
 // and a move satisfying neither Property 1 nor Property 2 (condition 2),
 // then accept with probability min(1, λ^{e′−e}).
 func (r *refChain) Step() bool {
-	i := intN(r.pcg, len(r.points))
+	i := r.rng.IntN(len(r.points))
 	l := r.points[i]
-	d := lattice.Dir(intN(r.pcg, lattice.NumDirs))
+	d := lattice.Dir(r.rng.IntN(lattice.NumDirs))
 	lp := l.Neighbor(d)
 	if r.cfg.Has(lp) {
 		return false
@@ -63,7 +65,7 @@ func (r *refChain) Step() bool {
 		return false
 	}
 	ep := r.cfg.DegreeExcluding(lp, l)
-	if thresh := r.lamPow[ep-e+5]; thresh < 1 && unitFloat(r.pcg) >= thresh {
+	if thresh := r.lamPow[ep-e+5]; thresh < 1 && r.rng.Float64() >= thresh {
 		return false
 	}
 	r.cfg.Move(l, lp)

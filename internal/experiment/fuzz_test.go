@@ -108,13 +108,15 @@ func FuzzSpecRoundTrip(f *testing.F) {
 // FuzzJournal feeds arbitrary bytes to the journal reader as a stored
 // journal.jsonl. openJournal must never panic, must load, in order,
 // exactly those lines before the last newline that decode as a
-// journalEntry, and must cut the file at its last newline, so a torn final
-// line is dropped and the next append starts a line of its own.
+// journalEntry and carry point, rep and seed, and must cut the file at its
+// last newline, so a torn final line is dropped and the next append starts
+// a line of its own.
 func FuzzJournal(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"point":0,"rep":0,"seed":1,"metrics":{"perimeter":12,"alpha":1.5}}` + "\n"))
 	f.Add([]byte(`{"point":0,"rep":1,"seed":2,"error":"boom"}` + "\n" + `{"point":1,"rep":0,"se`))
 	f.Add([]byte("\n\n{}\nnull\n[1]\n\"x\"\n{\"point\":-3,\"extra\":true}\n"))
+	f.Add([]byte(`{"point":null,"rep":0,"seed":1}` + "\n" + `{"point":0,"rep":0}` + "\n" + `{"POINT":0,"Rep":1,"seed":2}` + "\n"))
 	f.Add([]byte(`{"point":0,"rep":0,"seed":1,"metrics":{"p":1e999}}` + "\n" + `{"point":2,"rep":0,"seed":3}` + "\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -133,7 +135,9 @@ func FuzzJournal(f *testing.F) {
 		var want []journalEntry
 		for _, line := range bytes.Split(keep, []byte{'\n'}) {
 			var e journalEntry
-			if json.Unmarshal(line, &e) == nil {
+			var key struct{ Point, Rep, Seed *json.RawMessage }
+			if json.Unmarshal(line, &e) == nil && json.Unmarshal(line, &key) == nil &&
+				key.Point != nil && key.Rep != nil && key.Seed != nil {
 				want = append(want, e)
 			}
 		}

@@ -91,13 +91,29 @@ func openJournal(dir string, spec Spec) (*journal, error) {
 	}
 	j := &journal{f: f}
 	for _, line := range bytes.Split(raw[:keep], []byte{'\n'}) {
-		var e journalEntry
-		if len(line) == 0 || json.Unmarshal(line, &e) != nil {
-			continue
+		if e, ok := decodeEntry(line); ok {
+			j.entries = append(j.entries, e)
 		}
-		j.entries = append(j.entries, e)
 	}
 	return j, nil
+}
+
+// decodeEntry decodes one journal line. The line counts only if it decodes
+// as a journalEntry that names its point, rep and seed. Any other line is
+// skipped, like a torn one: a `null` or `{}` line would otherwise become
+// task (0, 0) with seed 0, and its seed check would refuse the whole
+// directory.
+func decodeEntry(line []byte) (journalEntry, bool) {
+	var e journalEntry
+	var has struct {
+		Point *int    `json:"point"`
+		Rep   *int    `json:"rep"`
+		Seed  *uint64 `json:"seed"`
+	}
+	if json.Unmarshal(line, &e) != nil || json.Unmarshal(line, &has) != nil {
+		return e, false
+	}
+	return e, has.Point != nil && has.Rep != nil && has.Seed != nil
 }
 
 // append journals one completed task. Lines are written whole and synced so

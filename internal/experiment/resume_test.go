@@ -221,6 +221,40 @@ func TestResumeJournalsAfterTornLine(t *testing.T) {
 	}
 }
 
+// TestResumeSkipsEntrylessJournalLines: a line that decodes but names no
+// task (`null`, `{}`, or an object without point, rep or seed) is skipped
+// like a torn one, so a finished sweep still resumes with nothing to run
+// instead of reading task (0, 0) with seed 0 and refusing the directory.
+func TestResumeSkipsEntrylessJournalLines(t *testing.T) {
+	name := testScenario(t, func(sp Spec, task Task) (Metrics, error) {
+		return Metrics{"v": float64(task.Rep)}, nil
+	})
+	spec := Spec{Scenario: name, Reps: 2, Seed: 4}
+	dir := t.TempDir()
+	control := summariesJSON(t, spec, RunOptions{Dir: dir})
+	path := filepath.Join(dir, JournalFile)
+	for _, line := range []string{"null", "{}", `{"rep":1,"seed":7}`} {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		res, err := Run(context.Background(), spec, RunOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("after appending %s: %v", line, err)
+		}
+		if res.TasksRun != 0 || res.TasksReplayed != 2 {
+			t.Errorf("after appending %s: run=%d replayed=%d, want 0/2", line, res.TasksRun, res.TasksReplayed)
+		}
+		if got, _ := json.Marshal(res.Summaries); string(got) != string(control) {
+			t.Errorf("after appending %s: summaries differ from the finished sweep's", line)
+		}
+	}
+}
+
 // TestResumeRejectsForeignJournal: a journal whose seeds do not match the
 // spec (hand-edited, or copied between directories) is rejected instead of
 // silently polluting the summaries.

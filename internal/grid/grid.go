@@ -147,11 +147,9 @@ type Grid struct {
 	edges int // induced edges e(σ), maintained incrementally
 	slack int
 
-	// nbrDelta[d] is the bit-index delta to the neighbor in direction d;
-	// maskDelta[d][k] the delta to mask cell k of a move in direction d.
-	// Both depend only on the stride, so they are rebuilt on grow.
-	nbrDelta  [lattice.NumDirs]int
-	maskDelta [lattice.NumDirs][8]int
+	// off holds the bit-index offsets of a cell's neighbors and move masks;
+	// they depend only on the stride, so they are rebuilt on grow.
+	off Offsets
 
 	arcScratch []uint64 // visited-arc bitset reused by boundary walks
 }
@@ -225,9 +223,9 @@ func (g *Grid) reshape(min, max lattice.Point) {
 	sb := g.stride << 6
 	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 		v := d.Vec()
-		g.nbrDelta[d] = v.Y*sb + v.X
+		g.off.Nbr[d] = v.Y*sb + v.X
 		for k, off := range MaskOffsets(d) {
-			g.maskDelta[d][k] = off.Y*sb + off.X
+			g.off.Mask[d][k] = off.Y*sb + off.X
 		}
 	}
 }
@@ -465,7 +463,7 @@ func (g *Grid) Degree(p lattice.Point) int {
 	}
 	idx := cy*(g.stride<<6) + cx
 	n := uint64(0)
-	for _, delta := range g.nbrDelta {
+	for _, delta := range g.off.Nbr {
 		n += g.bit(idx + delta)
 	}
 	return int(n)
@@ -488,7 +486,7 @@ func (g *Grid) DegreeExcluding(p, excl lattice.Point) int {
 // cells inside the window, so the extraction is 8 unchecked bit reads.
 func (g *Grid) PairMask(l lattice.Point, d lattice.Dir) Mask {
 	idx := g.bitIndex(l)
-	deltas := &g.maskDelta[d]
+	deltas := &g.off.Mask[d]
 	var m Mask
 	for k := 0; k < 8; k++ {
 		m |= Mask(g.bit(idx+deltas[k])) << uint(k)
@@ -504,15 +502,37 @@ func (g *Grid) PairMask(l lattice.Point, d lattice.Dir) Mask {
 // move from the same mask.
 func (g *Grid) MoveMask(l lattice.Point, d lattice.Dir) (m Mask, occupied bool) {
 	idx := g.bitIndex(l)
-	if g.bit(idx+g.nbrDelta[d]) != 0 {
+	if g.bit(idx+g.off.Nbr[d]) != 0 {
 		return 0, true
 	}
-	ds := &g.maskDelta[d]
+	ds := &g.off.Mask[d]
 	m = Mask(g.bit(idx+ds[0])) | Mask(g.bit(idx+ds[1]))<<1 |
 		Mask(g.bit(idx+ds[2]))<<2 | Mask(g.bit(idx+ds[3]))<<3 |
 		Mask(g.bit(idx+ds[4]))<<4 | Mask(g.bit(idx+ds[5]))<<5 |
 		Mask(g.bit(idx+ds[6]))<<6 | Mask(g.bit(idx+ds[7]))<<7
 	return m, false
+}
+
+// Offsets holds the bit-slot offsets, relative to a cell's slot, that a
+// move of the cell reads: Nbr[d] to its neighbor in direction d, Mask[d][k]
+// to mask cell k of a move in direction d. They depend only on the row
+// width, so a grow rebuilds them.
+type Offsets struct {
+	Nbr  [lattice.NumDirs]int
+	Mask [lattice.NumDirs][8]int
+}
+
+// View exposes the bit window to an engine that reads occupancy in its own
+// inner loop instead of through a call per read. The bit slot of p is
+// p.Y·rowBits + p.X − origin, slot i is occupied when
+// words[i>>6]>>(i&63)&1 is set, and off holds the slot offsets MoveMask
+// reads. The results alias the grid's storage and are read-only: writing
+// through them corrupts the grid, and any mutation of the grid (Add,
+// Remove, Move, MoveMasked, Reset) may reallocate the window and leaves
+// them stale, so a reader takes a fresh View after each.
+func (g *Grid) View() (words []uint64, origin, rowBits int, off *Offsets) {
+	rowBits = g.stride << 6
+	return g.words, g.minY*rowBits + g.minX, rowBits, &g.off
 }
 
 // Window is the occupancy bitmap of the 5×5 axial square centered on a cell

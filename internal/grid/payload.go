@@ -50,7 +50,7 @@ func (g *Grid) SetPayload(p lattice.Point, v uint8) {
 func (g *Grid) SameNeighborMask(l lattice.Point, s uint8) uint8 {
 	idx := g.bitIndex(l)
 	var m uint8
-	for d, delta := range g.nbrDelta {
+	for d, delta := range g.off.Nbr {
 		j := idx + delta
 		if g.bit(j) != 0 && g.pay[j] == s {
 			m |= 1 << d
@@ -68,7 +68,7 @@ func (g *Grid) PairSame(l lattice.Point, d lattice.Dir, m Mask, s uint8) Mask {
 		return 0
 	}
 	idx := g.bitIndex(l)
-	deltas := &g.maskDelta[d]
+	deltas := &g.off.Mask[d]
 	var same Mask
 	for k := 0; k < 8; k++ {
 		if m>>uint(k)&1 == 1 && g.pay[idx+deltas[k]] == s {

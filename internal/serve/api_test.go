@@ -265,6 +265,21 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 			}
 			return resp
 		}},
+		{CodeNoResult, http.StatusNotFound, "", func() *http.Response {
+			// Runs after the node_busy case, which starts hogB.
+			req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+hogB.ID, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			waitState(t, base, hogB.ID, StateCanceled)
+			resp, err = http.Get(base + "/v1/jobs/" + hogB.ID + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}},
 	}
 
 	covered := map[string]bool{}

@@ -164,11 +164,16 @@ func writeFileAtomic(path string, data []byte) error {
 	return err
 }
 
+// errNoResult reports a job whose workspace holds no result artifact:
+// the job has not finished, failed, was canceled, or its workspace is
+// gone.
+var errNoResult = errors.New("no stored result")
+
 // readResult opens a job's stored result artifact.
 func (m *Manager) readResult(job *Job) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(m.workspace(job), resultFile(job.Kind)))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("serve: job %s has no stored result yet", job.ID)
+		return nil, fmt.Errorf("serve: job %s (%s) has %w", job.ID, job.State, errNoResult)
 	}
 	return data, err
 }

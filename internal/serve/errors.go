@@ -31,6 +31,9 @@ const (
 	// CodeJobNotComplete: the route serves completed jobs only and the job
 	// is still pending or running (HTTP 409).
 	CodeJobNotComplete = "job_not_complete"
+	// CodeNoResult: the job is terminal but holds no stored result — it
+	// failed or was canceled, or its workspace is gone (HTTP 404).
+	CodeNoResult = "no_result"
 	// CodeNodeBusy: admission control shed the submission because this
 	// node is at capacity — queue full or MaxActive reached (HTTP 429,
 	// Retry-After set).
@@ -53,7 +56,7 @@ const (
 func ErrorCodes() []string {
 	return []string{
 		CodeInvalidSpec, CodeInvalidArgument, CodeJobNotFound, CodeNoFrames,
-		CodeJobNotComplete, CodeNodeBusy, CodeQuotaExceeded,
+		CodeJobNotComplete, CodeNoResult, CodeNodeBusy, CodeQuotaExceeded,
 		CodeRouteNotFound, CodeMethodNotAllowed, CodeInternal,
 	}
 }

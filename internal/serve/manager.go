@@ -731,14 +731,11 @@ func (m *Manager) hydrateCold(st *stream, job *Job) {
 }
 
 // Result returns the stored result artifact of a job along with its
-// content type. Any cluster node serves any job's result: the workspace
-// is shared.
-func (m *Manager) Result(id string) ([]byte, string, error) {
-	job, ok := m.Job(id)
-	if !ok {
-		return nil, "", fmt.Errorf("serve: unknown job %q", id)
-	}
-	data, err := m.readResult(&job)
+// content type, or an error wrapping errNoResult when the job's workspace
+// holds none. Any cluster node serves any job's result: the workspace is
+// shared.
+func (m *Manager) Result(job *Job) ([]byte, string, error) {
+	data, err := m.readResult(job)
 	if err != nil {
 		return nil, "", err
 	}

@@ -222,9 +222,24 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	data, ct, err := s.mgr.Result(r.PathValue("id"))
-	if err != nil {
-		writeAPIError(w, http.StatusNotFound, CodeJobNotFound, r.PathValue("id"), err)
+	id := r.PathValue("id")
+	job, ok := s.mgr.Job(id)
+	if !ok {
+		writeJobNotFound(w, id)
+		return
+	}
+	if !terminal(job.State) {
+		writeAPIError(w, http.StatusConflict, CodeJobNotComplete, id,
+			fmt.Errorf("job %s is %s; a result exists once it is done", id, job.State))
+		return
+	}
+	data, ct, err := s.mgr.Result(&job)
+	switch {
+	case errors.Is(err, errNoResult):
+		writeAPIError(w, http.StatusNotFound, CodeNoResult, id, err)
+		return
+	case err != nil:
+		writeAPIError(w, http.StatusInternalServerError, CodeInternal, id, err)
 		return
 	}
 	w.Header().Set("Content-Type", ct)

@@ -1010,3 +1010,81 @@ func TestWorkCounterAdvancesOnRealWork(t *testing.T) {
 		t.Fatal("jobs_completed did not advance")
 	}
 }
+
+// TestResultErrors: GET /result tells an unknown job (404 job_not_found)
+// from one still pending or running (409 job_not_complete) and from a
+// terminal one with no stored result (404 no_result): failed, canceled, or
+// done with its workspace gone.
+func TestResultErrors(t *testing.T) {
+	dir := t.TempDir()
+	// A stored pending record carrying a removed run field recovers as
+	// failed before it ever runs.
+	failed := JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 4}}
+	if _, err := failed.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	digest, err := jobDigest(failed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(Job{ID: "j00000000", Kind: KindRun, State: StatePending, Digest: digest,
+		Request: failed, SubmittedAt: time.Now().UTC(), TasksTotal: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"run":{`), []byte(`"run":{"workers":2,`), 1)
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "j00000000.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Dir: dir, Jobs: 1})
+	base := ts.URL
+
+	expect := func(id string, status int, code string) {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != status {
+			t.Errorf("job %s: status %d, want %d", id, resp.StatusCode, status)
+		}
+		if apiErr := decodeEnvelope(t, resp); apiErr.Code != code || apiErr.JobID != id {
+			t.Errorf("job %s: envelope %+v, want code %q", id, apiErr, code)
+		}
+	}
+	done := submit(t, base, JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 9}})
+	done = waitState(t, base, done.ID, StateDone)
+	fetchResult(t, base, done.ID)
+	hog := submit(t, base, JobRequest{Spec: &experiment.Spec{
+		Scenario: "compress", Lambdas: []float64{4}, Sizes: []int{60},
+		Engines: []string{"chain"}, Iterations: 40_000_000, Reps: 2, Seed: 41,
+	}})
+	waitState(t, base, hog.ID, StateRunning)
+	queued := submit(t, base, JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 10}})
+
+	expect("j99999999", http.StatusNotFound, CodeJobNotFound)
+	expect(hog.ID, http.StatusConflict, CodeJobNotComplete)
+	if getJob(t, base, queued.ID).State != StatePending {
+		t.Fatalf("job %s should wait behind the running one", queued.ID)
+	}
+	expect(queued.ID, http.StatusConflict, CodeJobNotComplete)
+	if j := getJob(t, base, "j00000000"); j.State != StateFailed {
+		t.Fatalf("recovered record: state %q, want failed", j.State)
+	}
+	expect("j00000000", http.StatusNotFound, CodeNoResult)
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+hog.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, base, hog.ID, StateCanceled)
+	expect(hog.ID, http.StatusNotFound, CodeNoResult)
+	if err := os.RemoveAll(s.mgr.workspace(&done)); err != nil {
+		t.Fatal(err)
+	}
+	expect(done.ID, http.StatusNotFound, CodeNoResult)
+}
