@@ -48,16 +48,6 @@ func (a *Activation) RandSlot(slots int) int { return a.rng.IntN(slots) }
 // RandFloat returns a uniform q ∈ [0, 1).
 func (a *Activation) RandFloat() float64 { return a.rng.Float64() }
 
-// Step returns the 0-indexed global activation count at which this
-// activation runs — the environmental clock protocols for time-varying
-// rules read. It is shared knowledge the scheduler provides, not particle
-// memory, so constant-size-memory constraints are preserved.
-func (a *Activation) Step() uint64 { return a.w.activations - 1 }
-
-// TailSite returns the activating particle's tail node — the site a
-// site-dependent bias prices the particle's proposals at.
-func (a *Activation) TailSite() lattice.Point { return a.p.tail }
-
 // OccupiedAt reports whether the node adjacent to the particle's tail in
 // direction d holds any particle (head or tail).
 func (a *Activation) OccupiedAt(d lattice.Dir) bool {

@@ -29,15 +29,10 @@
 // map-backed step survives in this package's tests as the
 // differential-testing oracle for compression and its ablations.
 //
-// Randomness: every draw comes from one pcg, a two-word value that
-// reproduces math/rand/v2's PCG-DXSM generator seeded (seed, rngStream).
-// intN, unitFloat and the loop's inlined draws reproduce math/rand/v2's
-// 64-bit IntN and Float64 exactly, so the stream is consumed — and every
-// trajectory and golden produced — as with rand.New(rand.NewPCG(seed,
-// rngStream)); a step draws IntN(n), IntN(slots), then Float64 only when
-// the Metropolis ratio is below 1. TestDrawHelpersMatchMathRand pins the
-// generator and the helpers to math/rand/v2, and the reference chain draws
-// through math/rand/v2 itself.
+// Randomness: every draw comes from the embedded seq.State's PCG, shared
+// with internal/kmc (see package seq); a step draws IntN(n), IntN(slots),
+// then Float64 only when the Metropolis ratio is below 1. The reference
+// chain draws through math/rand/v2 itself.
 package chain
 
 import (
@@ -45,53 +40,27 @@ import (
 	"math/bits"
 
 	"sops/internal/config"
-	"sops/internal/frame"
 	"sops/internal/grid"
 	"sops/internal/lattice"
 	"sops/internal/rule"
+	"sops/internal/seq"
 )
-
-// rngStream is the fixed second PCG seed word; New and Reset must use the
-// same value so a Reset chain replays a fresh chain's randomness exactly.
-const rngStream = 0x9e3779b97f4a7c15
 
 // Chain is a running Metropolis instance of a local rule. It is not safe
 // for concurrent use; run independent chains in separate goroutines instead.
+// Its zero value is ready for Reset.
 type Chain struct {
-	g      *grid.Grid
-	points []lattice.Point
-	ru     *rule.Rule
-	lambda float64
-	// stateless and slots cache rule shape queries off the hot path.
-	stateless bool
-	slots     int
+	seq.State
 	// plain marks a stateless, fixed-λ, six-slot rule (compression and
 	// every rule.CompressionVariant): Run steps it in one call-free loop
 	// over price. Every other rule steps through step.
 	plain bool
 	price [256]float64 // the ladder's move table, for plain rules
-	rng   pcg          // the chain's only randomness; Reset reseeds it in place
 
-	// ld prices the proposals of a fixed-λ rule. For a rule with a
-	// time-varying/site-dependent bias schedule, lcache memoizes the
-	// ladders per effective λ instead; it is nil for fixed-λ rules.
-	ld     *rule.Ladder
-	lcache *rule.LadderCache
-
-	hval      int // H(σ), maintained incrementally
 	steps     uint64
 	accepted  uint64
 	rotations uint64
-	// holesGone is set once a hole-free configuration has been observed
-	// under a rule that keeps it hole-free (rule.Rule.KeepsHoleFree).
-	holesGone bool
-
-	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
-
-// SetMoveLog attaches a move log that records every accepted move and
-// payload rotation (for delta frame encoding). Pass nil to detach.
-func (c *Chain) SetMoveLog(l *frame.MoveLog) { c.mlog = l }
 
 // New creates a compression chain (Markov chain M) over a copy of the
 // starting configuration σ0, which must be non-empty and connected, with
@@ -106,71 +75,38 @@ func New(sigma0 *config.Config, lambda float64, seed uint64) (*Chain, error) {
 }
 
 // NewWithRule creates a chain running an arbitrary compiled rule over a
-// copy of σ0, which must be non-empty and connected. Payload rules draw
-// the initial per-particle states uniformly from the chain's own
-// randomness, so the full trajectory remains deterministic given (σ0,
-// rule, seed). It allocates the chain's grid and randomness and hands the
-// rest to Reset.
+// copy of σ0, which must be non-empty and connected: it checks that σ0 is
+// connected and resets a zero Chain over its points. Payload rules draw the
+// initial per-particle states from the chain's own randomness, so the full
+// trajectory remains deterministic given (σ0, rule, seed).
 func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, error) {
 	if !sigma0.Connected() {
 		return nil, fmt.Errorf("chain: starting configuration must be connected")
 	}
-	pts := sigma0.Points()
-	c := &Chain{g: grid.New(pts, 0)}
-	if err := c.Reset(pts, ru, seed); err != nil {
+	c := new(Chain)
+	if err := c.Reset(sigma0.Points(), ru, seed); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // Reset re-initializes the chain in place to run rule ru from the starting
-// configuration pts with a fresh seed, producing a trajectory bit-identical
-// to NewWithRule on the same (configuration, rule, seed) while reusing the
-// chain's grid window and point buffer. It is the arena fast path for sweep
-// runners that execute many independent tasks on one worker.
-//
-// pts must be non-empty, duplicate-free, connected, and in canonical (Y, X)
-// order (as produced by config.Config.Points or grid.Grid.AppendPoints);
-// connectivity is the caller's responsibility and is not re-verified.
+// configuration pts with a fresh seed (seq.State.Reset, whose conditions on
+// pts apply), producing a trajectory bit-identical to NewWithRule on the
+// same (configuration, rule, seed) while reusing the chain's grid window
+// and point buffer. It is the arena fast path for sweep runners that
+// execute many independent tasks on one worker.
 func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
-	if ru == nil {
-		return fmt.Errorf("chain: nil rule")
+	if err := c.State.Reset(pts, ru, seed); err != nil {
+		return fmt.Errorf("chain: %w", err)
 	}
-	if len(pts) == 0 {
-		return fmt.Errorf("chain: empty starting configuration")
-	}
-	c.ru = ru
-	c.lambda = ru.Lambda()
-	c.rng = pcg{seed, rngStream}
-	c.stateless = ru.Stateless()
-	c.slots = ru.Slots()
-	c.ld = ru.Ladder()
-	c.lcache = nil
-	if ru.Biased() {
-		c.lcache = rule.NewLadderCache(ru)
-	}
-	c.plain = c.stateless && !ru.Biased() && c.slots == lattice.NumDirs
+	c.plain = c.Stateless && !ru.Biased() && c.Slots == lattice.NumDirs
 	if c.plain {
-		c.price = c.ld.MoveTable()
+		c.price = ru.Ladder().MoveTable()
 	}
-	c.points = append(c.points[:0], pts...)
-	c.g.Reset(c.points)
-	if !c.stateless {
-		c.g.EnablePayload()
-		states := c.ru.States()
-		for _, p := range c.points {
-			c.g.SetPayload(p, uint8(intN(&c.rng, states)))
-		}
-	}
-	c.hval = c.ru.Energy(c.g)
 	c.steps, c.accepted, c.rotations = 0, 0, 0
-	c.holesGone = ru.KeepsHoleFree() && !c.g.HasHoles()
 	return nil
 }
-
-// Grid exposes the chain's live occupancy grid for read-only observation;
-// mutating it corrupts the chain.
-func (c *Chain) Grid() *grid.Grid { return c.g }
 
 // MustNew is New but panics on error; convenient for examples and tests with
 // known-good inputs.
@@ -191,15 +127,6 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 	return c
 }
 
-// Rule returns the rule the chain runs.
-func (c *Chain) Rule() *rule.Rule { return c.ru }
-
-// Lambda returns the bias parameter.
-func (c *Chain) Lambda() float64 { return c.lambda }
-
-// N returns the number of particles.
-func (c *Chain) N() int { return len(c.points) }
-
 // Steps returns the number of iterations executed (accepted or not).
 func (c *Chain) Steps() uint64 { return c.steps }
 
@@ -209,61 +136,6 @@ func (c *Chain) Accepted() uint64 { return c.accepted }
 // Rotations returns the number of accepted payload changes (zero for
 // stateless rules).
 func (c *Chain) Rotations() uint64 { return c.rotations }
-
-// Edges returns e(σ) for the current configuration, maintained incrementally.
-func (c *Chain) Edges() int { return c.g.Edges() }
-
-// Energy returns H(σ), the rule's Hamiltonian for the current state,
-// maintained incrementally: e(σ) for compression, the aligned-edge count for
-// alignment.
-func (c *Chain) Energy() int { return c.hval }
-
-// Payload returns the payload state of particle i (0 for stateless rules).
-func (c *Chain) Payload(i int) uint8 { return c.g.Payload(c.points[i]) }
-
-// Perimeter returns p(σ) for the current configuration: the identity
-// p = 3n − 3 − e of Lemma 2.3 on a hole-free configuration, else the length
-// of the boundary walk — a single walk answering both the hole check and
-// the perimeter. The walks stop once the chain has reached Ω* under a rule
-// that keeps it hole-free (Lemma 3.2; rule.Rule.KeepsHoleFree).
-func (c *Chain) Perimeter() int {
-	if len(c.points) == 1 {
-		return 0
-	}
-	if !c.holesGone {
-		cycles, edges := c.g.Boundaries()
-		if cycles > 1 {
-			return edges
-		}
-		c.holesGone = c.ru.KeepsHoleFree()
-	}
-	return 3*len(c.points) - 3 - c.Edges()
-}
-
-// HoleFree reports whether the current configuration is hole-free. Under a
-// rule that keeps it so, the answer stays true once seen.
-func (c *Chain) HoleFree() bool {
-	if c.holesGone {
-		return true
-	}
-	free := !c.g.HasHoles()
-	c.holesGone = free && c.ru.KeepsHoleFree()
-	return free
-}
-
-// Config returns a snapshot copy of the current configuration.
-func (c *Chain) Config() *config.Config { return config.FromGrid(c.g) }
-
-// ladderAt returns the ladder pricing a proposal by the particle at l in
-// the current iteration: the rule's own for a fixed λ, else the one at the
-// effective λ of l during the epoch of this iteration (0-indexed:
-// steps−1).
-func (c *Chain) ladderAt(l lattice.Point) *rule.Ladder {
-	if c.lcache == nil {
-		return c.ld
-	}
-	return c.lcache.At(c.steps-1, l)
-}
 
 // Step executes one iteration of the Metropolis chain and reports whether
 // the state changed (a particle moved or a payload rotated).
@@ -278,39 +150,39 @@ func (c *Chain) Step() bool {
 // (alignment) or a biased one (forage).
 func (c *Chain) step() bool {
 	c.steps++
-	i := intN(&c.rng, len(c.points))
-	l := c.points[i]
-	slot := intN(&c.rng, c.slots)
+	i := c.Rng.IntN(len(c.Pts))
+	l := c.Pts[i]
+	slot := c.Rng.IntN(c.Slots)
 	if slot >= lattice.NumDirs {
 		return c.stepRotate(l, slot-lattice.NumDirs)
 	}
 	d := lattice.Dir(slot)
 	// One read answers the target's occupancy and, when it is free, the
 	// mask the guard and the Hamiltonian tables are indexed by.
-	m, occupied := c.g.MoveMask(l, d)
-	if occupied || !c.ru.Allowed(m) {
+	m, occupied := c.G.MoveMask(l, d)
+	if occupied || !c.Ru.Allowed(m) {
 		return false
 	}
 	// A stateless rule has no payload term: its same-state submask is 0.
 	var same grid.Mask
-	if !c.stateless {
-		same = c.g.PairSame(l, d, m, c.g.Payload(l))
+	if !c.Stateless {
+		same = c.G.PairSame(l, d, m, c.G.Payload(l))
 	}
-	acc := c.ladderAt(l).MovePay(m, same)
-	delta := c.ru.MoveDelta(m, same)
+	acc := c.LadderAt(c.steps-1, l).MovePay(m, same)
+	delta := c.Ru.MoveDelta(m, same)
 	// The Metropolis filter: accept with probability min(1, λ^ΔH).
 	if acc < 1 {
-		if unitFloat(&c.rng) >= acc {
+		if c.Rng.Float64() >= acc {
 			return false
 		}
 	}
 	lp := l.Neighbor(d)
-	c.g.MoveMasked(l, lp, m)
-	c.points[i] = lp
-	c.hval += delta
+	c.G.MoveMasked(l, lp, m)
+	c.Pts[i] = lp
+	c.H += delta
 	c.accepted++
-	if c.mlog != nil {
-		c.mlog.Moved(l, lp, c.g.Payload(lp))
+	if c.Log != nil {
+		c.Log.Moved(l, lp, c.G.Payload(lp))
 	}
 	return true
 }
@@ -318,19 +190,19 @@ func (c *Chain) step() bool {
 // stepRotate proposes the j-th alternative payload state for the particle
 // at l and accepts with the Metropolis ratio on the rotation's ΔH.
 func (c *Chain) stepRotate(l lattice.Point, j int) bool {
-	s := c.g.Payload(l)
-	t := c.ru.RotTarget(s, j)
-	delta := c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
-	if acc := c.ladderAt(l).Rot(delta); acc < 1 {
-		if unitFloat(&c.rng) >= acc {
+	s := c.G.Payload(l)
+	t := c.Ru.RotTarget(s, j)
+	delta := c.Ru.RotDelta(c.G.SameNeighborMask(l, s), c.G.SameNeighborMask(l, t))
+	if acc := c.LadderAt(c.steps-1, l).Rot(delta); acc < 1 {
+		if c.Rng.Float64() >= acc {
 			return false
 		}
 	}
-	c.g.SetPayload(l, t)
-	c.hval += delta
+	c.G.SetPayload(l, t)
+	c.H += delta
 	c.rotations++
-	if c.mlog != nil {
-		c.mlog.Rotated(l, t)
+	if c.Log != nil {
+		c.Log.Rotated(l, t)
 	}
 	return true
 }
@@ -363,33 +235,33 @@ func (c *Chain) Run(n uint64) uint64 {
 func (c *Chain) runPlain(n uint64) uint64 {
 	// (2⁶⁴ − 6) mod 6: the Lemire rejection bound of the slot draw.
 	const slotThresh = (1<<64 - lattice.NumDirs) % lattice.NumDirs
-	hi, lo := c.rng.hi, c.rng.lo
-	pts := c.points
+	hi, lo := c.Rng.Hi, c.Rng.Lo
+	pts := c.Pts
 	np := uint64(len(pts))
 	price := &c.price
-	words, origin, rowBits, off := c.g.View()
+	words, origin, rowBits, off := c.G.View()
 	start := c.accepted
 	for k := n; k > 0; k-- {
-		hi, lo = pcgNext(hi, lo)
+		hi, lo = seq.PCGNext(hi, lo)
 		var i uint64
 		if np&(np-1) == 0 {
-			i = dxsm(hi, lo) & (np - 1)
+			i = seq.DXSM(hi, lo) & (np - 1)
 		} else {
 			var low uint64
-			i, low = bits.Mul64(dxsm(hi, lo), np)
+			i, low = bits.Mul64(seq.DXSM(hi, lo), np)
 			if low < np {
 				thresh := -np % np
 				for low < thresh {
-					hi, lo = pcgNext(hi, lo)
-					i, low = bits.Mul64(dxsm(hi, lo), np)
+					hi, lo = seq.PCGNext(hi, lo)
+					i, low = bits.Mul64(seq.DXSM(hi, lo), np)
 				}
 			}
 		}
-		hi, lo = pcgNext(hi, lo)
-		d, low := bits.Mul64(dxsm(hi, lo), lattice.NumDirs)
+		hi, lo = seq.PCGNext(hi, lo)
+		d, low := bits.Mul64(seq.DXSM(hi, lo), lattice.NumDirs)
 		for low < slotThresh {
-			hi, lo = pcgNext(hi, lo)
-			d, low = bits.Mul64(dxsm(hi, lo), lattice.NumDirs)
+			hi, lo = seq.PCGNext(hi, lo)
+			d, low = bits.Mul64(seq.DXSM(hi, lo), lattice.NumDirs)
 		}
 		l := pts[i]
 		at := l.Y*rowBits + l.X - origin
@@ -410,23 +282,23 @@ func (c *Chain) runPlain(n uint64) uint64 {
 			if p == 0 {
 				continue
 			}
-			hi, lo = pcgNext(hi, lo)
-			if toUnit(dxsm(hi, lo)) >= p {
+			hi, lo = seq.PCGNext(hi, lo)
+			if seq.ToUnit(seq.DXSM(hi, lo)) >= p {
 				continue
 			}
 		}
 		mk := grid.Mask(m)
 		lp := l.Neighbor(lattice.Dir(d))
-		c.g.MoveMasked(l, lp, mk)
+		c.G.MoveMasked(l, lp, mk)
 		pts[i] = lp
-		c.hval += c.ru.MoveDelta(mk, 0)
+		c.H += c.Ru.MoveDelta(mk, 0)
 		c.accepted++
-		if c.mlog != nil {
-			c.mlog.Moved(l, lp, 0)
+		if c.Log != nil {
+			c.Log.Moved(l, lp, 0)
 		}
-		words, origin, rowBits, off = c.g.View()
+		words, origin, rowBits, off = c.G.View()
 	}
-	c.rng = pcg{hi, lo}
+	c.Rng = seq.PCG{Hi: hi, Lo: lo}
 	c.steps += n
 	return c.accepted - start
 }

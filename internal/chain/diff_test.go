@@ -46,10 +46,10 @@ func TestEnginesProduceIdenticalTrajectories(t *testing.T) {
 						t.Fatalf("seed %d step %d: edges %d vs %d", seed, step, fast.Edges(), ref.edges)
 					}
 					if fm {
-						for i := range fast.points {
-							if fast.points[i] != ref.points[i] {
+						for i := range fast.Pts {
+							if fast.Pts[i] != ref.points[i] {
 								t.Fatalf("seed %d step %d: particle %d at %v vs %v",
-									seed, step, i, fast.points[i], ref.points[i])
+									seed, step, i, fast.Pts[i], ref.points[i])
 							}
 						}
 					}
@@ -184,11 +184,11 @@ func TestRunMatchesReference(t *testing.T) {
 						t.Fatalf("chunk %d: energy %d, edges %d; reference edges %d", chunk, c.Energy(), c.Edges(), ref.edges)
 					}
 					for i := range ref.points {
-						if c.points[i] != ref.points[i] {
-							t.Fatalf("chunk %d: particle %d at %v, reference %v", chunk, i, c.points[i], ref.points[i])
+						if c.Pts[i] != ref.points[i] {
+							t.Fatalf("chunk %d: particle %d at %v, reference %v", chunk, i, c.Pts[i], ref.points[i])
 						}
 					}
-					if next := c.rng.Uint64(); next != refNext {
+					if next := c.Rng.Uint64(); next != refNext {
 						t.Fatalf("chunk %d: next draw %#x, reference %#x", chunk, next, refNext)
 					}
 				}

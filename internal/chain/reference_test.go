@@ -7,6 +7,7 @@ import (
 	"sops/internal/config"
 	"sops/internal/lattice"
 	"sops/internal/move"
+	"sops/internal/seq"
 )
 
 // refChain is chain M as first written: on the map-backed config.Config,
@@ -15,8 +16,8 @@ import (
 // IntN and Float64 in the order Chain.Step does (particle, slot, then the
 // Metropolis coin only when λ^ΔH < 1), sharing no randomness code with the
 // chain, so from equal (σ0, λ, seed) the two engines take identical
-// trajectories on 64-bit hosts (TestDrawHelpersMatchMathRand says why not
-// on 32-bit ones). degreeGuard, prop1 and prop2 mirror
+// trajectories on 64-bit hosts (seq.TestDrawHelpersMatchMathRand says why
+// not on 32-bit ones). degreeGuard, prop1 and prop2 mirror
 // rule.CompressionVariant's arguments.
 type refChain struct {
 	cfg    *config.Config
@@ -33,7 +34,7 @@ func newRefChain(sigma0 *config.Config, lambda float64, seed uint64, degreeGuard
 	r := &refChain{
 		cfg:         sigma0.Clone(),
 		points:      sigma0.Points(),
-		rng:         rand.New(rand.NewPCG(seed, rngStream)),
+		rng:         rand.New(rand.NewPCG(seed, seq.Stream)),
 		degreeGuard: degreeGuard,
 		prop1:       prop1,
 		prop2:       prop2,

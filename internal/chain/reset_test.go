@@ -67,9 +67,9 @@ func TestResetMatchesFresh(t *testing.T) {
 				reused.Energy(), reused.Edges(), reused.Perimeter(),
 				fresh.Energy(), fresh.Edges(), fresh.Perimeter())
 		}
-		for i := range reused.points {
-			if reused.points[i] != fresh.points[i] {
-				t.Fatalf("%s: particle %d at %v, want %v", tc.name, i, reused.points[i], fresh.points[i])
+		for i := range reused.Pts {
+			if reused.Pts[i] != fresh.Pts[i] {
+				t.Fatalf("%s: particle %d at %v, want %v", tc.name, i, reused.Pts[i], fresh.Pts[i])
 			}
 			if reused.Payload(i) != fresh.Payload(i) {
 				t.Fatalf("%s: particle %d payload %d, want %d", tc.name, i, reused.Payload(i), fresh.Payload(i))

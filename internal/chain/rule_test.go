@@ -64,10 +64,10 @@ func TestAlignmentChainInvariants(t *testing.T) {
 			if v.HasHoles() {
 				t.Fatalf("λ=%g k=%d batch %d: hole formed under the compression guard", tc.lambda, tc.states, batch)
 			}
-			if got, want := c.Energy(), c.Rule().Energy(c.g); got != want {
+			if got, want := c.Energy(), c.Rule().Energy(c.G); got != want {
 				t.Fatalf("λ=%g k=%d batch %d: incremental H %d, recomputed %d", tc.lambda, tc.states, batch, got, want)
 			}
-			for i := range c.points {
+			for i := range c.Pts {
 				if s := c.Payload(i); int(s) >= tc.states {
 					t.Fatalf("λ=%g k=%d batch %d: particle %d has out-of-range spin %d", tc.lambda, tc.states, batch, i, s)
 				}

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +131,36 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 	if _, err := c.Job(ctx, done.ID); !client.IsNotFound(err) {
 		t.Fatalf("job survives deletion: %v", err)
+	}
+}
+
+// TestIsBusy: both admission sheds — the 429 envelope with node_busy and
+// with quota_exceeded — satisfy IsBusy and not IsNotFound. The server
+// answers the first submission with one code and the second with the
+// other.
+func TestIsBusy(t *testing.T) {
+	codes := []string{serve.CodeNodeBusy, serve.CodeQuotaExceeded}
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		code := codes[int(calls.Add(1)-1)%len(codes)]
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTooManyRequests)
+		_ = json.NewEncoder(w).Encode(map[string]serve.APIError{"error": {Code: code, Message: "shed"}})
+	}))
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	for _, want := range codes {
+		_, err := c.Submit(context.Background(), smallRun(1, false))
+		var apiErr *client.Error
+		if !errors.As(err, &apiErr) || apiErr.Code != want || apiErr.Status != http.StatusTooManyRequests {
+			t.Fatalf("Submit error = %v, want a 429 %s", err, want)
+		}
+		if !client.IsBusy(err) {
+			t.Errorf("IsBusy(%v) = false", err)
+		}
+		if client.IsNotFound(err) {
+			t.Errorf("IsNotFound(%v) = true", err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sops/internal/baseline"
-	"sops/internal/chain"
 	"sops/internal/lattice"
 	"sops/internal/metrics"
 	"sops/internal/rule"
@@ -353,11 +352,8 @@ func runAblation(sp Spec, t Task) (Metrics, error) {
 	if err := requireChain(t); err != nil {
 		return nil, err
 	}
-	start, err := runner.NewStartConfig(runner.StartShape(t.Point.Start), t.Point.N, t.Seed)
-	if err != nil {
-		return nil, err
-	}
-	c, err := chain.NewWithRule(start, rule.CompressionVariant(t.Point.Lambda, false, true, true), t.Seed)
+	ru := rule.CompressionVariant(t.Point.Lambda, false, true, true)
+	c, err := t.Arena.Sequential(runner.EngineChain, runner.StartShape(t.Point.Start), t.Point.N, ru, t.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +362,8 @@ func runAblation(sp Spec, t Task) (Metrics, error) {
 		budget = 8000
 	}
 	// Holes can heal, so the run is sampled every 200 steps rather than only
-	// at the end.
+	// at the end. The rule does not keep configurations hole-free, so each
+	// HoleFree call walks the grid.
 	const batch = 200
 	m := Metrics{"hole_formed": 0}
 	for done := uint64(0); done < budget; {
@@ -375,7 +372,7 @@ func runAblation(sp Spec, t Task) (Metrics, error) {
 			return nil, err
 		}
 		done += k
-		if c.Config().HasHoles() {
+		if !c.HoleFree() {
 			m["hole_formed"] = 1
 			m["steps_to_first_hole"] = float64(done)
 			break

@@ -71,13 +71,13 @@ func (v spinView) alignedEdges() int {
 // so a test can drive the engine onto an exact (configuration, spins) state.
 func setSpins(c *Chain, spins map[lattice.Point]uint8) {
 	for p, s := range spins {
-		c.g.SetPayload(p, s)
+		c.G.SetPayload(p, s)
 	}
-	for i := range c.points {
+	for i := range c.Pts {
 		c.wj[i] = c.particleWeight(i)
 	}
 	c.fen.rebuild(c.wj)
-	c.hval = c.ru.Energy(c.g)
+	c.H = c.Ru.Energy(c.G)
 }
 
 // checkAgainstBrute compares every maintained per-slot, per-particle, and

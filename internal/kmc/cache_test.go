@@ -38,7 +38,7 @@ func TestMaskCacheUnderGrowth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lo, hi := c.g.Bounds()
+			lo, hi := c.G.Bounds()
 			// grid.New pads the start's bounding box by DefaultSlack and
 			// grows once a particle comes within 2 cells of the border.
 			winLo := lattice.Point{X: lo.X - grid.DefaultSlack + 2, Y: lo.Y - grid.DefaultSlack + 2}
@@ -55,7 +55,7 @@ func TestMaskCacheUnderGrowth(t *testing.T) {
 				if geom != [4]int{c.idx.minX, c.idx.minY, c.idx.w, c.idx.h} {
 					reshapes++
 				}
-				for _, p := range c.points {
+				for _, p := range c.Pts {
 					if p.X < winLo.X || p.Y < winLo.Y || p.X > winHi.X || p.Y > winHi.Y {
 						grew = true
 					}

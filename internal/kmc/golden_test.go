@@ -79,15 +79,15 @@ func trajectoryCases(t *testing.T) []trajectoryCase {
 func fingerprint(c *Chain) string {
 	h := sha256.New()
 	var buf []byte
-	for _, p := range c.points {
+	for _, p := range c.Pts {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(p.X)))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(p.Y)))
 	}
 	var rots string
-	if !c.ru.Stateless() {
+	if !c.Ru.Stateless() {
 		rots = fmt.Sprintf(" rots=%d", c.Rotations())
-		for _, p := range c.points {
-			buf = append(buf, c.g.Payload(p))
+		for _, p := range c.Pts {
+			buf = append(buf, c.G.Payload(p))
 		}
 	}
 	for _, w := range c.wj {

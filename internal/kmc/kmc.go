@@ -39,63 +39,51 @@
 // and rule.Compression(λ) reproduces the pre-rule engine bit for bit. An
 // ablated chain is a rule.CompressionVariant run through NewWithRule, and
 // every construction goes through Reset.
+//
+// The chain embeds seq.State, as internal/chain does: the grid, the
+// particles, the rule, H(σ), the hole flag behind Perimeter and HoleFree,
+// and the one PCG stream every draw comes from. Each hold, Fenwick search
+// and slot choice takes one Float64 from it.
 package kmc
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 
 	"sops/internal/config"
-	"sops/internal/frame"
 	"sops/internal/grid"
 	"sops/internal/lattice"
 	"sops/internal/rule"
+	"sops/internal/seq"
 )
 
 // rebuildEvery bounds floating-point drift: after this many applied events
 // the Fenwick tree is rebuilt exactly from the stored per-particle weights.
 const rebuildEvery = 1 << 16
 
-// rngStream is the fixed second PCG seed word; New and Reset must use the
-// same value so a Reset chain replays a fresh chain's randomness exactly.
-const rngStream = 0x9e3779b97f4a7c15
-
 // Chain is a running rejection-free instance of a local rule. It is not
 // safe for concurrent use; run independent chains in separate goroutines.
+// Its zero value is ready for Reset.
 type Chain struct {
-	g      *grid.Grid
-	points []lattice.Point
-	idx    *pindex
-	ru     *rule.Rule
-	lambda float64
-	// stateless and slots cache rule shape queries off the hot path.
-	stateless bool
-	slots     int
-	pcg       *rand.PCG // kept so Reset can reseed the stream in place
-	rng       *rand.Rand
-
-	fen *fenwick
+	seq.State
+	idx pindex
+	fen fenwick
 	// wj[i] is the authoritative total weight of particle i, always the
 	// exact recomputation over its slots; the Fenwick tree mirrors it up
 	// to floating-point drift.
 	wj []float64
 	// pk[i] caches particle i's occupancy masks:
-	// pk[i] == g.Window(points[i]).Packed() after every event. A move
+	// pk[i] == G.Window(Pts[i]).Packed() after every event. A move
 	// updates a dirty neighbor's entry with one XOR (dirtyFlips) instead
 	// of re-reading its window.
 	pk []grid.PackedMasks
 
-	// ld prices every slot of a fixed-λ rule. For a biased rule the
-	// effective λ is constant on [epoch, epochEnd); every maintained weight
-	// is priced at BiasAt(epoch, site) through lcache, which memoizes the
-	// ladders per distinct λ, and Run never lets an event fire past
-	// epochEnd — advanceEpoch refreshes every cached weight when the
-	// boundary is crossed. lcache is nil and the epoch fields are zero for
+	// A biased rule's effective λ is constant on [epoch, epochEnd); every
+	// maintained weight is priced at its ladder for epoch (LadderAt), and
+	// Run never lets an event fire past epochEnd — advanceEpoch refreshes
+	// every cached weight when the boundary is crossed. Both are zero for
 	// fixed-λ rules.
-	ld       *rule.Ladder
-	lcache   *rule.LadderCache
 	epoch    uint64
 	epochEnd uint64
 
@@ -103,13 +91,9 @@ type Chain struct {
 	events uint64 // applied events (translations + rotations)
 	moves  uint64 // applied translations
 	rots   uint64 // applied rotations
-	hval   int    // H(σ), maintained incrementally
 	// hold is the number of equivalent steps remaining until the next
 	// sampled event fires; 0 means the next hold has not been sampled yet.
-	hold uint64
-	// holesGone is set once a hole-free configuration has been observed
-	// under a rule that keeps it hole-free (rule.Rule.KeepsHoleFree).
-	holesGone          bool
+	hold               uint64
 	eventsSinceRebuild int
 	// dirtyPts and dirtyIdx collect the particles a rotation or a payload
 	// rule's translation re-prices.
@@ -118,13 +102,7 @@ type Chain struct {
 	// slotBuf holds a payload particle's slot weights while drawSlot
 	// samples them, and priceSlots' scratch afterwards.
 	slotBuf []float64
-
-	mlog *frame.MoveLog // accepted-move tap for delta frame encoding; may be nil
 }
-
-// SetMoveLog attaches a move log that records every applied translation
-// and rotation (for delta frame encoding). Pass nil to detach.
-func (c *Chain) SetMoveLog(l *frame.MoveLog) { c.mlog = l }
 
 // New creates a rejection-free compression chain over a copy of the
 // starting configuration σ0, which must be non-empty and connected, with
@@ -141,20 +119,17 @@ func New(sigma0 *config.Config, lambda float64, seed uint64) (*Chain, error) {
 }
 
 // NewWithRule creates a rejection-free chain running an arbitrary compiled
-// rule over a copy of σ0, which must be non-empty and connected. Payload
-// rules draw the initial per-particle states uniformly from the chain's own
-// randomness (matching chain.NewWithRule's construction), so the
-// trajectory is deterministic given (σ0, rule, seed). It allocates the
-// grid, the randomness, the particle index and the Fenwick tree and hands
-// the rest to Reset.
+// rule over a copy of σ0, which must be non-empty and connected: it checks
+// that σ0 is connected and resets a zero Chain over its points. Payload
+// rules draw the initial per-particle states from the chain's own
+// randomness (seq.State.Reset, as chain.NewWithRule does), so the
+// trajectory is deterministic given (σ0, rule, seed).
 func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, error) {
 	if !sigma0.Connected() {
 		return nil, fmt.Errorf("kmc: starting configuration must be connected")
 	}
-	pts := sigma0.Points()
-	pcg := new(rand.PCG)
-	c := &Chain{g: grid.New(pts, 0), pcg: pcg, rng: rand.New(pcg), idx: &pindex{}, fen: &fenwick{}}
-	if err := c.Reset(pts, ru, seed); err != nil {
+	c := new(Chain)
+	if err := c.Reset(sigma0.Points(), ru, seed); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -163,61 +138,35 @@ func NewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) (*Chain, err
 // classify fills the mask cache and every particle's weight from the
 // current grid, then rebuilds the Fenwick tree exactly.
 func (c *Chain) classify() {
-	c.pk = resize(c.pk, len(c.points))
-	for i, p := range c.points {
-		c.pk[i] = c.g.Window(p).Packed()
+	c.pk = resize(c.pk, len(c.Pts))
+	for i, p := range c.Pts {
+		c.pk[i] = c.G.Window(p).Packed()
 		c.wj[i] = c.particleWeight(i)
 	}
 	c.fen.rebuild(c.wj)
 }
 
 // Reset re-initializes the chain in place to run rule ru from the starting
-// configuration pts with a fresh seed, producing a trajectory bit-identical
-// to NewWithRule on the same (configuration, rule, seed) while reusing the
-// grid window, the particle index, the Fenwick tree, and every scratch
-// buffer. It is the arena fast path for sweep runners.
-//
-// pts must be non-empty, duplicate-free, connected, and in canonical (Y, X)
-// order (as produced by config.Config.Points or grid.Grid.AppendPoints);
-// connectivity is the caller's responsibility and is not re-verified.
+// configuration pts with a fresh seed (seq.State.Reset, whose conditions on
+// pts apply), producing a trajectory bit-identical to NewWithRule on the
+// same (configuration, rule, seed) while reusing the grid window, the
+// particle index, the Fenwick tree, and every scratch buffer. It is the
+// arena fast path for sweep runners.
 func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
-	if ru == nil {
-		return fmt.Errorf("kmc: nil rule")
+	if err := c.State.Reset(pts, ru, seed); err != nil {
+		return fmt.Errorf("kmc: %w", err)
 	}
-	if len(pts) == 0 {
-		return fmt.Errorf("kmc: empty starting configuration")
+	c.epoch, c.epochEnd = 0, ru.BiasEpoch()
+	if !c.Stateless {
+		c.slotBuf = resize(c.slotBuf, c.Slots)
 	}
-	c.ru = ru
-	c.lambda = ru.Lambda()
-	c.pcg.Seed(seed, rngStream)
-	c.stateless = ru.Stateless()
-	c.slots = ru.Slots()
-	c.ld = ru.Ladder()
-	c.lcache = nil
-	c.epoch, c.epochEnd = 0, 0
-	if ru.Biased() {
-		c.lcache = rule.NewLadderCache(ru)
-		c.epochEnd = ru.BiasEpoch()
-	}
-	c.points = append(c.points[:0], pts...)
-	c.g.Reset(c.points)
-	if !c.stateless {
-		c.g.EnablePayload()
-		states := c.ru.States()
-		for _, p := range c.points {
-			c.g.SetPayload(p, uint8(c.rng.IntN(states)))
-		}
-		c.slotBuf = resize(c.slotBuf, c.slots)
-	}
-	c.hval = c.ru.Energy(c.g)
-	c.idx.reshape(c.points)
-	c.wj = resize(c.wj, len(c.points))
-	c.fen.reset(len(c.points))
+	c.idx.reshape(c.Pts)
+	c.wj = resize(c.wj, len(c.Pts))
+	c.fen.reset(len(c.Pts))
 	c.classify()
 	c.steps, c.events, c.moves, c.rots = 0, 0, 0, 0
 	c.hold = 0
 	c.eventsSinceRebuild = 0
-	c.holesGone = ru.KeepsHoleFree() && !c.g.HasHoles()
 	return nil
 }
 
@@ -229,10 +178,6 @@ func resize[T any](buf []T, n int) []T {
 	}
 	return make([]T, n)
 }
-
-// Grid exposes the chain's live occupancy grid for read-only observation;
-// mutating it corrupts the chain.
-func (c *Chain) Grid() *grid.Grid { return c.g }
 
 // MustNew is New but panics on error.
 func MustNew(sigma0 *config.Config, lambda float64, seed uint64) *Chain {
@@ -258,20 +203,11 @@ func MustNewWithRule(sigma0 *config.Config, ru *rule.Rule, seed uint64) *Chain {
 // summation order is fixed (directions ascending, then rotation targets
 // ascending), so equal configurations always produce bit-identical weights.
 func (c *Chain) particleWeight(i int) float64 {
-	p := c.points[i]
-	if c.stateless {
-		return packedWeight(c.pk[i], c.ldAt(p))
+	p := c.Pts[i]
+	if c.Stateless {
+		return packedWeight(c.pk[i], c.LadderAt(c.epoch, p))
 	}
-	return c.priceSlots(p, c.pk[i], c.slotBuf, c.ldAt(p))
-}
-
-// ldAt returns the ladder pricing the particle at p: the rule's own for a
-// fixed λ, else the one at the effective λ of p in the current bias epoch.
-func (c *Chain) ldAt(p lattice.Point) *rule.Ladder {
-	if c.lcache == nil {
-		return c.ld
-	}
-	return c.lcache.At(c.epoch, p)
+	return c.priceSlots(p, c.pk[i], c.slotBuf, c.LadderAt(c.epoch, p))
 }
 
 // packedWeight computes a stateless particle's total weight from its packed
@@ -295,28 +231,28 @@ func packedWeight(pm grid.PackedMasks, ld *rule.Ladder) float64 {
 // payloads. Every payload-path consumer (the maintained wj, the event
 // sampler, the observer APIs) goes through this one fold, so the "slot sum
 // equals wj[i]" invariant the sampler relies on holds bit-for-bit. ld is
-// the particle's ladder (ldAt).
+// the particle's ladder (LadderAt).
 func (c *Chain) priceSlots(p lattice.Point, pm grid.PackedMasks, ws []float64, ld *rule.Ladder) float64 {
-	s := c.g.Payload(p)
+	s := c.G.Payload(p)
 	var sum float64
 	for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
 		w := 0.0
 		if pm.NeighborMask()>>d&1 == 0 {
-			if m := pm.PairMask(d); c.ru.Allowed(m) {
-				w = ld.MovePay(m, c.g.PairSame(p, d, m, s))
+			if m := pm.PairMask(d); c.Ru.Allowed(m) {
+				w = ld.MovePay(m, c.G.PairSame(p, d, m, s))
 			}
 		}
 		ws[d] = w
 		sum += w
 	}
-	if c.ru.Rotates() {
-		sameOld := c.g.SameNeighborMask(p, s)
+	if c.Ru.Rotates() {
+		sameOld := c.G.SameNeighborMask(p, s)
 		j := lattice.NumDirs
-		for t := 0; t < c.ru.States(); t++ {
+		for t := 0; t < c.Ru.States(); t++ {
 			if uint8(t) == s {
 				continue
 			}
-			w := ld.Rot(c.ru.RotDelta(sameOld, c.g.SameNeighborMask(p, uint8(t))))
+			w := ld.Rot(c.Ru.RotDelta(sameOld, c.G.SameNeighborMask(p, uint8(t))))
 			ws[j] = w
 			sum += w
 			j++
@@ -324,15 +260,6 @@ func (c *Chain) priceSlots(p lattice.Point, pm grid.PackedMasks, ws []float64, l
 	}
 	return sum
 }
-
-// Rule returns the rule the chain runs.
-func (c *Chain) Rule() *rule.Rule { return c.ru }
-
-// Lambda returns the bias parameter.
-func (c *Chain) Lambda() float64 { return c.lambda }
-
-// N returns the number of particles.
-func (c *Chain) N() int { return len(c.points) }
 
 // Steps returns the number of Metropolis-equivalent iterations elapsed,
 // holds included: directly comparable to chain.Chain.Steps.
@@ -350,13 +277,6 @@ func (c *Chain) Accepted() uint64 { return c.moves }
 // stateless rules).
 func (c *Chain) Rotations() uint64 { return c.rots }
 
-// Edges returns e(σ) for the current configuration.
-func (c *Chain) Edges() int { return c.g.Edges() }
-
-// Energy returns H(σ), the rule's Hamiltonian for the current state,
-// maintained incrementally.
-func (c *Chain) Energy() int { return c.hval }
-
 // TotalWeight returns W(σ) = Σ_i W_i, the summed acceptance weight of every
 // currently valid move. W/(Slots·n) is the per-step probability that the
 // Metropolis chain would leave the current state.
@@ -370,18 +290,18 @@ func (c *Chain) ParticleWeight(i int) float64 { return c.wj[i] }
 // with RotationWeights their sum equals ParticleWeight(i).
 func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 	var ws [lattice.NumDirs]float64
-	p := c.points[i]
-	ld := c.ldAt(p)
-	if c.stateless {
+	p := c.Pts[i]
+	ld := c.LadderAt(c.epoch, p)
+	if c.Stateless {
 		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
-			if !c.g.Has(p.Neighbor(d)) {
-				ws[d] = ld.Move(c.g.PairMask(p, d))
+			if !c.G.Has(p.Neighbor(d)) {
+				ws[d] = ld.Move(c.G.PairMask(p, d))
 			}
 		}
 		return ws
 	}
-	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Window(p).Packed(), buf, ld)
+	buf := make([]float64, c.Slots)
+	c.priceSlots(p, c.G.Window(p).Packed(), buf, ld)
 	copy(ws[:], buf[:lattice.NumDirs])
 	return ws
 }
@@ -390,55 +310,20 @@ func (c *Chain) SlotWeights(i int) [lattice.NumDirs]float64 {
 // fresh read of the grid, in rotation-slot order (target states ascending,
 // skipping the current state). It returns nil for rules without rotations.
 func (c *Chain) RotationWeights(i int) []float64 {
-	if !c.ru.Rotates() {
+	if !c.Ru.Rotates() {
 		return nil
 	}
-	p := c.points[i]
-	buf := make([]float64, c.slots)
-	c.priceSlots(p, c.g.Window(p).Packed(), buf, c.ldAt(p))
+	p := c.Pts[i]
+	buf := make([]float64, c.Slots)
+	c.priceSlots(p, c.G.Window(p).Packed(), buf, c.LadderAt(c.epoch, p))
 	return buf[lattice.NumDirs:]
 }
-
-// Payload returns the payload state of particle i (0 for stateless rules).
-func (c *Chain) Payload(i int) uint8 { return c.g.Payload(c.points[i]) }
 
 // Points returns the current particle locations; index i is the particle
 // whose weights ParticleWeight(i) and SlotWeights(i) report.
 func (c *Chain) Points() []lattice.Point {
-	return append([]lattice.Point(nil), c.points...)
+	return append([]lattice.Point(nil), c.Pts...)
 }
-
-// Perimeter returns p(σ), using the Lemma 2.3 identity p = 3n − 3 − e on
-// hole-free configurations and walking the boundary until the chain has
-// reached Ω* under a rule that keeps it hole-free (cf.
-// chain.Chain.Perimeter).
-func (c *Chain) Perimeter() int {
-	if len(c.points) == 1 {
-		return 0
-	}
-	if !c.holesGone {
-		cycles, edges := c.g.Boundaries()
-		if cycles > 1 {
-			return edges
-		}
-		c.holesGone = c.ru.KeepsHoleFree()
-	}
-	return 3*len(c.points) - 3 - c.Edges()
-}
-
-// HoleFree reports whether the current configuration is hole-free. Under a
-// rule that keeps it so, the answer stays true once seen.
-func (c *Chain) HoleFree() bool {
-	if c.holesGone {
-		return true
-	}
-	free := !c.g.HasHoles()
-	c.holesGone = free && c.ru.KeepsHoleFree()
-	return free
-}
-
-// Config returns a snapshot copy of the current configuration.
-func (c *Chain) Config() *config.Config { return config.FromGrid(c.g) }
 
 // sampleHold draws the geometric number of Metropolis-equivalent steps until
 // the next event fires, K ~ Geometric(p) with p = W/(S·n) and support {1, 2,
@@ -446,7 +331,7 @@ func (c *Chain) Config() *config.Config { return config.FromGrid(c.g) }
 // With no valid moves the state is absorbing and the hold is effectively
 // infinite.
 func (c *Chain) sampleHold() {
-	p := c.fen.total() / float64(c.slots*len(c.points))
+	p := c.fen.total() / float64(c.Slots*len(c.Pts))
 	if p <= 0 {
 		c.hold = math.MaxUint64
 		return
@@ -455,7 +340,7 @@ func (c *Chain) sampleHold() {
 		c.hold = 1
 		return
 	}
-	k := math.Floor(math.Log1p(-c.rng.Float64()) / math.Log1p(-p))
+	k := math.Floor(math.Log1p(-c.Rng.Float64()) / math.Log1p(-p))
 	if math.IsNaN(k) || k >= math.MaxUint64/2 {
 		c.hold = math.MaxUint64
 		return
@@ -470,7 +355,7 @@ func (c *Chain) sampleHold() {
 // been rebuilt exactly and the caller should resample the hold.
 func (c *Chain) fireEvent() bool {
 	W := c.fen.total()
-	i := c.fen.find(c.rng.Float64() * W)
+	i := c.fen.find(c.Rng.Float64() * W)
 	if c.wj[i] == 0 {
 		// Floating-point drift steered the prefix search onto a zero-weight
 		// leaf; squash the drift and resample.
@@ -479,7 +364,7 @@ func (c *Chain) fireEvent() bool {
 		if c.fen.total() <= 0 {
 			return false
 		}
-		i = c.fen.find(c.rng.Float64() * c.fen.total())
+		i = c.fen.find(c.Rng.Float64() * c.fen.total())
 		if c.wj[i] == 0 {
 			return false
 		}
@@ -503,12 +388,12 @@ func (c *Chain) fireEvent() bool {
 // weight: a translation direction below lattice.NumDirs, else a rotation
 // slot. The slot weights sum to wj[i] by construction, in the same fold.
 func (c *Chain) drawSlot(i int) int {
-	l := c.points[i]
-	ld := c.ldAt(l)
+	l := c.Pts[i]
+	ld := c.LadderAt(c.epoch, l)
 	ws := c.slotBuf
 	var buf [lattice.NumDirs]float64
 	var sum float64
-	if c.stateless {
+	if c.Stateless {
 		ws = buf[:]
 		pm := c.pk[i]
 		for d := lattice.Dir(0); d < lattice.NumDirs; d++ {
@@ -522,7 +407,7 @@ func (c *Chain) drawSlot(i int) int {
 	} else {
 		sum = c.priceSlots(l, c.pk[i], ws, ld)
 	}
-	v := c.rng.Float64() * sum
+	v := c.Rng.Float64() * sum
 	slot := len(ws) - 1
 	for k, w := range ws {
 		if v -= w; v < 0 {
@@ -545,23 +430,23 @@ func (c *Chain) drawSlot(i int) int {
 // fireTranslation moves particle i in direction d, for every rule, and
 // re-classifies the dirty neighborhood from the mask cache.
 func (c *Chain) fireTranslation(i int, d lattice.Dir) {
-	l := c.points[i]
+	l := c.Pts[i]
 	m := c.pk[i].PairMask(d)
 	var same grid.Mask
-	if !c.stateless {
-		same = c.g.PairSame(l, d, m, c.g.Payload(l))
+	if !c.Stateless {
+		same = c.G.PairSame(l, d, m, c.G.Payload(l))
 	}
-	c.hval += c.ru.MoveDelta(m, same)
+	c.H += c.Ru.MoveDelta(m, same)
 	lp := l.Neighbor(d)
-	c.g.MoveMasked(l, lp, m)
-	c.points[i] = lp
-	c.pk[i] = c.g.Window(lp).Packed()
+	c.G.MoveMasked(l, lp, m)
+	c.Pts[i] = lp
+	c.pk[i] = c.G.Window(lp).Packed()
 	c.idx.clear(l)
-	c.idx.place(lp, int32(i), c.points)
+	c.idx.place(lp, int32(i), c.Pts)
 	c.events++
 	c.moves++
-	if c.mlog != nil {
-		c.mlog.Moved(l, lp, c.g.Payload(lp))
+	if c.Log != nil {
+		c.Log.Moved(l, lp, c.G.Payload(lp))
 	}
 
 	// Re-classify the dirty neighborhood — every occupied cell whose masks
@@ -573,12 +458,12 @@ func (c *Chain) fireTranslation(i int, d lattice.Dir) {
 	// the engine's hot path. A payload rule's neighbors are collected and
 	// re-priced right after it, in walk order, through priceSlots; a call
 	// inside the loop would cost the stateless walk its registers.
-	x := c.idx
+	x := &c.idx
 	base := x.slot(l)
 	deltas := &x.dirty[d]
 	flips := &dirtyFlips[d]
 	offs := grid.DirtyOffsets(d)
-	stateless := c.stateless
+	stateless := c.Stateless
 	nd := 0
 	for k := range nDirty {
 		j := x.id[base+deltas[k]]
@@ -592,7 +477,7 @@ func (c *Chain) fireTranslation(i int, d lattice.Dir) {
 			nd++
 			continue
 		}
-		if w := packedWeight(pk, c.ldAt(l.Add(offs[k]))); w != c.wj[j] {
+		if w := packedWeight(pk, c.LadderAt(c.epoch, l.Add(offs[k]))); w != c.wj[j] {
 			c.fen.add(int(j), w-c.wj[j])
 			c.wj[j] = w
 		}
@@ -615,17 +500,17 @@ func (c *Chain) reprice(j int) {
 // to the slot's target state. Occupancy and the mask cache are unchanged;
 // the rotating cell's radius-2 neighborhood, itself included, is re-priced.
 func (c *Chain) fireRotation(i, slot int) {
-	l := c.points[i]
-	s := c.g.Payload(l)
-	t := c.ru.RotTarget(s, slot-lattice.NumDirs)
-	c.hval += c.ru.RotDelta(c.g.SameNeighborMask(l, s), c.g.SameNeighborMask(l, t))
-	c.g.SetPayload(l, t)
+	l := c.Pts[i]
+	s := c.G.Payload(l)
+	t := c.Ru.RotTarget(s, slot-lattice.NumDirs)
+	c.H += c.Ru.RotDelta(c.G.SameNeighborMask(l, s), c.G.SameNeighborMask(l, t))
+	c.G.SetPayload(l, t)
 	c.events++
 	c.rots++
-	if c.mlog != nil {
-		c.mlog.Rotated(l, t)
+	if c.Log != nil {
+		c.Log.Rotated(l, t)
 	}
-	c.dirtyPts = c.g.OccupiedNearCell(l, c.dirtyPts[:0])
+	c.dirtyPts = c.G.OccupiedNearCell(l, c.dirtyPts[:0])
 	for _, p := range c.dirtyPts {
 		c.reprice(int(c.idx.at(p)))
 	}
@@ -637,7 +522,7 @@ func (c *Chain) fireRotation(i, slot int) {
 // n at bias-epoch boundaries: no event ever fires under a stale λ, and
 // advanceEpoch refreshes every cached weight when a boundary is crossed.
 func (c *Chain) Run(n uint64) uint64 {
-	if c.lcache == nil {
+	if !c.Ru.Biased() {
 		return c.run(n)
 	}
 	var fired uint64
@@ -662,10 +547,10 @@ func (c *Chain) Run(n uint64) uint64 {
 // the geometric hold is memoryless, so resampling it against the refreshed
 // total weight is exactly the Metropolis waiting time under the new bias.
 func (c *Chain) advanceEpoch() {
-	e := c.ru.BiasEpoch()
+	e := c.Ru.BiasEpoch()
 	c.epoch = c.steps - c.steps%e
 	c.epochEnd = c.epoch + e
-	for i := range c.points {
+	for i := range c.Pts {
 		c.wj[i] = c.particleWeight(i)
 	}
 	c.fen.rebuild(c.wj)
@@ -704,8 +589,8 @@ func (c *Chain) run(n uint64) uint64 {
 // is a test/debug hook with O(n) cost.
 func (c *Chain) CheckWeightSums() error {
 	var sum float64
-	for i, p := range c.points {
-		if pm := c.g.Window(p).Packed(); pm != c.pk[i] {
+	for i, p := range c.Pts {
+		if pm := c.G.Window(p).Packed(); pm != c.pk[i] {
 			return fmt.Errorf("kmc: particle %d at %v: cached masks %#x, window reads %#x", i, p, uint64(c.pk[i]), uint64(pm))
 		}
 		w := c.particleWeight(i)

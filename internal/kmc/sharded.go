@@ -53,6 +53,7 @@ import (
 	"sops/internal/grid"
 	"sops/internal/lattice"
 	"sops/internal/rule"
+	"sops/internal/seq"
 )
 
 // halo is the number of rows a stripe's interior keeps clear of each cut.
@@ -174,7 +175,7 @@ func NewSharded(sigma0 *config.Config, lambda float64, seed uint64, shards int) 
 	s.home = make([]int32, s.n)
 	s.pos = make([]int32, s.n)
 	s.bndFen = newFenwick(s.n)
-	s.bndRng = rand.New(rand.NewPCG(seed, rngStream))
+	s.bndRng = rand.New(rand.NewPCG(seed, seq.Stream))
 	s.want = shards
 	// One deterministic PCG stream per potential stripe, persistent across
 	// reshards: rebalancing changes geometry, never how randomness is
@@ -182,7 +183,7 @@ func NewSharded(sigma0 *config.Config, lambda float64, seed uint64, shards int) 
 	// base stream.
 	s.rngs = make([]*rand.Rand, shards)
 	for j := range s.rngs {
-		s.rngs[j] = rand.New(rand.NewPCG(seed, rngStream+uint64(j)+1))
+		s.rngs[j] = rand.New(rand.NewPCG(seed, seq.Stream+uint64(j)+1))
 	}
 	s.roundSteps = uint64(max(1024, s.n))
 	s.reshard()

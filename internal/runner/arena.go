@@ -34,8 +34,8 @@ type Arena struct {
 	rules  map[arenaRuleKey]*rule.Rule
 	starts map[arenaStartKey][]lattice.Point
 
-	chain *chain.Chain
-	kmc   *kmc.Chain
+	chain chain.Chain
+	kmc   kmc.Chain
 
 	res  Result
 	snap snapshotter
@@ -246,40 +246,22 @@ func (a *Arena) startPoints(opts Options) []lattice.Point {
 	return pts
 }
 
-// engineFor readies the requested engine over the starting points: the
-// first task of each engine kind constructs it, every later task resets it
-// in place (proven bit-identical to fresh construction by the engines' own
-// reset tests) and detaches the previous task's delta tap.
+// engineFor resets the arena's engine of the requested kind in place over
+// the starting points, which detaches the previous task's delta tap.
+// Reset is bit-identical to fresh construction, as the engines' own reset
+// tests prove, and readies the zero engine of a new arena too.
 func (a *Arena) engineFor(engine string, pts []lattice.Point, ru *rule.Rule, seed uint64) (Sequential, error) {
 	switch engine {
 	case EngineChain:
-		if a.chain == nil {
-			c, err := chain.NewWithRule(config.New(pts...), ru, seed)
-			if err != nil {
-				return nil, err
-			}
-			a.chain = c
-			return c, nil
-		}
 		if err := a.chain.Reset(pts, ru, seed); err != nil {
 			return nil, err
 		}
-		a.chain.SetMoveLog(nil)
-		return a.chain, nil
+		return &a.chain, nil
 	case EngineKMC:
-		if a.kmc == nil {
-			c, err := kmc.NewWithRule(config.New(pts...), ru, seed)
-			if err != nil {
-				return nil, err
-			}
-			a.kmc = c
-			return c, nil
-		}
 		if err := a.kmc.Reset(pts, ru, seed); err != nil {
 			return nil, err
 		}
-		a.kmc.SetMoveLog(nil)
-		return a.kmc, nil
+		return &a.kmc, nil
 	}
 	return nil, fmt.Errorf("runner: engine %q is not sequential (want %s|%s)", engine, EngineChain, EngineKMC)
 }

@@ -83,11 +83,15 @@ var (
 )
 
 // NewSequentialWithRule constructs the named sequential engine ("" selects
-// EngineChain) over a copy of σ0, running an arbitrary compiled rule.
+// EngineChain) over a copy of σ0, which must be connected, running an
+// arbitrary compiled rule.
 func NewSequentialWithRule(engine string, sigma0 *config.Config, ru *rule.Rule, seed uint64) (Sequential, error) {
 	o, err := Options{N: sigma0.N(), Engine: engine}.resolved()
 	if err != nil {
 		return nil, err
+	}
+	if !sigma0.Connected() {
+		return nil, fmt.Errorf("runner: starting configuration must be connected")
 	}
 	return new(Arena).engineFor(o.Engine, sigma0.Points(), ru, seed)
 }

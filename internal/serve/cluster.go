@@ -508,8 +508,11 @@ func (m *Manager) tailMirror(st *stream, id string) {
 // within one beat.
 func (m *Manager) cancelRemote(h *handle, id string) (Job, error) {
 	job, err := m.readRecord(id)
+	if os.IsNotExist(err) {
+		return Job{}, fmt.Errorf("serve: %w %q", errUnknownJob, id)
+	}
 	if err != nil {
-		return Job{}, fmt.Errorf("serve: unknown job %q", id)
+		return Job{}, err
 	}
 	if terminal(job.State) {
 		m.adoptRecord(h, job)

@@ -593,7 +593,7 @@ func (m *Manager) Jobs() []Job {
 func (m *Manager) Cancel(id string) (Job, error) {
 	h, ok := m.lookup(id)
 	if !ok {
-		return Job{}, fmt.Errorf("serve: unknown job %q", id)
+		return Job{}, fmt.Errorf("serve: %w %q", errUnknownJob, id)
 	}
 	h.mu.Lock()
 	if m.cluster() && h.remote && !terminal(h.job.State) {
@@ -635,17 +635,35 @@ func (m *Manager) Cancel(id string) (Job, error) {
 	return j, nil
 }
 
-// Delete removes a terminal job's record; active jobs are cancelled
-// instead (the record stays until a later delete).
+// errUnknownJob reports an id that names no job of this manager.
+var errUnknownJob = errors.New("unknown job")
+
+// Delete removes a terminal job's record, then its handle; active jobs are
+// cancelled instead (the record stays until a later delete). An unknown id
+// wraps errUnknownJob. A record the store fails to remove keeps the job, and
+// Delete returns the store's error.
 func (m *Manager) Delete(id string) (Job, bool, error) {
 	h, ok := m.lookup(id)
 	if !ok {
-		return Job{}, false, fmt.Errorf("serve: unknown job %q", id)
+		return Job{}, false, fmt.Errorf("serve: %w %q", errUnknownJob, id)
 	}
 	job, _ := m.Job(id)
 	if !terminal(job.State) {
 		j, err := m.Cancel(id)
 		return j, false, err
+	}
+	// A job reads terminal before execute writes its terminal record;
+	// marking the handle deleted under persistMu, together with the
+	// record's removal, makes that write a no-op instead of a resurrection.
+	h.persistMu.Lock()
+	err := os.Remove(m.recordPath(id))
+	if os.IsNotExist(err) {
+		err = nil
+	}
+	h.deleted = err == nil
+	h.persistMu.Unlock()
+	if err != nil {
+		return Job{}, false, err
 	}
 	m.mu.Lock()
 	delete(m.jobs, id)
@@ -656,16 +674,6 @@ func (m *Manager) Delete(id string) (Job, bool, error) {
 		}
 	}
 	m.mu.Unlock()
-	// A job reads terminal before execute writes its terminal record;
-	// marking the handle deleted under persistMu makes that write a no-op
-	// instead of a resurrection.
-	h.persistMu.Lock()
-	h.deleted = true
-	err := os.Remove(m.recordPath(id))
-	h.persistMu.Unlock()
-	if err != nil && !os.IsNotExist(err) {
-		return Job{}, false, err
-	}
 	if m.cluster() {
 		// Leases and mirrors are per-job bookkeeping; they go with the
 		// record. The cached workspace (keyed by digest) stays.

@@ -213,9 +213,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	job, deleted, err := s.mgr.Delete(r.PathValue("id"))
-	if err != nil {
-		writeAPIError(w, http.StatusNotFound, CodeJobNotFound, r.PathValue("id"), err)
+	id := r.PathValue("id")
+	job, deleted, err := s.mgr.Delete(id)
+	switch {
+	case errors.Is(err, errUnknownJob):
+		writeAPIError(w, http.StatusNotFound, CodeJobNotFound, id, err)
+		return
+	case err != nil:
+		writeAPIError(w, http.StatusInternalServerError, CodeInternal, id, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"job": job, "deleted": deleted})

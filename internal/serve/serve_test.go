@@ -706,6 +706,70 @@ func TestListAndDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteStoreError: a DELETE whose record removal fails answers 500
+// internal and leaves the job in place, not 404 job_not_found for a job
+// that is still there. The store error is a non-empty directory where the
+// done job's record was. Once the record can be removed, DELETE succeeds;
+// an unknown id answers 404 job_not_found.
+func TestDeleteStoreError(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	base := ts.URL
+	job := submit(t, base, JobRequest{Run: &runner.Options{N: 8, Lambda: 4, Iterations: 2000, Seed: 9}})
+	waitState(t, base, job.ID, StateDone)
+	rec := filepath.Join(s.Manager().dir, "jobs", job.ID+".json")
+	if err := os.Remove(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(rec, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	del := func(id string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := del(job.ID)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("DELETE over an unremovable record: status %d, want 500", resp.StatusCode)
+	}
+	if apiErr := decodeEnvelope(t, resp); apiErr.Code != CodeInternal || apiErr.JobID != job.ID {
+		t.Errorf("DELETE over an unremovable record: envelope %+v, want code %q", apiErr, CodeInternal)
+	}
+	if got := getJob(t, base, job.ID); got.State != StateDone {
+		t.Fatalf("job after a failed DELETE: %+v, want it still done", got)
+	}
+
+	if err := os.RemoveAll(rec); err != nil {
+		t.Fatal(err)
+	}
+	resp = del(job.ID)
+	var out struct {
+		Deleted bool `json:"deleted"`
+	}
+	err := json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !out.Deleted {
+		t.Fatalf("DELETE once the record is removable: status %d, deleted %v, err %v", resp.StatusCode, out.Deleted, err)
+	}
+	if _, ok := s.Manager().Job(job.ID); ok {
+		t.Fatal("deleted job still listed")
+	}
+	resp = del(job.ID)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("DELETE of an unknown id: status %d, want 404", resp.StatusCode)
+	}
+	if apiErr := decodeEnvelope(t, resp); apiErr.Code != CodeJobNotFound {
+		t.Errorf("DELETE of an unknown id: envelope %+v, want code %q", apiErr, CodeJobNotFound)
+	}
+}
+
 // TestDeleteAtFinishStaysDeleted: a job deleted the moment it reads
 // terminal stays deleted. The job turns terminal in memory before its
 // terminal record is written; a Delete landing in between must still win,
