@@ -411,6 +411,20 @@ func BenchmarkAmoebotActivation(b *testing.B) { benchmarkActivation(b, 100) }
 // workload's shape: an n=40 line at λ=4.
 func BenchmarkAmoebotActivationLine40(b *testing.B) { benchmarkActivation(b, 40) }
 
+// BenchmarkAmoebotRun is BenchmarkAmoebotActivationLine40's world driven
+// through one RunActivations call, the way runners drive it: Algorithm A's
+// call-free loop.
+func BenchmarkAmoebotRun(b *testing.B) {
+	w, err := amoebot.NewWorld(config.Line(40))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := amoebot.NewPoissonScheduler(w, amoebot.MustNewCompression(4), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunActivations(uint64(b.N))
+}
+
 // benchmarkActivation steps one Poisson-scheduled world, started from an
 // n-particle line at λ=4, b.N times.
 func benchmarkActivation(b *testing.B, n int) {

@@ -120,7 +120,7 @@ func (a *Activation) moveSame(m grid.Mask) grid.Mask {
 // ContractToHead completes the particle's relocation.
 func (a *Activation) ContractToHead() {
 	if a.p.Expanded() {
-		a.w.contractToHead(a.p)
+		a.w.contractToHead(a.p, a.w.tails.PairMask(a.p.tail, a.p.dir))
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // TestActivationZeroAlloc pins the activation path at zero allocations: once
 // the windows have grown to the trajectory's extent, a batch of activations
 // under either scheduler allocates nothing, for the fixed-λ compression
-// rule, the payload (align) rule and the biased-ladder (forage) rule.
+// rule, the payload (align) rule and the biased-ladder (forage) rule. The
+// Poisson scheduler is driven both one StepActivation at a time and by one
+// RunActivations call per batch, which runs compression in runPlain.
 func TestActivationZeroAlloc(t *testing.T) {
 	rules := []struct {
 		name   string
@@ -21,13 +23,18 @@ func TestActivationZeroAlloc(t *testing.T) {
 		{"align", rule.MustAlignment(6, 3), 3},
 		{"forage", rule.MustForage(4, rule.ForageOptions{FoodSteps: 60_000, Epoch: 1000}), 0},
 	}
-	type stepper interface{ StepActivation() bool }
+	type stepper interface {
+		StepActivation() bool
+		RunActivations(uint64)
+	}
 	schedulers := []struct {
 		name string
+		run  bool // one RunActivations call per batch
 		make func(*World, Protocol) stepper
 	}{
-		{"poisson", func(w *World, p Protocol) stepper { return NewPoissonScheduler(w, p, 3) }},
-		{"uniform", func(w *World, p Protocol) stepper { return NewUniformScheduler(w, p, 3) }},
+		{"poisson", false, func(w *World, p Protocol) stepper { return NewPoissonScheduler(w, p, 3) }},
+		{"poisson-run", true, func(w *World, p Protocol) stepper { return NewPoissonScheduler(w, p, 3) }},
+		{"uniform", false, func(w *World, p Protocol) stepper { return NewUniformScheduler(w, p, 3) }},
 	}
 	for _, rc := range rules {
 		for _, sc := range schedulers {
@@ -41,10 +48,16 @@ func TestActivationZeroAlloc(t *testing.T) {
 				}
 				s := sc.make(w, MustNewMetropolis(rc.ru))
 				batch := func() {
-					for i := 0; i < 10_000; i++ {
-						if !s.StepActivation() {
-							t.Fatal("scheduler ran dry")
+					before := w.Activations()
+					if sc.run {
+						s.RunActivations(10_000)
+					} else {
+						for i := 0; i < 10_000; i++ {
+							s.StepActivation()
 						}
+					}
+					if w.Activations() != before+10_000 {
+						t.Fatal("scheduler ran dry")
 					}
 				}
 				// Warm up past the food clock and the compression transient,

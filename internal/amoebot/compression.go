@@ -109,16 +109,12 @@ func (c *Metropolis) Activate(a *Activation) {
 		if a.OccupiedAt(d) || a.HasExpandedNeighborAtTail() {
 			return
 		}
-		if !a.Expand(d) {
-			return
-		}
+		a.Expand(d)
 		// Step 5–7: the flag records whether this particle moved first in
 		// its neighborhood; a False flag forces contracting back later.
-		if !a.HasExpandedNeighborAtTail() && !a.HasExpandedNeighborAtHead() {
-			a.SetFlag(true)
-		} else {
-			a.SetFlag(false)
-		}
+		// The tail's neighbors were just scanned, and only this particle
+		// has changed since, so the head's decide.
+		a.SetFlag(!a.HasExpandedNeighborAtHead())
 		return
 	}
 	// Steps 8–13: expanded phase. One mask extraction answers the rule's

@@ -304,13 +304,14 @@ func (w *World) expand(p *Particle, d lattice.Dir) {
 }
 
 // contractToHead completes a relocation: the particle becomes contracted at
-// its head node.
-func (w *World) contractToHead(p *Particle) {
+// its head node. m is the pair mask of the particle's (tail, head) pair in
+// the tail grid, which grid.MoveMasked updates the edge count from.
+func (w *World) contractToHead(p *Particle, m grid.Mask) {
 	if !p.Expanded() {
 		panic("amoebot: contract on contracted particle")
 	}
 	w.idx.cells[w.idx.at(p.tail)] = 0
-	w.tails.Move(p.tail, p.head)
+	w.tails.MoveMasked(p.tail, p.head, m)
 	if w.mlog != nil {
 		w.mlog.Moved(p.tail, p.head, w.tails.Payload(p.head))
 	}
@@ -334,10 +335,15 @@ func (w *World) contractToTail(p *Particle) {
 // hasExpandedNeighbor reports whether any node adjacent to pt holds a head
 // or tail of an expanded particle other than excl. pt must be occupied.
 func (w *World) hasExpandedNeighbor(pt lattice.Point, excl ParticleID) bool {
-	i := w.idx.at(pt)
-	for _, delta := range w.idx.nbr {
-		c := w.idx.cells[i+delta]
-		if c&cellExpanded != 0 && ParticleID(c>>cellIDShift) != excl {
+	return expandedAround(w.idx.cells, w.idx.at(pt), &w.idx.nbr, excl)
+}
+
+// expandedAround is hasExpandedNeighbor over a cell index's cells and
+// neighbor deltas, for the node at cell i. It is small enough to inline
+// into runPlain.
+func expandedAround(cells []int32, i int, nbr *[lattice.NumDirs]int, excl ParticleID) bool {
+	for _, delta := range nbr {
+		if c := cells[i+delta]; c&cellExpanded != 0 && ParticleID(c>>cellIDShift) != excl {
 			return true
 		}
 	}
@@ -355,8 +361,13 @@ func (w *World) activate(id ParticleID, proto Protocol, rng *rand.Rand) {
 	w.act.p, w.act.rng = p, rng
 	proto.Activate(&w.act)
 	w.act.p, w.act.rng = nil, nil
-	// Round bookkeeping: the first activation of a particle in a round
-	// stamps it.
+	w.stampRound(p)
+}
+
+// stampRound does the round bookkeeping of an activation of p: the first
+// activation of a particle in a round stamps it, and the round completes
+// once every live particle is stamped.
+func (w *World) stampRound(p *Particle) {
 	if p.roundStamp != w.rounds+1 {
 		p.roundStamp = w.rounds + 1
 		w.activatedThis++

@@ -100,7 +100,7 @@ func (c *Chain) Reset(pts []lattice.Point, ru *rule.Rule, seed uint64) error {
 	if err := c.State.Reset(pts, ru, seed); err != nil {
 		return fmt.Errorf("chain: %w", err)
 	}
-	c.plain = c.Stateless && !ru.Biased() && c.Slots == lattice.NumDirs
+	c.plain = ru.Plain()
 	if c.plain {
 		c.price = ru.Ladder().MoveTable()
 	}

@@ -195,8 +195,8 @@ func TestForageRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ru.Name() != NameForage || !ru.Biased() || !ru.Stateless() {
-		t.Fatalf("forage registry rule: name=%s biased=%v stateless=%v", ru.Name(), ru.Biased(), ru.Stateless())
+	if ru.Name() != NameForage || !ru.Biased() || !ru.Stateless() || ru.Plain() {
+		t.Fatalf("forage registry rule: name=%s biased=%v stateless=%v plain=%v", ru.Name(), ru.Biased(), ru.Stateless(), ru.Plain())
 	}
 	if ru.BiasEpoch() != DefaultBiasEvery {
 		t.Fatalf("default epoch %d, want %d", ru.BiasEpoch(), DefaultBiasEvery)

@@ -291,6 +291,13 @@ func (r *Rule) Slots() int {
 	return lattice.NumDirs
 }
 
+// Plain reports whether the rule is stateless, fixed-λ and six-slot
+// (compression and every CompressionVariant): a proposal is a direction,
+// and the ladder's move table (Ladder.MoveTable), indexed by the pair
+// mask, prices it alone. The engines' call-free loops run exactly these
+// rules.
+func (r *Rule) Plain() bool { return r.Stateless() && !r.Biased() && r.Slots() == lattice.NumDirs }
+
 // Allowed reports whether a translation with pair mask m passes the guard.
 func (r *Rule) Allowed(m grid.Mask) bool { return r.valid[m] }
 

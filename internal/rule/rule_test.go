@@ -47,9 +47,9 @@ func TestCompressionMatchesClassify(t *testing.T) {
 				t.Fatalf("λ=%g mask %08b: Move %g, want %g", lambda, m, got, want)
 			}
 		}
-		if r.Slots() != 6 || !r.Stateless() || r.Rotates() {
-			t.Fatalf("compression rule shape wrong: slots=%d stateless=%v rotates=%v",
-				r.Slots(), r.Stateless(), r.Rotates())
+		if r.Slots() != 6 || !r.Stateless() || r.Rotates() || !r.Plain() {
+			t.Fatalf("compression rule shape wrong: slots=%d stateless=%v rotates=%v plain=%v",
+				r.Slots(), r.Stateless(), r.Rotates(), r.Plain())
 		}
 	}
 }
@@ -80,6 +80,9 @@ func TestCompressionVariantAblations(t *testing.T) {
 		}
 		if got := r.KeepsHoleFree(); got != tc.degreeGuard {
 			t.Fatalf("%s: KeepsHoleFree %v, want %v", tc.name, got, tc.degreeGuard)
+		}
+		if !r.Plain() {
+			t.Fatalf("%s: not Plain", tc.name)
 		}
 	}
 	for _, name := range Names() {
@@ -189,7 +192,7 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("empty name: %v, %v", r, err)
 	}
 	r, err := New(NameAlignment, 4, 0)
-	if err != nil || r.States() != DefaultAlignmentStates || r.Slots() != 6+DefaultAlignmentStates-1 {
+	if err != nil || r.States() != DefaultAlignmentStates || r.Slots() != 6+DefaultAlignmentStates-1 || r.Plain() {
 		t.Fatalf("align defaults: %+v, %v", r, err)
 	}
 	if _, err := New("no-such-rule", 4, 0); err == nil {

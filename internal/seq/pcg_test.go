@@ -75,3 +75,46 @@ func TestDrawHelpersMatchMathRand(t *testing.T) {
 		})
 	}
 }
+
+// TestPCGAsSource pins *PCG as a rand.Source, the way the amoebot Poisson
+// scheduler uses it: one stream feeds direct IntN and Float64 draws and
+// rand.New(&p)'s draws, ExpFloat64 among them, interleaved. It requires
+// each draw to equal rand.New(rand.NewPCG(seed, s))'s and the streams to
+// end equally advanced. Its 2·10⁵ ExpFloat64 draws reach the ziggurat's
+// rejection and tail paths; the test requires a draw beyond the tail's
+// start, which only the tail path returns.
+func TestPCGAsSource(t *testing.T) {
+	// The start of the exponential ziggurat's tail in math/rand/v2.
+	const tailStart = 7.69711747013104972
+	const stream = 0x5bd1e995
+	tail := 0
+	for seed := uint64(0); seed < 10; seed++ {
+		p := PCG{seed, stream}
+		r := rand.New(&p)
+		ref := rand.New(rand.NewPCG(seed, stream))
+		for k := 0; k < 20_000; k++ {
+			if got, want := p.IntN(6), ref.IntN(6); got != want {
+				t.Fatalf("seed %d draw %d: IntN(6) = %d, math/rand/v2 %d", seed, k, got, want)
+			}
+			got, want := r.ExpFloat64(), ref.ExpFloat64()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d draw %d: ExpFloat64 = %v, math/rand/v2 %v", seed, k, got, want)
+			}
+			if got > tailStart {
+				tail++
+			}
+			if got, want := p.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 = %v, math/rand/v2 %v", seed, k, got, want)
+			}
+			if got, want := r.IntN(7), ref.IntN(7); got != want {
+				t.Fatalf("seed %d draw %d: rand.New(&p).IntN(7) = %d, math/rand/v2 %d", seed, k, got, want)
+			}
+		}
+		if got, want := p.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("seed %d: streams advanced differently (next word %#x, math/rand/v2 %#x)", seed, got, want)
+		}
+	}
+	if tail == 0 {
+		t.Fatal("no ExpFloat64 draw came from the ziggurat's tail")
+	}
+}
